@@ -1,15 +1,18 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: numpy reference forms, three with numba twins.
 
 Everything the prover does at scale reduces to a small algebra over dense
 float64 matrices: Gaussian kernel tables, fused min-score fact sweeps, and
-max-min (tropical-like) products used to compose proof branches.  Each kernel
-here has two implementations selected by ``USE_NUMBA``:
+max-min (tropical-like) products used to compose proof branches.  Every
+kernel is a vectorized numpy function.  The numpy forms are the reference
+and the measured path: ``perfbench/run.py --trace 1`` times them as
+``accel.micro.*``.
 
-* numba ``@njit`` loops (default when numba imports cleanly), and
-* a vectorized numpy fallback, enabled by setting ``SELPROVER_NUMBA=0``.
-
-Both paths produce identical results up to floating-point summation order;
-``benchmarks/bench_kernels.py`` times them side by side.
+``kernel_matrix``, ``strict_group`` and ``maxmin_matmat`` also have a numba
+``@njit`` twin, because their numpy forms need chunked cubic temporaries.
+The twins run when numba imports cleanly (the optional ``[numba]`` extra);
+``USE_NUMBA`` selects them, and tests flip it to compare the two paths,
+which agree up to floating-point summation order.  The other kernels are one
+vectorized pass and have no twin.
 
 Score convention used throughout: proof scores live in (0, 1], and 0.0 means
 "no path".  Max-reductions therefore initialize to 0.0, and fused sweeps mark
@@ -19,17 +22,8 @@ dead entries with -1.0 so callers can distinguish them at any threshold.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-
-def _env_wants_numba() -> bool:
-    raw = os.environ.get("SELPROVER_NUMBA", "").strip().lower()
-    if raw in ("0", "false", "no", "off"):
-        return False
-    return True
-
 
 try:
     import numba
@@ -47,9 +41,9 @@ except ImportError:  # pragma: no cover - exercised only on numba-less installs
 
     prange = range  # type: ignore[assignment]
 
-# Module-level switch, resolved once at import.  Tests flip it directly to
+# Module-level switch for the numba twins.  Tests flip it directly to
 # exercise both paths in one process.
-USE_NUMBA = HAVE_NUMBA and _env_wants_numba()
+USE_NUMBA = HAVE_NUMBA
 
 
 def set_threads(n: int) -> None:
@@ -116,60 +110,6 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 # fused fact sweep: min(prefix, pred-sim, arg sims) + threshold + bottleneck arg
 # ---------------------------------------------------------------------------
 
-_NO_ARG = np.zeros(0)
-
-
-@njit(cache=True)
-def _sweep_scores_nb(prefix, psim, a1sim, a2sim, has1, has2, threshold, exclude):  # pragma: no cover
-    F = psim.shape[0]
-    scores = np.empty(F)
-    which = np.empty(F, np.int8)
-    for f in range(F):
-        if f == exclude:
-            scores[f] = -1.0
-            which[f] = -1
-            continue
-        best = prefix
-        w = 0
-        v = psim[f]
-        if v < best:
-            best = v
-            w = 1
-        if has1:
-            v = a1sim[f]
-            if v < best:
-                best = v
-                w = 2
-        if has2:
-            v = a2sim[f]
-            if v < best:
-                best = v
-                w = 3
-        if best < threshold:
-            scores[f] = -1.0
-            which[f] = -1
-        else:
-            scores[f] = best
-            which[f] = w
-    return scores, which
-
-
-def _sweep_scores_np(prefix, psim, a1sim, a2sim, has1, has2, threshold, exclude):
-    F = psim.shape[0]
-    rows = [np.full(F, prefix), psim]
-    rows.append(a1sim if has1 else np.full(F, np.inf))
-    rows.append(a2sim if has2 else np.full(F, np.inf))
-    stack = np.stack(rows)
-    scores = stack.min(axis=0)
-    which = stack.argmin(axis=0).astype(np.int8)  # argmin takes the first on ties
-    dead = scores < threshold
-    if 0 <= exclude < F:
-        dead[exclude] = True
-    scores[dead] = -1.0
-    which[dead] = -1
-    return scores, which
-
-
 def sweep_scores(prefix: float, psim: np.ndarray, a1sim, a2sim,
                  threshold: float, exclude: int = -1):
     """Score one goal against a fact block in a single fused pass.
@@ -183,12 +123,20 @@ def sweep_scores(prefix: float, psim: np.ndarray, a1sim, a2sim,
     with ties resolved toward the earliest factor.
     """
     psim = _f64(psim)
-    has1 = a1sim is not None
-    has2 = a2sim is not None
-    a1 = _f64(a1sim) if has1 else _NO_ARG
-    a2 = _f64(a2sim) if has2 else _NO_ARG
-    fn = _sweep_scores_nb if USE_NUMBA else _sweep_scores_np
-    return fn(float(prefix), psim, a1, a2, has1, has2, float(threshold), int(exclude))
+    F = psim.shape[0]
+    rows = [np.full(F, float(prefix)), psim]
+    rows.append(_f64(a1sim) if a1sim is not None else np.full(F, np.inf))
+    rows.append(_f64(a2sim) if a2sim is not None else np.full(F, np.inf))
+    stack = np.stack(rows)
+    scores = stack.min(axis=0)
+    which = stack.argmin(axis=0).astype(np.int8)  # argmin takes the first on ties
+    dead = scores < float(threshold)
+    exclude = int(exclude)
+    if 0 <= exclude < F:
+        dead[exclude] = True
+    scores[dead] = -1.0
+    which[dead] = -1
+    return scores, which
 
 
 # ---------------------------------------------------------------------------
@@ -196,29 +144,11 @@ def sweep_scores(prefix: float, psim: np.ndarray, a1sim, a2sim,
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _scatter_max_nb(keys, vals, size):  # pragma: no cover - compiled
-    out = np.zeros(size)
-    for i in range(keys.shape[0]):
-        v = vals[i]
-        k = keys[i]
-        if v > out[k]:
-            out[k] = v
-    return out
-
-
-def _scatter_max_np(keys, vals, size):
-    out = np.zeros(size)
-    np.maximum.at(out, keys, vals)
-    return out
-
-
 def scatter_max(keys: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     """out[k] = max of vals where keys == k, 0.0 where a key never occurs."""
-    keys = _i64(keys)
-    vals = _f64(vals)
-    fn = _scatter_max_nb if USE_NUMBA else _scatter_max_np
-    return fn(keys, vals, int(size))
+    out = np.zeros(int(size))
+    np.maximum.at(out, _i64(keys), _f64(vals))
+    return out
 
 
 @njit(cache=True)
@@ -270,61 +200,22 @@ def strict_group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _maxmin_matvec_nb(M, v):  # pragma: no cover - compiled
-    n = M.shape[0]
-    m = M.shape[1]
-    out = np.zeros(n)
-    for i in range(n):
-        best = 0.0
-        for j in range(m):
-            t = M[i, j]
-            if v[j] < t:
-                t = v[j]
-            if t > best:
-                best = t
-        out[i] = best
-    return out
-
-
-def _maxmin_matvec_np(M, v):
+def maxmin_matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[i] = max_j min(M[i,j], v[j]), floored at the no-path score 0.0."""
+    M = _f64(M)
+    v = _f64(v)
     if M.shape[1] == 0:
         return np.zeros(M.shape[0])
     return np.maximum(np.minimum(M, v[None, :]).max(axis=1), 0.0)
 
 
-def maxmin_matvec(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """out[i] = max_j min(M[i,j], v[j]), floored at the no-path score 0.0."""
-    fn = _maxmin_matvec_nb if USE_NUMBA else _maxmin_matvec_np
-    return fn(_f64(M), _f64(v))
-
-
-@njit(cache=True)
-def _maxmin_vecmat_nb(v, M):  # pragma: no cover - compiled
-    n = M.shape[0]
-    m = M.shape[1]
-    out = np.zeros(m)
-    for i in range(n):
-        vi = v[i]
-        for j in range(m):
-            t = M[i, j]
-            if vi < t:
-                t = vi
-            if t > out[j]:
-                out[j] = t
-    return out
-
-
-def _maxmin_vecmat_np(v, M):
+def maxmin_vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """out[j] = max_i min(v[i], M[i,j]), floored at 0.0."""
+    v = _f64(v)
+    M = _f64(M)
     if M.shape[0] == 0:
         return np.zeros(M.shape[1])
     return np.maximum(np.minimum(v[:, None], M).max(axis=0), 0.0)
-
-
-def maxmin_vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """out[j] = max_i min(v[i], M[i,j]), floored at 0.0."""
-    fn = _maxmin_vecmat_nb if USE_NUMBA else _maxmin_vecmat_np
-    return fn(_f64(v), _f64(M))
 
 
 @njit(cache=True, parallel=True)
@@ -372,7 +263,7 @@ def maxmin_matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def warmup() -> None:
-    """Trigger jit compilation of every kernel on tiny inputs."""
+    """Trigger jit compilation of every numba twin on tiny inputs."""
     if not USE_NUMBA:
         return
     E = np.zeros((2, 3))
@@ -380,9 +271,5 @@ def warmup() -> None:
     psim = np.array([0.5, 0.9])
     idx = np.array([0, 1])
     Kc = np.eye(2)
-    sweep_scores(1.0, psim, psim, None, 0.1, -1)
-    scatter_max(idx, psim, 2)
     strict_group(psim, idx, idx, Kc)
-    maxmin_matvec(Kc, psim)
-    maxmin_vecmat(psim, Kc)
     maxmin_matmat(Kc, Kc)

@@ -6,9 +6,10 @@ order. Scalar results are 0-d arrays. Only what the prover, the embedding
 pretrainer, and the GRU generator need is implemented; this is not a general
 tensor library.
 
-Subgradient convention for min/max: the gradient flows to the single
-attaining operand, ties broken toward the earliest one. Left-folded
-reductions preserve that rule.
+There are no min/max ops on the tape. The prover's max-min scores are
+computed on plain arrays; the training loss rebuilds only the single kernel
+entry that attains each score (ties toward the earliest contribution), so
+the gradient is the subgradient that flows to that one operand.
 """
 
 from __future__ import annotations
@@ -156,12 +157,6 @@ def vsum(a: Value, axis=None) -> Value:
     return out
 
 
-def vmean(a: Value, axis=None) -> Value:
-    a = as_value(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(vsum(a, axis=axis), 1.0 / max(1, n))
-
-
 def exp(a: Value) -> Value:
     a = as_value(a)
     out = Value(np.exp(a.data), (a,))
@@ -283,53 +278,6 @@ def pick_row(a: Value, i: int) -> Value:
     return out
 
 
-def minimum2(a: Value, b: Value) -> Value:
-    """Elementwise min; gradient to the attaining operand, ties to ``a``."""
-    a, b = as_value(a), as_value(b)
-    take_a = a.data <= b.data
-    out = Value(np.where(take_a, a.data, b.data), (a, b))
-
-    def bw(g):
-        a.grad += _unbroadcast(g * take_a, a.data.shape)
-        b.grad += _unbroadcast(g * ~take_a, b.data.shape)
-
-    out._backward = bw
-    return out
-
-
-def maximum2(a: Value, b: Value) -> Value:
-    """Elementwise max; gradient to the attaining operand, ties to ``a``."""
-    a, b = as_value(a), as_value(b)
-    take_a = a.data >= b.data
-    out = Value(np.where(take_a, a.data, b.data), (a, b))
-
-    def bw(g):
-        a.grad += _unbroadcast(g * take_a, a.data.shape)
-        b.grad += _unbroadcast(g * ~take_a, b.data.shape)
-
-    out._backward = bw
-    return out
-
-
-def min_list(values: Sequence[Value]) -> Value:
-    """Left-folded min over scalars: earliest operand wins ties."""
-    if not values:
-        raise ValueError("min_list needs at least one value")
-    out = values[0]
-    for v in values[1:]:
-        out = minimum2(out, v)
-    return out
-
-
-def max_list(values: Sequence[Value]) -> Value:
-    if not values:
-        raise ValueError("max_list needs at least one value")
-    out = values[0]
-    for v in values[1:]:
-        out = maximum2(out, v)
-    return out
-
-
 def sum_list(values: Sequence[Value]) -> Value:
     """Fused sum of scalar values; avoids deep add chains."""
     vals = [as_value(v) for v in values]
@@ -433,15 +381,6 @@ class ParameterStore:
 
     def names(self) -> list[str]:
         return list(self.params)
-
-    def copy(self) -> "ParameterStore":
-        other = ParameterStore()
-        other.params = {k: v.copy() for k, v in self.params.items()}
-        other.step_count = self.step_count
-        other.rejected_updates = self.rejected_updates
-        other._adam_m = {k: v.copy() for k, v in self._adam_m.items()}
-        other._adam_v = {k: v.copy() for k, v in self._adam_v.items()}
-        return other
 
     def save(self, path) -> None:
         """Exact round-trip dump: parameters, optimizer state, counters."""

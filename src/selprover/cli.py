@@ -28,6 +28,7 @@ from .datasets import Dataset, DatasetError, load_dataset
 from .em import TrainState, run_training
 from .evaluate import EfficiencyRecord, compute_efficiency, compute_mrr_hits, \
     evaluate_ranking
+from .generator import parse_storage_lines
 from .kb import KnowledgeBase
 from .pretrain import PRED_EMB, SLOT_EMB, pretrain_embeddings
 from .prover import template_rules
@@ -233,16 +234,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         path = path / "storage.txt"
     if not path.is_file():
         raise ConfigError(f"no storage file at {path}")
-    rows = []
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ConfigError(f"{path}:{line_no}: expected 5 tab-separated "
-                              f"fields, got {len(parts)}")
-        rows.append(parts)
+    try:
+        rows = parse_storage_lines(path.read_text())
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from None
     header = ("layer", "predicate", "score", "goal", "provenance")
     widths = [max([len(h)] + [len(r[i]) for r in rows])
               for i, h in enumerate(header)]

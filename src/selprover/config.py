@@ -73,7 +73,6 @@ class RunConfig:
 
     # modes
     baseline_full_kb: bool = False
-    debug_trace: bool = False
     threads: int = 0
 
     @property

@@ -8,13 +8,13 @@ finally the generator's teacher-forced epochs. The generator never receives
 a gradient before the prover pass has finished; the storage is the only
 channel between the two phases.
 
-An iteration either commits completely or not at all: sub-operation
-failures leave the incoming state untouched and log a diagnostic.
+An iteration trains the incoming store and storage in place. A failure
+inside it propagates and ends the run, so no half-trained state is ever
+carried into the next iteration or written as a checkpoint.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import logging
 import math
@@ -190,19 +190,16 @@ def em_iteration(state: TrainState, kb: KnowledgeBase,
                  batches: list[tuple[int, list[Atom]]], cfg: RunConfig,
                  rng: np.random.Generator, known: frozenset,
                  valid_eval=None) -> TrainState:
-    """One full iteration; returns the incoming state unchanged on failure."""
-    store = copy.deepcopy(state.store)
-    storage = copy.deepcopy(state.storage)
-    try:
-        row = _run_iteration(store, storage, kb, batches, cfg, rng, known)
-        row["valid_mrr"] = (float(valid_eval(store)) if valid_eval is not None
-                            else float("nan"))
-    except Exception:
-        log.exception("iteration %d aborted; state unchanged",
-                      state.iteration + 1)
-        return state
+    """One full iteration, trained in place on ``state.store``/``state.storage``.
+
+    Returns the state advanced by one iteration, its metrics row appended.
+    """
+    row = _run_iteration(state.store, state.storage, kb, batches, cfg, rng,
+                         known)
+    row["valid_mrr"] = (float(valid_eval(state.store))
+                        if valid_eval is not None else float("nan"))
     row["iteration"] = state.iteration + 1
-    return TrainState(state.iteration + 1, store, storage,
+    return TrainState(state.iteration + 1, state.store, state.storage,
                       state.metrics_log + [row])
 
 
@@ -290,11 +287,7 @@ def run_training(cfg: RunConfig, splits, out_dir, valid_eval=None) -> TrainState
     since_best = 0
     for _ in range(cfg.iterations):
         batches = build_goal_batches(splits.train, cfg, rng)
-        nxt = em_iteration(state, kb, batches, cfg, rng, known, valid_eval)
-        if nxt.iteration == state.iteration:
-            raise RuntimeError(
-                f"iteration {state.iteration + 1} failed; aborting run")
-        state = nxt
+        state = em_iteration(state, kb, batches, cfg, rng, known, valid_eval)
         write_metrics_csv(out / "metrics.csv", state.metrics_log)
         mrr = state.metrics_log[-1]["valid_mrr"]
         if not math.isnan(mrr):

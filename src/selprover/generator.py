@@ -99,21 +99,16 @@ def gru_step(tape: Tape, h_prev: Value, r_prev: int, r_cur: int
 
 
 def generate_predicates(goal_rel: int, store: ParameterStore, width: int,
-                        depth: int, sample: bool = False,
-                        rng: np.random.Generator | None = None
-                        ) -> dict[int, float]:
+                        depth: int) -> dict[int, float]:
     """Predicates worth proving with for this goal, with generation scores.
 
-    Deterministic beam by default: per step each beam emits its top `width`
+    Deterministic beam: per step each beam emits its top `width`
     predicates, the beam set is capped at width^2 by cumulative probability.
     A predicate's score is the best step-local probability it was emitted
-    with; the goal relation is always present with score 1. With `sample`
-    set, emissions are drawn from the distribution instead (needs `rng`).
+    with; the goal relation is always present with score 1.
     """
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
-    if sample and rng is None:
-        raise ValueError("sampling generation needs an rng")
     tape = Tape(store)
     h0 = init_hidden(tape, goal_rel)
     out: dict[int, float] = {goal_rel: 1.0}
@@ -125,13 +120,8 @@ def generate_predicates(goal_rel: int, store: ParameterStore, width: int,
         for cum, rp, rc, h in beams:
             h2, dist = gru_step(tape, h, rp, rc)
             probs = dist.data[0]
-            if sample:
-                k = min(width, probs.size)
-                picks = rng.choice(probs.size, size=k, replace=False, p=probs)
-                picks = sorted(int(p) for p in picks)
-            else:
-                order = np.argsort(-probs, kind="stable")
-                picks = [int(p) for p in order[:width]]
+            order = np.argsort(-probs, kind="stable")
+            picks = [int(p) for p in order[:width]]
             for p in picks:
                 score = float(probs[p])
                 if score > out.get(p, 0.0):
@@ -212,19 +202,31 @@ class RelationStorage:
     def load(cls, text: str, vocab: Vocabulary,
              capacities: tuple[int, ...]) -> "RelationStorage":
         storage = cls(capacities)
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"storage line {line_no}: expected 5 "
-                                 f"tab-separated fields, got {len(parts)}")
+        for parts in parse_storage_lines(text):
             layer, pred_name, score, goal_name, provenance = parts
             storage.add(int(layer), StorageEntry(
                 vocab.predicate_id(pred_name), float(score),
                 vocab.predicate_id(goal_name), provenance))
         return storage
+
+
+def parse_storage_lines(text: str) -> list[list[str]]:
+    """Raw fields of every entry line in the storage text form.
+
+    Blank lines and ``#`` comments are skipped; each other line must hold
+    the five tab-separated fields ``dump`` writes, or ValueError names it.
+    """
+    rows = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ValueError(f"storage line {line_no}: expected 5 "
+                             f"tab-separated fields, got {len(parts)}")
+        rows.append(parts)
+    return rows
 
 
 def update_relation_storage(storage: RelationStorage, hq: HighQualityBuffer,

@@ -1,4 +1,4 @@
-"""Knowledge-base core: symbols, atoms, rules, parsing, splits, corruptions.
+"""Knowledge-base core: symbols, atoms, rules, views, parsing, splits.
 
 Representation choices, fixed here and relied on everywhere else:
 
@@ -21,10 +21,6 @@ import numpy as np
 
 from .config import ConfigError
 
-PRED = "predicate"
-CONST = "constant"
-VARIABLE = "variable"
-
 
 def mkvar(index: int) -> int:
     """Encode variable number ``index`` (0-based) as a negative symbol code."""
@@ -41,13 +37,6 @@ def var_index(code: int) -> int:
     if code >= 0:
         raise ValueError(f"{code} is not a variable code")
     return -code - 1
-
-
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    id: int
-    name: str
-    kind: str
 
 
 class ParseError(ValueError):
@@ -112,15 +101,6 @@ class Vocabulary:
 
     def constant_name(self, cid: int) -> str:
         return self._const_names[cid]
-
-    def symbol(self, kind: str, sid: int) -> Symbol:
-        if kind == PRED:
-            return Symbol(sid, self._pred_names[sid], PRED)
-        if kind == CONST:
-            return Symbol(sid, self._const_names[sid], CONST)
-        if kind == VARIABLE:
-            return Symbol(sid, f"X{var_index(sid)}", VARIABLE)
-        raise ValueError(f"unknown symbol kind: {kind}")
 
     def predicate_names(self) -> list[str]:
         return list(self._pred_names)
@@ -308,10 +288,6 @@ class KBView:
             self._local_of_parent = {int(p): i for i, p in enumerate(self.fact_ids)}
         return self._local_of_parent.get(int(parent_fact_id), -1)
 
-    def fact_atom(self, local_index: int) -> Atom:
-        return self.parent.facts[int(self.fact_ids[local_index])]
-
-
 def parse_triples(text: str, vocab: Vocabulary | None = None
                   ) -> tuple[list[Atom], Vocabulary, int]:
     """Parse tab/whitespace-separated triple lines into interned facts.
@@ -402,42 +378,3 @@ def split_dataset(facts: Sequence[Atom], ratios: tuple[float, float, float],
     valid = [facts[i] for i in order[n_train:n_train + n_valid]]
     test = [facts[i] for i in order[n_train + n_valid:]]
     return DatasetSplit(train=train, valid=valid, test=test, seed=seed)
-
-
-def generate_corruptions(fact: Atom, kb: KnowledgeBase) -> list[Atom]:
-    """All single-argument corruptions of a ground fact, filtered against the KB.
-
-    Replaces the first argument with every other constant, then the second;
-    drops any candidate present in ``kb`` (the full known fact set) and never
-    returns the uncorrupted fact itself.
-    """
-    if not fact.is_ground:
-        raise ValueError(f"corruptions need a ground fact, got {fact}")
-    p = fact.pred
-    s, o = fact.args
-    out: list[Atom] = []
-    n_const = kb.vocab.n_constants
-    for c in range(n_const):
-        if c != s and (p, c, o) not in kb.fact_set:
-            out.append(Atom(p, (c, o)))
-    for c in range(n_const):
-        if c != o and (p, s, c) not in kb.fact_set:
-            out.append(Atom(p, (s, c)))
-    return out
-
-
-def match_predicates(kb: KnowledgeBase, predicates: Iterable[int]) -> KBView:
-    """Sub-KB of items whose head predicate is in the given id set."""
-    pred_set = set(int(p) for p in predicates)
-    for p in pred_set:
-        if not 0 <= p < kb.vocab.n_predicates:
-            raise KeyError(f"unknown predicate id: {p}")
-    fact_ids: list[int] = []
-    rule_ids: list[int] = []
-    for p in sorted(pred_set):
-        fi, ri = kb.predicate_index(p)
-        fact_ids.extend(fi)
-        rule_ids.extend(ri)
-    fact_ids.sort()
-    rule_ids.sort()
-    return KBView(kb, np.array(fact_ids, dtype=np.int64), tuple(rule_ids))

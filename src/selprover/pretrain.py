@@ -32,19 +32,6 @@ def init_store(n_constants: int, n_predicates: int, dim: int,
     return store
 
 
-def complex_score(h: int, r: int, t: int, store: ParameterStore) -> float:
-    """Re(<e_h, w_r, conj(e_t)>) for one triple of symbol ids."""
-    eh = store[CONST_EMB][h]
-    wr = store[PRED_EMB][r]
-    et = store[CONST_EMB][t]
-    k = eh.shape[0] // 2
-    re_h, im_h = eh[:k], eh[k:]
-    re_r, im_r = wr[:k], wr[k:]
-    re_t, im_t = et[:k], et[k:]
-    return float(np.sum(re_h * re_r * re_t + im_h * re_r * im_t
-                        + re_h * im_r * im_t - im_h * im_r * re_t))
-
-
 def complex_score_batch(tape: Tape, h_idx, r_idx, t_idx) -> ad.Value:
     """Differentiable batched scores, shape (B,)."""
     eh = tape.rows(CONST_EMB, h_idx)
@@ -61,8 +48,13 @@ def complex_score_batch(tape: Tape, h_idx, r_idx, t_idx) -> ad.Value:
 
 
 def _sample_negative(rng: np.random.Generator, triple: tuple[int, int, int],
-                     n_constants: int, known: frozenset) -> tuple[int, int, int]:
-    # corrupt head or tail uniformly; bounded rejection against known facts
+                     n_constants: int, known: frozenset
+                     ) -> tuple[int, int, int] | None:
+    """Corrupt the head or the tail uniformly, rejecting known triples.
+
+    Returns None when 100 draws in a row hit a known triple or the input;
+    a negative is never a known fact.
+    """
     p, s, o = triple
     for _ in range(100):
         c = int(rng.integers(n_constants))
@@ -72,7 +64,7 @@ def _sample_negative(rng: np.random.Generator, triple: tuple[int, int, int],
             cand = (p, s, c)
         if cand not in known and cand != triple:
             return cand
-    return cand
+    return None
 
 
 def pretrain_embeddings(train: list[Atom], vocab: Vocabulary, cfg: RunConfig,
@@ -98,6 +90,7 @@ def pretrain_embeddings(train: list[Atom], vocab: Vocabulary, cfg: RunConfig,
             B = len(batch)
             neg = [_sample_negative(rng, t, vocab.n_constants, known)
                    for t in batch for _ in range(cfg.pretrain_negatives)]
+            neg = [t for t in neg if t is not None]
             pp = np.array([t[0] for t in batch])
             ps = np.array([t[1] for t in batch])
             po = np.array([t[2] for t in batch])

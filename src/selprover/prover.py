@@ -34,7 +34,7 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tape
 from .config import RunConfig
 from .kb import Atom, KBView, KnowledgeBase, Rule, Vocabulary, is_var, mkvar
-from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
+from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB, _sample_negative
 
 ENTRY_PRED = 0
 ENTRY_CONST = 1
@@ -113,10 +113,6 @@ class HighQualityBuffer:
 class Counters:
     traversed: int = 0
     established: int = 0
-
-    def merge(self, other: "Counters") -> None:
-        self.traversed += other.traversed
-        self.established += other.established
 
 
 # ---------------------------------------------------------------------------
@@ -508,20 +504,6 @@ def classify_rule(rule: Rule) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _sample_corruption(rng: np.random.Generator, triple: tuple[int, int, int],
-                       n_constants: int, known: frozenset) -> Atom:
-    p, s, o = triple
-    for _ in range(100):
-        c = int(rng.integers(n_constants))
-        if rng.integers(2) == 0:
-            cand = (p, c, o)
-        else:
-            cand = (p, s, c)
-        if cand not in known and cand != triple:
-            break
-    return Atom(cand[0], (cand[1], cand[2]))
-
-
 def _score_node(tape: Tape, result: ProofResult, n_real: int,
                 clamp: float) -> ad.Value:
     if result.state is not None and result.state.entry is not None:
@@ -538,7 +520,8 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
                   ) -> tuple[Tape, ad.Value, dict]:
     """Cross-entropy over proof scores of positives and sampled corruptions.
 
-    Each positive is masked out of the view for its own proof only. Scores
+    Each positive is masked out of the view for its own proof only. A
+    corruption draw that finds no unknown triple is dropped. Scores
     are rebuilt on the tape through their bottleneck kernel entries, clamped,
     and the loss is the negative log likelihood summed over the batch. The
     caller owns the backward/clip/update sequence.
@@ -562,7 +545,10 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
         s_p = _score_node(tape, res_p, n_real, cfg.score_clamp)
         terms.append(ad.mul(ad.log(s_p), -1.0))
         for _ in range(cfg.prover_negatives):
-            neg = _sample_corruption(rng, goal.as_triple(), n_const, known_facts)
+            cand = _sample_negative(rng, goal.as_triple(), n_const, known_facts)
+            if cand is None:
+                continue
+            neg = Atom(cand[0], (cand[1], cand[2]))
             res_n = prove_goal(neg, view, store, pconf, goal_hq, counters, tables)
             neg_scores.append(res_n.score)
             s_n = _score_node(tape, res_n, n_real, cfg.score_clamp)

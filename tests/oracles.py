@@ -14,6 +14,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def complex_score(h: int, r: int, t: int, store) -> float:
+    """Re(<e_h, w_r, conj(e_t)>) for one triple of symbol ids.
+
+    Scalar reference for ``pretrain.complex_score_batch``, read straight from
+    the packed [re || im] rows of ``const_emb`` and ``pred_emb``.
+    """
+    eh = store["const_emb"][h]
+    wr = store["pred_emb"][r]
+    et = store["const_emb"][t]
+    k = eh.shape[0] // 2
+    re_h, im_h = eh[:k], eh[k:]
+    re_r, im_r = wr[:k], wr[k:]
+    re_t, im_t = et[:k], et[k:]
+    return float(np.sum(re_h * re_r * re_t + im_h * re_r * im_t
+                        + re_h * im_r * im_t - im_h * im_r * re_t))
+
+
 def okernel(E: np.ndarray, i: int, j: int) -> float:
     d = E[i] - E[j]
     return float(np.exp(-np.dot(d, d)))

@@ -1,10 +1,17 @@
-"""Numeric kernels: naive-loop oracles plus numba/numpy path equivalence."""
+"""Numeric kernels: naive-loop oracles plus numba/numpy path equivalence.
+
+Only ``kernel_matrix``, ``strict_group`` and ``maxmin_matmat`` have a numba
+twin; tests of the other kernels run the numpy path alone.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from selprover import accel
+
+
+NUMPY_ONLY = pytest.mark.parametrize("path", ["numpy"], indirect=True)
 
 
 @pytest.fixture(params=["numba", "numpy"])
@@ -95,23 +102,19 @@ class TestSweepScores:
         a1 = rng.uniform(0.01, 1.0, F) if mask & 1 else None
         a2 = rng.uniform(0.01, 1.0, F) if mask & 2 else None
         prefix = float(rng.uniform(0.01, 1.0))
-        for use_numba in ([True, False] if accel.HAVE_NUMBA else [False]):
-            old = accel.USE_NUMBA
-            accel.USE_NUMBA = use_numba
-            try:
-                s, w = accel.sweep_scores(prefix, psim, a1, a2, threshold, exclude)
-            finally:
-                accel.USE_NUMBA = old
-            es, ew = naive_sweep(prefix, psim, a1, a2, threshold, exclude)
-            np.testing.assert_allclose(s, es, rtol=1e-15)
-            np.testing.assert_array_equal(w, ew)
+        s, w = accel.sweep_scores(prefix, psim, a1, a2, threshold, exclude)
+        es, ew = naive_sweep(prefix, psim, a1, a2, threshold, exclude)
+        np.testing.assert_allclose(s, es, rtol=1e-15)
+        np.testing.assert_array_equal(w, ew)
 
+    @NUMPY_ONLY
     def test_tie_prefers_earliest(self, path):
         s, w = accel.sweep_scores(0.5, np.array([0.5]), np.array([0.5]), np.array([0.5]), 0.0)
         assert w[0] == 0  # carried prefix wins the tie
         s, w = accel.sweep_scores(0.9, np.array([0.5]), np.array([0.5]), None, 0.0)
         assert w[0] == 1
 
+    @NUMPY_ONLY
     def test_exclude_marks_dead(self, path):
         s, w = accel.sweep_scores(1.0, np.array([0.9, 0.9]), None, None, 0.0, exclude=1)
         assert s[1] == -1.0 and w[1] == -1
@@ -128,14 +131,8 @@ class TestScatterMax:
         expect = np.zeros(size)
         for k, v in zip(keys, vals):
             expect[k] = max(expect[k], v)
-        for use_numba in ([True, False] if accel.HAVE_NUMBA else [False]):
-            old = accel.USE_NUMBA
-            accel.USE_NUMBA = use_numba
-            try:
-                got = accel.scatter_max(keys, vals, size)
-            finally:
-                accel.USE_NUMBA = old
-            np.testing.assert_allclose(got, expect, rtol=1e-15)
+        got = accel.scatter_max(keys, vals, size)
+        np.testing.assert_allclose(got, expect, rtol=1e-15)
 
 
 def naive_strict_group(psim, soft_idx, grp_idx, Kc):
@@ -206,18 +203,12 @@ class TestMaxMinProducts:
         M = rng.uniform(0.0, 1.0, (n, m))
         v = rng.uniform(0.0, 1.0, m)
         u = rng.uniform(0.0, 1.0, n)
-        for use_numba in ([True, False] if accel.HAVE_NUMBA else [False]):
-            old = accel.USE_NUMBA
-            accel.USE_NUMBA = use_numba
-            try:
-                got_mv = accel.maxmin_matvec(M, v)
-                got_vm = accel.maxmin_vecmat(u, M)
-                ref_mv = accel.maxmin_matmat(M, v[:, None])[:, 0] if m else np.zeros(n)
-                ref_vm = accel.maxmin_matmat(u[None, :], M)[0] if n else np.zeros(m)
-            finally:
-                accel.USE_NUMBA = old
-            np.testing.assert_allclose(got_mv, ref_mv, rtol=1e-15)
-            np.testing.assert_allclose(got_vm, ref_vm, rtol=1e-15)
+        got_mv = accel.maxmin_matvec(M, v)
+        got_vm = accel.maxmin_vecmat(u, M)
+        ref_mv = accel.maxmin_matmat(M, v[:, None])[:, 0] if m else np.zeros(n)
+        ref_vm = accel.maxmin_matmat(u[None, :], M)[0] if n else np.zeros(m)
+        np.testing.assert_allclose(got_mv, ref_mv, rtol=1e-15)
+        np.testing.assert_allclose(got_vm, ref_vm, rtol=1e-15)
 
     def test_associativity_small(self, path):
         # max-min products associate; spot-check on one triple

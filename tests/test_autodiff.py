@@ -92,33 +92,6 @@ class TestPrimitiveGradients:
 
         assert ad.finite_difference_check(f, store, rng=rng) < 1e-4
 
-    def test_min_max_away_from_ties(self):
-        rng = np.random.default_rng(7)
-        store = make_store(x=np.array([0.2, 0.9, 0.5]))
-
-        def f(s, tape):
-            x = tape.leaf("x")
-            parts = [ad.pick_row(x, i) for i in range(3)]
-            return ad.add(ad.min_list(parts), ad.max_list(parts))
-
-        assert ad.finite_difference_check(f, store, rng=rng) < 1e-6
-
-    def test_min_tie_goes_to_earliest(self):
-        store = make_store(x=np.array([0.5, 0.5]))
-        tape = ad.Tape(store)
-        x = tape.leaf("x")
-        out = ad.min_list([ad.pick_row(x, 0), ad.pick_row(x, 1)])
-        tape.backward(out)
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
-
-    def test_max_tie_goes_to_earliest(self):
-        store = make_store(x=np.array([0.5, 0.5]))
-        tape = ad.Tape(store)
-        x = tape.leaf("x")
-        out = ad.max_list([ad.pick_row(x, 0), ad.pick_row(x, 1)])
-        tape.backward(out)
-        np.testing.assert_array_equal(x.grad, [1.0, 0.0])
-
     def test_clamp_boundary_gradient_zero(self):
         store = make_store(x=np.array([2.0, 0.5, -1.0]))
         tape = ad.Tape(store)

@@ -227,6 +227,7 @@ def test_initialize_shapes(ready):
 def test_iteration_commits_new_state(ready):
     state = fresh_state(ready)
     snap = snapshot(state.store)
+    steps_before = state.store.step_count
     batches = build_goal_batches(ready.splits.train, ready.cfg,
                                  np.random.default_rng(1))
     nxt = em_iteration(state, ready.kb, batches, ready.cfg,
@@ -241,25 +242,23 @@ def test_iteration_commits_new_state(ready):
     assert math.isfinite(row["generator_loss"])
     assert row["traversed"] > 0
     assert 0.0 <= row["utilization"] <= 1.0
-    # incoming state untouched; outgoing state actually trained
-    assert unchanged(state.store, snap)
-    assert state.storage.total() == 0
+    # the store and storage are trained in place
+    assert nxt.store is state.store and nxt.storage is state.storage
     assert not unchanged(nxt.store, snap)
     assert not np.array_equal(nxt.store["gen.out.W"], snap["gen.out.W"])
     assert nxt.storage.total() > 0
     assert all(e.provenance in ("unify", "nns")
                for layer in nxt.storage.layers for e in layer)
-    assert nxt.store.step_count >= state.store.step_count + len(batches)
+    assert nxt.store.step_count >= steps_before + len(batches)
 
 
-def test_iteration_failure_leaves_state_unchanged(ready, caplog):
+def test_iteration_failure_propagates(ready):
     state = fresh_state(ready)
     bogus = [(99, [Atom(0, (0, 1))])]
-    with caplog.at_level("ERROR", logger="selprover.em"):
-        nxt = em_iteration(state, ready.kb, bogus, ready.cfg,
-                           np.random.default_rng(3), ready.known)
-    assert nxt is state
-    assert "aborted" in caplog.text
+    with pytest.raises(IndexError):
+        em_iteration(state, ready.kb, bogus, ready.cfg,
+                     np.random.default_rng(3), ready.known)
+    assert state.iteration == 0 and state.metrics_log == []
 
 
 def test_baseline_mode_skips_selection_and_generator(ready):

@@ -7,7 +7,8 @@ from selprover.generator import (RelationStorage, StorageEntry,
                                  generate_predicates, gru_step, init_generator,
                                  init_hidden, is_generator_param,
                                  item_embeddings, nearest_real_predicate,
-                                 nns_complete, train_generator_step,
+                                 nns_complete, parse_storage_lines,
+                                 train_generator_step,
                                  update_relation_storage)
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
@@ -117,16 +118,8 @@ def test_generation_is_deterministic():
     assert list(a.items()) == list(b.items())
 
 
-def test_sampled_generation_contract():
+def test_generation_rejects_zero_width():
     store = gen_store(8, 4, seed=9)
-    a = generate_predicates(0, store, width=3, depth=2, sample=True,
-                            rng=np.random.default_rng(11))
-    b = generate_predicates(0, store, width=3, depth=2, sample=True,
-                            rng=np.random.default_rng(11))
-    assert a == b
-    assert 0 in a and a[0] == 1.0
-    with pytest.raises(ValueError, match="rng"):
-        generate_predicates(0, store, width=3, depth=2, sample=True)
     with pytest.raises(ValueError, match="width"):
         generate_predicates(0, store, width=0, depth=1)
 
@@ -193,6 +186,13 @@ def test_storage_text_is_editable():
     assert [e.pred for e in back.layers[0]] == [3]
     with pytest.raises(ValueError, match="fields"):
         RelationStorage.load("1\tp1\t0.5\n", kb.vocab, (4,))
+
+
+def test_storage_parser_keeps_raw_fields():
+    text = "# note\n\n2\t#0\t0.5\tchildOf\tnns\n"
+    assert parse_storage_lines(text) == [["2", "#0", "0.5", "childOf", "nns"]]
+    with pytest.raises(ValueError, match="line 2"):
+        parse_storage_lines("# note\n1\tp1\t0.5\n")
 
 
 def test_update_from_buffer_places_by_level():

@@ -1,4 +1,4 @@
-"""Knowledge-base core: parsing, splits, corruptions, predicate views."""
+"""Knowledge-base core: parsing, splits, corruptions, views."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from selprover import kb
 from selprover.config import ConfigError
+from selprover.pretrain import _sample_negative
 
 
 def build_kb(triples, rules=()):
@@ -145,14 +146,19 @@ class TestSplitDataset:
 
 
 class TestCorruptions:
+    """``pretrain._sample_negative``, the one corruption sampler, which the
+    embedding pretrainer and the prover's training loss both draw from."""
+
     def test_both_argument_sweeps_filtered(self):
         # constants {a,b,c}, only fact r(a,b): both argument sweeps, filtered
         base = build_kb([("a", "r", "b"), ("c", "dummy", "c")])
         fact = base.facts[0]
-        out = kb.generate_corruptions(fact, base)
+        rng = np.random.default_rng(0)
+        out = {_sample_negative(rng, fact.as_triple(), base.vocab.n_constants,
+                                base.fact_set) for _ in range(200)}
         vocab = base.vocab
-        got = {(vocab.predicate_name(a.pred), vocab.constant_name(a.args[0]),
-                vocab.constant_name(a.args[1])) for a in out}
+        got = {(vocab.predicate_name(p), vocab.constant_name(s),
+                vocab.constant_name(o)) for p, s, o in out}
         assert got == {("r", "b", "b"), ("r", "c", "b"),
                        ("r", "a", "a"), ("r", "a", "c")}
 
@@ -160,18 +166,16 @@ class TestCorruptions:
         triples = [("a", "r", "b"), ("b", "r", "b"), ("c", "r", "b"),
                    ("a", "r", "a"), ("a", "r", "c")]
         base = build_kb(triples)
-        out = kb.generate_corruptions(base.facts[0], base)
-        assert out == []
-
-    def test_ground_required(self):
-        base = build_kb([("a", "r", "b")])
-        with pytest.raises(ValueError):
-            kb.generate_corruptions(kb.Atom(0, (kb.mkvar(0), 0)), base)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            assert _sample_negative(rng, base.facts[0].as_triple(),
+                                    base.vocab.n_constants,
+                                    base.fact_set) is None
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(2, 10), st.integers(1, 40), st.integers(0, 2**31 - 1))
+    @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2**31 - 1))
     def test_soundness(self, n_const, n_facts, seed):
-        """No corruption is a KB member; count bounded by 2(|C|-1)."""
+        """None, or an unknown triple one argument away from the fact."""
         rng = np.random.default_rng(seed)
         vocab = kb.Vocabulary()
         p = vocab.intern_predicate("r")
@@ -182,52 +186,13 @@ class TestCorruptions:
             facts.append(kb.Atom(p, (int(rng.integers(n_const)),
                                      int(rng.integers(n_const)))))
         base = kb.KnowledgeBase(vocab, facts)
-        fact = base.facts[int(rng.integers(base.n_facts))]
-        out = kb.generate_corruptions(fact, base)
-        assert len(out) <= 2 * (n_const - 1)
-        for c in out:
-            assert not base.contains(c)
-            assert c.as_triple() != fact.as_triple()
-
-
-class TestMatchPredicates:
-    def test_identity(self):
-        base = build_kb([("a", "p", "b"), ("b", "q", "c")])
-        view = kb.match_predicates(base, range(base.vocab.n_predicates))
-        assert view.n_facts == base.n_facts and view.n_rules == base.n_rules
-
-    def test_empty(self):
-        base = build_kb([("a", "p", "b")])
-        view = kb.match_predicates(base, [])
-        assert view.n_items == 0
-
-    def test_single_predicate(self):
-        base = build_kb([("a", "p", "b"), ("b", "q", "c")])
-        view = kb.match_predicates(base, [base.vocab.predicate_id("p")])
-        assert view.n_facts == 1
-        assert view.fact_atom(0).pred == base.vocab.predicate_id("p")
-
-    def test_unknown_predicate_raises(self):
-        base = build_kb([("a", "p", "b")])
-        with pytest.raises(KeyError):
-            kb.match_predicates(base, [99])
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 30), st.integers(0, 2**31 - 1))
-    def test_index_equals_linear_scan(self, n_pred, n_facts, seed):
-        rng = np.random.default_rng(seed)
-        vocab = kb.Vocabulary()
-        preds = [vocab.intern_predicate(f"p{i}") for i in range(n_pred)]
-        facts = []
-        for i in range(n_facts):
-            facts.append(kb.Atom(int(rng.integers(n_pred)),
-                                 (vocab.intern_constant(f"a{i}"),
-                                  vocab.intern_constant(f"b{i}"))))
-        base = kb.KnowledgeBase(vocab, facts)
-        chosen = [p for p in preds if rng.random() < 0.5]
-        view = kb.match_predicates(base, chosen)
-        expect = [i for i, f in enumerate(base.facts) if f.pred in set(chosen)]
-        assert list(view.fact_ids) == expect
+        fact = base.facts[int(rng.integers(base.n_facts))].as_triple()
+        got = _sample_negative(rng, fact, n_const, base.fact_set)
+        if got is None:
+            return
+        assert got not in base.fact_set
+        assert got[0] == fact[0]
+        assert (got[1] != fact[1]) + (got[2] != fact[2]) == 1
 
 
 class TestKnowledgeBase:
@@ -250,7 +215,7 @@ class TestKnowledgeBase:
         base = build_kb([("a", "p", "b"), ("c", "p", "d"), ("e", "q", "f")])
         view = base.full_view()
         assert view.local_fact_index(1) == 1
-        sub = kb.match_predicates(base, [base.vocab.predicate_id("q")])
+        sub = kb.KBView(base, np.array([2]), ())  # the q facts
         assert sub.local_fact_index(2) == 0
         assert sub.local_fact_index(0) == -1
 

@@ -8,6 +8,8 @@ from selprover import autodiff as ad
 from selprover import kb, pretrain
 from selprover.config import RunConfig
 
+from oracles import complex_score
+
 
 def tiny_vocab(n_const=4, n_pred=2):
     vocab = kb.Vocabulary()
@@ -29,7 +31,7 @@ class TestComplexScore:
         re_h = np.array([0.5, -1.0, 2.0])
         set_embedding(store, pretrain.CONST_EMB, 0, re_h, [0, 0, 0])
         set_embedding(store, pretrain.PRED_EMB, 0, [1, 1, 1], [0, 0, 0])
-        got = pretrain.complex_score(0, 0, 0, store)
+        got = complex_score(0, 0, 0, store)
         assert got == pytest.approx(np.sum(re_h ** 2), rel=1e-12)
 
     def test_k1_imaginary_example(self):
@@ -38,7 +40,7 @@ class TestComplexScore:
         set_embedding(store, pretrain.CONST_EMB, 0, [1.0], [0.0])
         set_embedding(store, pretrain.CONST_EMB, 1, [0.0], [1.0])
         set_embedding(store, pretrain.PRED_EMB, 0, [0.0], [1.0])
-        assert pretrain.complex_score(0, 0, 1, store) == pytest.approx(1.0)
+        assert complex_score(0, 0, 1, store) == pytest.approx(1.0)
 
     def test_real_parts_only_is_trilinear(self):
         rng = np.random.default_rng(1)
@@ -47,7 +49,7 @@ class TestComplexScore:
         set_embedding(store, pretrain.CONST_EMB, 0, a, np.zeros(4))
         set_embedding(store, pretrain.CONST_EMB, 1, b, np.zeros(4))
         set_embedding(store, pretrain.PRED_EMB, 0, r, np.zeros(4))
-        got = pretrain.complex_score(0, 0, 1, store)
+        got = complex_score(0, 0, 1, store)
         assert got == pytest.approx(float(np.sum(a * r * b)), rel=1e-12)
 
     def test_antisymmetry_capable(self):
@@ -56,8 +58,8 @@ class TestComplexScore:
         set_embedding(store, pretrain.CONST_EMB, 0, [1.0], [0.0])
         set_embedding(store, pretrain.CONST_EMB, 1, [0.0], [1.0])
         set_embedding(store, pretrain.PRED_EMB, 0, [0.0], [1.0])
-        fwd = pretrain.complex_score(0, 0, 1, store)
-        bwd = pretrain.complex_score(1, 0, 0, store)
+        fwd = complex_score(0, 0, 1, store)
+        bwd = complex_score(1, 0, 0, store)
         assert fwd != bwd
 
     @settings(max_examples=60, deadline=None)
@@ -70,7 +72,7 @@ class TestComplexScore:
         t = rng.integers(0, 5, size=6)
         tape = ad.Tape(store)
         got = pretrain.complex_score_batch(tape, h, r, t).data
-        expect = [pretrain.complex_score(int(a), int(b), int(c), store)
+        expect = [complex_score(int(a), int(b), int(c), store)
                   for a, b, c in zip(h, r, t)]
         np.testing.assert_allclose(got, expect, rtol=1e-12)
 
@@ -94,9 +96,9 @@ class TestComplexScore:
         tails = pretrain.score_tail_candidates(store, 2, 1)
         heads = pretrain.score_head_candidates(store, 1, 3)
         for c in range(6):
-            assert tails[c] == pytest.approx(pretrain.complex_score(2, 1, c, store),
+            assert tails[c] == pytest.approx(complex_score(2, 1, c, store),
                                              rel=1e-10, abs=1e-12)
-            assert heads[c] == pytest.approx(pretrain.complex_score(c, 1, 3, store),
+            assert heads[c] == pytest.approx(complex_score(c, 1, 3, store),
                                              rel=1e-10, abs=1e-12)
 
 
@@ -124,10 +126,10 @@ class TestPretraining:
         cfg = small_cfg(pretrain_epochs=200, pretrain_negatives=2)
         store, losses = pretrain.pretrain_embeddings(
             facts, vocab, cfg, np.random.default_rng(7))
-        fwd = pretrain.complex_score(vocab.constant_id("a"), 0,
-                                     vocab.constant_id("b"), store)
-        bwd = pretrain.complex_score(vocab.constant_id("b"), 0,
-                                     vocab.constant_id("a"), store)
+        fwd = complex_score(vocab.constant_id("a"), 0,
+                            vocab.constant_id("b"), store)
+        bwd = complex_score(vocab.constant_id("b"), 0,
+                            vocab.constant_id("a"), store)
         assert fwd > bwd
         assert losses[-1] < losses[0]
 
@@ -162,3 +164,15 @@ class TestPretraining:
         filt = frozenset(f.as_triple() for f in facts)
         mrr = pretrain.quick_filtered_mrr(store, facts, filt, vocab.n_constants)
         assert mrr > 0.6
+
+    def test_pretraining_drops_exhausted_draws(self):
+        # every corruption of every fact is known, so no negative survives
+        facts, vocab, _ = kb.parse_triples("a\tr\tb\nb\tr\ta\na\tr\ta\n"
+                                           "b\tr\tb")
+        cfg = small_cfg(pretrain_epochs=3, pretrain_lr=0.1)
+        store, losses = pretrain.pretrain_embeddings(
+            facts, vocab, cfg, np.random.default_rng(4))
+        # positives only: every score is pushed up, none down
+        assert all(np.isfinite(losses)) and losses[-1] < losses[0]
+        for f in facts:
+            assert complex_score(f.args[0], f.pred, f.args[1], store) > 0.0

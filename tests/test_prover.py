@@ -462,6 +462,23 @@ def test_training_loss_value_and_masking():
     assert 0 not in hq  # the masked fact never established for its own goal
 
 
+def test_training_loss_drops_exhausted_corruptions():
+    # over two constants every corruption of p0(c0, c1) is a known fact, so
+    # no negative is proved and only the positive term remains
+    Ep = place([0.0, 0.0])
+    Ec = place([0.0, 0.0], [0.3, 0.0])
+    kb, store = make_package([(0, 0, 1), (0, 1, 1), (0, 0, 0)], [], Ep, Ec)
+    cfg = RunConfig(max_depth=1, min_score=0.0, prover_negatives=3,
+                    embedding_dim=2)
+    counters = Counters()
+    tape, loss, stats = training_loss([Atom(0, (0, 1))], kb.full_view(), store,
+                                      cfg, HighQualityBuffer(), counters,
+                                      kb.fact_set, np.random.default_rng(3))
+    assert stats["mean_neg"] == 0.0
+    assert counters.traversed == kb.n_items  # the positive's proof alone
+    assert loss.data == pytest.approx(-np.log(stats["mean_pos"]), abs=1e-9)
+
+
 def test_training_loss_no_mask_when_goal_not_a_fact():
     Ep = place([0.0, 0.0], [0.2, 0.0])
     Ec = place([0.0, 0.0], [3.0, 0.0])

@@ -3,7 +3,7 @@ import pytest
 
 from selprover import accel
 from selprover.autodiff import ParameterStore
-from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
+from selprover.kb import Atom, KBView, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.prover import ProverConfig, build_templates, prove_goal
 from selprover.config import RunConfig
@@ -198,9 +198,7 @@ def test_subset_view_scores_subset_facts_only():
     Ec = rng.normal(0, 0.8, (4, 3))
     facts = [(0, 0, 1), (1, 1, 2), (2, 2, 3)]
     kb, store = build_kb(facts, [chain(0, 1, 2)], Ep, Ec)
-    view = kb.predicate_index  # noqa: F841  (full machinery lives on match)
-    from selprover.kb import match_predicates
-    sub = match_predicates(kb, [0, 1])
+    sub = KBView(kb, np.array([0, 1]), (0,))  # facts of predicates 0 and 1
     ev = BatchedEvaluator(sub, store, max_depth=2, min_score=0.0)
     cfg = ProverConfig(max_depth=2, min_score=0.0)
     for y in range(4):
