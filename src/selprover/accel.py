@@ -245,7 +245,9 @@ def _maxmin_matmat_np(A, B):
     out = np.zeros((n, m))
     if kk == 0:
         return out
-    step = max(1, int(4e6 // max(1, kk * m)))
+    # rows per chunk: the (step, kk, m) temporary stays near 2 MB; min and
+    # max are exact, so the chunking never changes a result
+    step = max(1, int(2.5e5 // max(1, kk * m)))
     for i0 in range(0, n, step):
         i1 = min(n, i0 + step)
         out[i0:i1] = np.minimum(A[i0:i1, :, None], B[None, :, :]).max(axis=1)

@@ -2,9 +2,11 @@
 
 A tiny tape: ``Value`` wraps an ndarray, remembers its parents and a backward
 closure, and ``Tape.backward`` runs the closures in reverse topological
-order. Scalar results are 0-d arrays. Only what the prover, the embedding
-pretrainer, and the GRU generator need is implemented; this is not a general
-tensor library.
+order. Scalar results are 0-d arrays. Only what the prover's training loss
+and the GRU generator need is implemented; this is not a general tensor
+library. The embedding pretrainer records no graph: it computes its
+gradients in closed form and hands them to ``adam_step`` on the leaves of a
+``Tape``.
 
 There are no min/max ops on the tape. The prover's max-min scores are
 computed on plain arrays; the training loss rebuilds only the single kernel
@@ -203,21 +205,6 @@ def tanh(a: Value) -> Value:
     return out
 
 
-def softplus(a: Value) -> Value:
-    """log(1 + e^x), computed stably."""
-    a = as_value(a)
-    out = Value(np.maximum(a.data, 0.0) + np.log1p(np.exp(-np.abs(a.data))), (a,))
-
-    def bw(g):
-        x = a.data
-        sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                       np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-        a.grad += g * sig
-
-    out._backward = bw
-    return out
-
-
 def clamp(a: Value, lo: float, hi: float) -> Value:
     """Clip with pass-through gradient strictly inside [lo, hi]."""
     a = as_value(a)
@@ -239,17 +226,6 @@ def concat_cols(a: Value, b: Value) -> Value:
     def bw(g):
         a.grad += g[:, :na]
         b.grad += g[:, na:]
-
-    out._backward = bw
-    return out
-
-
-def slice_cols(a: Value, start: int, stop: int) -> Value:
-    a = as_value(a)
-    out = Value(a.data[:, start:stop], (a,))
-
-    def bw(g):
-        a.grad[:, start:stop] += g
 
     out._backward = bw
     return out

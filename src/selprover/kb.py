@@ -178,8 +178,7 @@ class KnowledgeBase:
     """Immutable store of deduplicated ground facts plus rules.
 
     Items live in one id space: fact item ids are 0..n_facts-1 in insertion
-    order, rule item ids follow. ``predicate_index`` maps a predicate id to
-    the items whose head uses it.
+    order, rule item ids follow.
     """
 
     def __init__(self, vocab: Vocabulary, facts: Sequence[Atom],
@@ -203,12 +202,6 @@ class KnowledgeBase:
         self.fact_pred = np.fromiter((f.pred for f in kept), np.int64, n)
         self.fact_subj = np.fromiter((f.args[0] for f in kept), np.int64, n)
         self.fact_obj = np.fromiter((f.args[1] for f in kept), np.int64, n)
-        self._facts_by_pred: dict[int, list[int]] = {}
-        for i, f in enumerate(kept):
-            self._facts_by_pred.setdefault(f.pred, []).append(i)
-        self._rules_by_head: dict[int, list[int]] = {}
-        for j, r in enumerate(self.rules):
-            self._rules_by_head.setdefault(r.head.pred, []).append(j)
 
     @property
     def n_facts(self) -> int:
@@ -228,11 +221,6 @@ class KnowledgeBase:
     def fact_id(self, atom: Atom) -> int:
         """Item id of a stored fact equal to ``atom``, or -1."""
         return self._fact_id.get(atom.as_triple(), -1)
-
-    def predicate_index(self, pred: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(fact indices, rule indices) whose head predicate is ``pred``."""
-        return (tuple(self._facts_by_pred.get(pred, ())),
-                tuple(self._rules_by_head.get(pred, ())))
 
     def full_view(self) -> "KBView":
         return KBView(self, np.arange(self.n_facts, dtype=np.int64),

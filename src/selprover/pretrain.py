@@ -6,9 +6,18 @@ halves zero it degenerates to a real trilinear product. Training minimizes a
 logistic loss over positives and uniformly sampled filtered corruptions, on
 the training split only. The resulting store seeds the prover, whose kernel
 then operates directly on the packed 2k-vectors.
+
+No autodiff graph is recorded. The score is trilinear, so
+``batch_loss_grad`` writes the loss and its gradients in closed form, and
+the step hands them to ``adam_step`` on the leaves of a ``Tape``.
+Corruptions come from ``_sample_negatives``, which draws exactly the random
+stream of calling the scalar sampler ``_sample_negative`` row by row: the
+same negatives, the same dropped rows and the same generator state after.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -32,19 +41,101 @@ def init_store(n_constants: int, n_predicates: int, dim: int,
     return store
 
 
-def complex_score_batch(tape: Tape, h_idx, r_idx, t_idx) -> ad.Value:
-    """Differentiable batched scores, shape (B,)."""
-    eh = tape.rows(CONST_EMB, h_idx)
-    wr = tape.rows(PRED_EMB, r_idx)
-    et = tape.rows(CONST_EMB, t_idx)
-    k = eh.shape[1] // 2
-    re_h, im_h = ad.slice_cols(eh, 0, k), ad.slice_cols(eh, k, 2 * k)
-    re_r, im_r = ad.slice_cols(wr, 0, k), ad.slice_cols(wr, k, 2 * k)
-    re_t, im_t = ad.slice_cols(et, 0, k), ad.slice_cols(et, k, 2 * k)
-    terms = ad.add(
-        ad.add(ad.mul(ad.mul(re_h, re_r), re_t), ad.mul(ad.mul(im_h, re_r), im_t)),
-        ad.sub(ad.mul(ad.mul(re_h, im_r), im_t), ad.mul(ad.mul(im_h, im_r), re_t)))
-    return ad.vsum(terms, axis=1)
+def batch_loss_grad(store: ParameterStore, pos: np.ndarray, neg: np.ndarray,
+                    weight_decay: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss of one pretraining batch and its gradients, in closed form.
+
+    ``pos`` and ``neg`` are int arrays of (pred, subj, obj) rows. With B
+    positives the loss is [sum softplus(-s(pos)) + sum softplus(s(neg))
+    + weight_decay * (squared norm of the positives' head, tail and relation
+    rows)] / B. The score is trilinear, so each partial derivative is a sum
+    of products of the other two factors, e.g. d s / d re_h = re_r*re_t +
+    im_r*im_t. Row gradients are summed into one dense array per parameter.
+
+    Returns (loss, d loss / d const_emb, d loss / d pred_emb).
+    """
+    E = store[CONST_EMB]
+    W = store[PRED_EMB]
+    B = len(pos)
+    k = E.shape[1] // 2
+    trip = np.concatenate([pos, neg])
+    p, s, o = trip[:, 0], trip[:, 1], trip[:, 2]
+    # gather from contiguous re/im halves, so every row block is contiguous
+    E_re, E_im = np.ascontiguousarray(E[:, :k]), np.ascontiguousarray(E[:, k:])
+    W_re, W_im = np.ascontiguousarray(W[:, :k]), np.ascontiguousarray(W[:, k:])
+    re_h, im_h = E_re[s], E_im[s]
+    re_r, im_r = W_re[p], W_im[p]
+    re_t, im_t = E_re[o], E_im[o]
+    # d s / d head; the score is linear in the head
+    dh_re = re_r * re_t
+    dh_re += im_r * im_t
+    dh_im = re_r * im_t
+    dh_im -= im_r * re_t
+    score = np.einsum("ij,ij->i", re_h, dh_re) + np.einsum("ij,ij->i", im_h, dh_im)
+    # x is the softplus argument: -s for positives, s for negatives
+    x = np.concatenate([-score[:B], score[B:]])
+    e = np.exp(-np.abs(x))
+    loss = (np.maximum(x, 0.0) + np.log1p(e)).sum()
+    # g = d loss / d s
+    g = np.where(x >= 0, 1.0, e) / (1.0 + e) * (1.0 / B)
+    g[:B] *= -1.0
+    g = g[:, None]
+    c = 2.0 * weight_decay / B
+    if weight_decay > 0:
+        rows = np.concatenate([re_h[:B], im_h[:B], re_t[:B], im_t[:B],
+                               re_r[:B], im_r[:B]], axis=1)
+        loss += np.sum(rows * rows) * weight_decay
+    loss *= 1.0 / B
+
+    # Each block of row gradients is summed into its parameter and dropped
+    # before the next is formed, which keeps the step's peak memory low.
+    n_c, n_p = len(E), len(W)
+    dh_re *= g
+    dh_im *= g
+    dh_re[:B] += c * re_h[:B]
+    dh_im[:B] += c * im_h[:B]
+    flat = _flat_index(s, k)
+    c_re = _scatter(flat, dh_re, n_c)
+    c_im = _scatter(flat, dh_im, n_c)
+    del dh_re, dh_im
+    # from here on re_h, im_h hold g * head
+    re_h *= g
+    im_h *= g
+    dr_re = re_h * re_t
+    dr_re += im_h * im_t
+    dr_im = re_h * im_t
+    dr_im -= im_h * re_t
+    dr_re[:B] += c * re_r[:B]
+    dr_im[:B] += c * im_r[:B]
+    flat = _flat_index(p, k)
+    g_pred = np.concatenate([_scatter(flat, dr_re, n_p),
+                             _scatter(flat, dr_im, n_p)], axis=1)
+    del dr_re, dr_im
+    dt_re = re_h * re_r
+    dt_re -= im_h * im_r
+    dt_im = im_h * re_r
+    dt_im += re_h * im_r
+    dt_re[:B] += c * re_t[:B]
+    dt_im[:B] += c * im_t[:B]
+    flat = _flat_index(o, k)
+    c_re += _scatter(flat, dt_re, n_c)
+    c_im += _scatter(flat, dt_im, n_c)
+    return float(loss), np.concatenate([c_re, c_im], axis=1), g_pred
+
+
+def _flat_index(rows: np.ndarray, k: int) -> np.ndarray:
+    """Flat index, into an (n, k) array, of every entry of the given rows."""
+    return (rows[:, None] * k + np.arange(k)).ravel()
+
+
+def _scatter(flat: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """(n, k) array with each entry of ``values`` summed at its ``flat`` index.
+
+    ``np.bincount`` sums repeated indices, several times faster than
+    ``np.add.at``.
+    """
+    k = values.shape[1]
+    return np.bincount(flat, weights=values.ravel(), minlength=n * k).reshape(n, k)
 
 
 def _sample_negative(rng: np.random.Generator, triple: tuple[int, int, int],
@@ -67,51 +158,109 @@ def _sample_negative(rng: np.random.Generator, triple: tuple[int, int, int],
     return None
 
 
+@functools.lru_cache(maxsize=1)
+def _known_keys(known: frozenset, n_constants: int) -> np.ndarray:
+    """Sorted int keys of the known triples, then a sentinel above them all.
+
+    Cached for the one ``known`` set that a pretraining run samples against
+    at every step; the array is read-only because every call shares it.
+    """
+    keys = np.fromiter(((p * n_constants + s) * n_constants + o
+                        for p, s, o in known), np.int64, len(known))
+    keys = np.append(np.sort(keys), np.iinfo(np.int64).max)
+    keys.flags.writeable = False
+    return keys
+
+
+def _sample_negatives(rng: np.random.Generator, triples: np.ndarray,
+                      n_constants: int, known: frozenset
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``_sample_negative`` for every row of ``triples``, on the same stream.
+
+    Returns (negatives, kept): row i of ``negatives`` is what the scalar
+    loop ``[_sample_negative(rng, t, n_constants, known) for t in triples]``
+    returns for row i, where ``kept[i]``; ``kept[i]`` is False where it
+    returns None. The draws, their order and the generator's state after the
+    call are exactly those of the scalar loop.
+
+    One call to ``rng.integers`` with the bounds tiled as [n, 2, n, 2, ...]
+    yields the same values, and leaves the generator in the same state, as
+    the alternating scalar draws. So the remaining rows get one (constant,
+    side) pair each, checked in one vectorized pass. At the first rejected
+    row the generator is rewound, the pairs of the accepted rows are drawn
+    again, and that row goes to ``_sample_negative``, which goes on drawing
+    until it accepts or gives up.
+    """
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    m = len(triples)
+    neg = triples.copy()
+    kept = np.ones(m, dtype=bool)
+    keys = _known_keys(known, n_constants)
+    p, s, o = triples.T
+    bounds = np.tile([n_constants, 2], m)
+    i = 0
+    while i < m:
+        state = rng.bit_generator.state
+        draws = rng.integers(0, bounds[2 * i:]).reshape(-1, 2)
+        head = draws[:, 1] == 0
+        cs = np.where(head, draws[:, 0], s[i:])
+        co = np.where(head, o[i:], draws[:, 0])
+        key = (p[i:] * n_constants + cs) * n_constants + co
+        rejected = ((keys[np.searchsorted(keys, key)] == key)
+                    | ((cs == s[i:]) & (co == o[i:])))
+        r = int(np.argmax(rejected))
+        if not rejected[r]:
+            r = m - i
+        neg[i:i + r, 1] = cs[:r]
+        neg[i:i + r, 2] = co[:r]
+        if i + r == m:
+            break
+        rng.bit_generator.state = state
+        if r:
+            rng.integers(0, bounds[:2 * r])
+        cand = _sample_negative(rng, tuple(triples[i + r].tolist()),
+                                n_constants, known)
+        if cand is None:
+            kept[i + r] = False
+        else:
+            neg[i + r] = cand
+        i += r + 1
+    return neg, kept
+
+
 def pretrain_embeddings(train: list[Atom], vocab: Vocabulary, cfg: RunConfig,
                         rng: np.random.Generator) -> tuple[ParameterStore, list[float]]:
     """Train packed complex embeddings on the training facts.
 
-    Returns the store plus mean loss per epoch. Loss per positive is
-    softplus(-s) plus softplus(s) over its sampled corruptions, with a light
-    L2 penalty on the positive triple's rows.
+    Returns the store plus mean loss per epoch. Each step samples
+    ``pretrain_negatives`` corruptions per positive with
+    ``_sample_negatives`` (the random stream of the scalar sampler, draw for
+    draw), takes the loss and its gradients from ``batch_loss_grad`` and
+    hands the gradients to ``adam_step`` through the leaves of a fresh
+    ``Tape``; no graph is recorded.
     """
     if not train:
         raise ValueError("pretraining needs a nonempty training split")
     store = init_store(vocab.n_constants, vocab.n_predicates, cfg.embedding_dim, rng)
     known = frozenset(f.as_triple() for f in train)
-    triples = [f.as_triple() for f in train]
+    triples = np.array([f.as_triple() for f in train], dtype=np.int64)
     n = len(triples)
     losses: list[float] = []
     for _ in range(cfg.pretrain_epochs):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for b0 in range(0, n, cfg.pretrain_batch):
-            batch = [triples[i] for i in order[b0:b0 + cfg.pretrain_batch]]
-            B = len(batch)
-            neg = [_sample_negative(rng, t, vocab.n_constants, known)
-                   for t in batch for _ in range(cfg.pretrain_negatives)]
-            neg = [t for t in neg if t is not None]
-            pp = np.array([t[0] for t in batch])
-            ps = np.array([t[1] for t in batch])
-            po = np.array([t[2] for t in batch])
-            np_ = np.array([t[0] for t in neg])
-            ns = np.array([t[1] for t in neg])
-            no = np.array([t[2] for t in neg])
+            pos = triples[order[b0:b0 + cfg.pretrain_batch]]
+            neg, kept = _sample_negatives(
+                rng, np.repeat(pos, cfg.pretrain_negatives, axis=0),
+                vocab.n_constants, known)
+            loss, g_const, g_pred = batch_loss_grad(
+                store, pos, neg[kept], cfg.pretrain_weight_decay)
             tape = Tape(store)
-            s_pos = complex_score_batch(tape, ps, pp, po)
-            s_neg = complex_score_batch(tape, ns, np_, no)
-            loss = ad.add(ad.vsum(ad.softplus(ad.mul(s_pos, -1.0))),
-                          ad.vsum(ad.softplus(s_neg)))
-            if cfg.pretrain_weight_decay > 0:
-                rows = ad.concat_cols(tape.rows(CONST_EMB, ps),
-                                      tape.rows(CONST_EMB, po))
-                rows = ad.concat_cols(rows, tape.rows(PRED_EMB, pp))
-                loss = ad.add(loss, ad.mul(ad.vsum(ad.mul(rows, rows)),
-                                           cfg.pretrain_weight_decay))
-            loss = ad.mul(loss, 1.0 / B)
-            tape.backward(loss)
+            tape.leaf(CONST_EMB).grad = g_const
+            tape.leaf(PRED_EMB).grad = g_pred
             ad.adam_step(store, tape, lr=cfg.pretrain_lr)
-            epoch_loss += loss.item() * B
+            epoch_loss += loss * len(pos)
         losses.append(epoch_loss / n)
     return store, losses
 

@@ -17,8 +17,8 @@ import numpy as np
 def complex_score(h: int, r: int, t: int, store) -> float:
     """Re(<e_h, w_r, conj(e_t)>) for one triple of symbol ids.
 
-    Scalar reference for ``pretrain.complex_score_batch``, read straight from
-    the packed [re || im] rows of ``const_emb`` and ``pred_emb``.
+    Scalar reference for the scores inside ``pretrain.batch_loss_grad``, read
+    straight from the packed [re || im] rows of ``const_emb`` and ``pred_emb``.
     """
     eh = store["const_emb"][h]
     wr = store["pred_emb"][r]

@@ -210,6 +210,15 @@ class TestMaxMinProducts:
         np.testing.assert_allclose(got_mv, ref_mv, rtol=1e-15)
         np.testing.assert_allclose(got_vm, ref_vm, rtol=1e-15)
 
+    def test_matmat_chunked_equals_single_chunk(self):
+        # k * m = 1e5 puts two rows in each chunk of the numpy path: three
+        # chunks for five rows, the last one short
+        rng = np.random.default_rng(11)
+        A = rng.uniform(-0.2, 1.0, (5, 200))
+        B = rng.uniform(-0.2, 1.0, (200, 500))
+        whole = np.maximum(np.minimum(A[:, :, None], B[None]).max(axis=1), 0.0)
+        np.testing.assert_array_equal(accel._maxmin_matmat_np(A, B), whole)
+
     def test_associativity_small(self, path):
         # max-min products associate; spot-check on one triple
         rng = np.random.default_rng(5)

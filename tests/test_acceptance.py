@@ -347,16 +347,20 @@ def _fd_gaussian_kernel() -> float:
 
 
 def _fd_complex_score() -> float:
+    # the closed-form pretraining gradient, weight decay on, one row repeated
     rng = np.random.default_rng(2)
     store = pretrain.init_store(4, 2, 6, rng)
-    h = rng.integers(0, 4, size=3)
-    r = rng.integers(0, 2, size=3)
-    t = rng.integers(0, 4, size=3)
+    pos, neg = (np.stack([rng.integers(0, 2, size=n), rng.integers(0, 4, size=n),
+                          rng.integers(0, 4, size=n)], axis=1) for n in (3, 4))
+    pos = np.concatenate([pos, pos[:1]])
+    neg = np.concatenate([neg, neg[:1]])
 
-    def f(s, tape):
-        return ad.vsum(pretrain.complex_score_batch(tape, h, r, t))
+    def loss():
+        return pretrain.batch_loss_grad(store, pos, neg, 0.1)
 
-    return finite_difference_check(f, store, rng=rng)
+    _, g_const, g_pred = loss()
+    return _sweep_manual_fd(store, lambda: loss()[0],
+                            {CONST_EMB: g_const, PRED_EMB: g_pred}, picks=20)
 
 
 def _grad_case():

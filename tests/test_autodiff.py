@@ -67,28 +67,27 @@ class TestPrimitiveGradients:
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
-    def test_log_exp_softplus(self, seed):
+    def test_log_exp(self, seed):
         rng = np.random.default_rng(seed)
         store = make_store(x=rng.uniform(0.5, 2.0, size=5))
 
         def f(s, tape):
             x = tape.leaf("x")
-            return ad.vsum(ad.add(ad.log(x), ad.softplus(ad.exp(ad.mul(x, -1.0)))))
+            return ad.vsum(ad.add(ad.log(x), ad.exp(ad.mul(x, -1.0))))
 
         assert ad.finite_difference_check(f, store, rng=rng) < 1e-4
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
-    def test_concat_slice_gather(self, seed):
+    def test_concat_gather(self, seed):
         rng = np.random.default_rng(seed)
         store = make_store(e=rng.normal(size=(6, 3)))
         idx = rng.integers(0, 6, size=4)
 
         def f(s, tape):
             rows = tape.rows("e", idx)
-            both = ad.concat_cols(rows, rows)
-            left = ad.slice_cols(both, 0, 3)
-            return ad.vsum(ad.mul(left, left))
+            both = ad.concat_cols(rows, ad.mul(rows, 2.0))
+            return ad.vsum(ad.mul(both, both))
 
         assert ad.finite_difference_check(f, store, rng=rng) < 1e-4
 
@@ -144,11 +143,12 @@ class TestSoftmaxCE:
     def test_softmax_gradient(self, seed):
         rng = np.random.default_rng(seed)
         store = make_store(W=rng.normal(size=(2, 4)))
-        j = int(rng.integers(4))
+        pick = np.zeros((4, 1))
+        pick[int(rng.integers(4))] = 1.0
 
         def f(s, tape):
             probs = ad.softmax(tape.leaf("W"))
-            return ad.mul(ad.vsum(ad.slice_cols(probs, j, j + 1)), 1.0)
+            return ad.vsum(ad.matmul(probs, ad.constant(pick)))
 
         assert ad.finite_difference_check(f, store, rng=rng) < 1e-4
 

@@ -208,7 +208,6 @@ class TestKnowledgeBase:
         rule = kb.Rule(head=kb.Atom(q, (kb.mkvar(0), kb.mkvar(1))),
                        body=(kb.Atom(p, (kb.mkvar(0), kb.mkvar(1))),))
         kb2 = kb.KnowledgeBase(base.vocab, base.facts, [rule])
-        assert kb2.predicate_index(q) == ((), (0,))
         assert kb2.item_head_pred(kb2.n_facts) == q
 
     def test_view_exclusion_lookup(self):

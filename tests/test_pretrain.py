@@ -2,9 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from selprover import autodiff as ad
 from selprover import kb, pretrain
 from selprover.config import RunConfig
 
@@ -23,6 +22,29 @@ def tiny_vocab(n_const=4, n_pred=2):
 def set_embedding(store, name, idx, re, im):
     vec = np.concatenate([np.asarray(re, float), np.asarray(im, float)])
     store.params[name][idx] = vec
+
+
+def random_batch(rng, n_const, n_pred, n_pos, n_neg):
+    """(pred, subj, obj) rows; the first row of each part appears twice."""
+    def rows(n):
+        r = np.stack([rng.integers(0, n_pred, n), rng.integers(0, n_const, n),
+                      rng.integers(0, n_const, n)], axis=1)
+        return np.concatenate([r[:1], r])
+    return rows(n_pos), rows(n_neg)
+
+
+def oracle_loss(store, pos, neg, wd):
+    """Pretraining loss of one batch, from scalar ``complex_score`` calls."""
+    def softplus(x):
+        return float(np.logaddexp(0.0, x))
+
+    total = sum(softplus(-complex_score(s, p, o, store)) for p, s, o in pos)
+    total += sum(softplus(complex_score(s, p, o, store)) for p, s, o in neg)
+    for p, s, o in pos:
+        for row in (store[pretrain.CONST_EMB][s], store[pretrain.CONST_EMB][o],
+                    store[pretrain.PRED_EMB][p]):
+            total += wd * float(row @ row)
+    return total / len(pos)
 
 
 class TestComplexScore:
@@ -63,32 +85,37 @@ class TestComplexScore:
         assert fwd != bwd
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_batch_matches_scalar(self, seed):
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.3]))
+    def test_batch_matches_scalar(self, seed, wd):
         rng = np.random.default_rng(seed)
         store = pretrain.init_store(5, 3, 10, rng)
-        h = rng.integers(0, 5, size=6)
-        r = rng.integers(0, 3, size=6)
-        t = rng.integers(0, 5, size=6)
-        tape = ad.Tape(store)
-        got = pretrain.complex_score_batch(tape, h, r, t).data
-        expect = [complex_score(int(a), int(b), int(c), store)
-                  for a, b, c in zip(h, r, t)]
-        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        pos, neg = random_batch(rng, 5, 3, 3, 6)
+        got, _, _ = pretrain.batch_loss_grad(store, pos, neg, wd)
+        assert got == pytest.approx(oracle_loss(store, pos, neg, wd), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1))
-    def test_gradient_matches_finite_differences(self, seed):
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.3]))
+    def test_gradient_matches_finite_differences(self, seed, wd):
         rng = np.random.default_rng(seed)
         store = pretrain.init_store(4, 2, 6, rng)
-        h = rng.integers(0, 4, size=3)
-        r = rng.integers(0, 2, size=3)
-        t = rng.integers(0, 4, size=3)
-
-        def f(s, tape):
-            return ad.vsum(pretrain.complex_score_batch(tape, h, r, t))
-
-        assert ad.finite_difference_check(f, store, rng=rng) < 1e-4
+        pos, neg = random_batch(rng, 4, 2, 3, 5)
+        _, g_const, g_pred = pretrain.batch_loss_grad(store, pos, neg, wd)
+        grads = {pretrain.CONST_EMB: g_const, pretrain.PRED_EMB: g_pred}
+        eps = 1e-5
+        worst = 0.0
+        for name, grad in grads.items():
+            flat = store.params[name].reshape(-1)
+            for c in range(flat.size):
+                keep = flat[c]
+                flat[c] = keep + eps
+                up = oracle_loss(store, pos, neg, wd)
+                flat[c] = keep - eps
+                dn = oracle_loss(store, pos, neg, wd)
+                flat[c] = keep
+                fd = (up - dn) / (2 * eps)
+                g = grad.reshape(-1)[c]
+                worst = max(worst, abs(fd - g) / max(abs(fd), abs(g), 1e-8))
+        assert worst < 1e-4
 
     def test_candidate_scorers_match_scalar(self):
         rng = np.random.default_rng(3)
@@ -100,6 +127,32 @@ class TestComplexScore:
                                              rel=1e-10, abs=1e-12)
             assert heads[c] == pytest.approx(complex_score(c, 1, 3, store),
                                              rel=1e-10, abs=1e-12)
+
+
+class TestBatchSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 40),
+           st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+    @example(n_const=3, n_pred=1, m=5, known_frac=1.0, seed=0)
+    def test_same_stream_as_scalar_loop(self, n_const, n_pred, m, known_frac,
+                                        seed):
+        # known_frac 1.0 makes every corruption known, so every row is dropped
+        rng = np.random.default_rng(seed)
+        every = [(p, s, o) for p in range(n_pred) for s in range(n_const)
+                 for o in range(n_const)]
+        known = frozenset(t for t in every if rng.uniform() < known_frac)
+        rows = [every[i] for i in rng.integers(0, len(every), m)]
+        batch_rng = np.random.default_rng(seed + 1)
+        scalar_rng = np.random.default_rng(seed + 1)
+        neg, kept = pretrain._sample_negatives(
+            batch_rng, np.array(rows, dtype=np.int64).reshape(-1, 3),
+            n_const, known)
+        expect = [pretrain._sample_negative(scalar_rng, t, n_const, known)
+                  for t in rows]
+        assert kept.tolist() == [e is not None for e in expect]
+        assert ([tuple(t) for t in neg[kept].tolist()]
+                == [e for e in expect if e is not None])
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
 
 
 def small_cfg(**kw):
