@@ -1,22 +1,21 @@
-"""Reverse-mode autodiff over plain numpy arrays, parameter store, Adam.
+"""Parameter store, Adam over named gradients, and the GRU generator's tape.
 
-A tiny tape: ``Value`` wraps an ndarray, remembers its parents and a backward
-closure, and ``Tape.backward`` runs the closures in reverse topological
-order. Scalar results are 0-d arrays. Only what the prover's training loss
-and the GRU generator need is implemented; this is not a general tensor
-library. The embedding pretrainer records no graph: it computes its
-gradients in closed form and hands them to ``adam_step`` on the leaves of a
-``Tape``.
+``clip_gradients`` and ``adam_step`` take gradients as a dict of dense
+arrays keyed by parameter name. The embedding pretrainer and the prover's
+training loss write theirs in closed form; the generator's m-step reads
+them off a tape with ``Tape.gradients``.
 
-There are no min/max ops on the tape. The prover's max-min scores are
-computed on plain arrays; the training loss rebuilds only the single kernel
-entry that attains each score (ties toward the earliest contribution), so
-the gradient is the subgradient that flows to that one operand.
+The tape is a tiny reverse-mode autodiff for the GRU generator alone:
+``Value`` wraps an ndarray, remembers its parents and a backward closure,
+and ``Tape.backward`` runs the closures in reverse topological order.
+Scalar results are 0-d arrays. Only what the generator and its
+finite-difference probes need is implemented; this is not a general tensor
+library.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,10 +83,6 @@ class Value:
 
 def as_value(x) -> Value:
     return x if isinstance(x, Value) else Value(x)
-
-
-def constant(x, name: str = "const") -> Value:
-    return Value(x, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +154,6 @@ def vsum(a: Value, axis=None) -> Value:
     return out
 
 
-def exp(a: Value) -> Value:
-    a = as_value(a)
-    out = Value(np.exp(a.data), (a,))
-
-    def bw(g):
-        a.grad += g * out.data
-
-    out._backward = bw
-    return out
-
-
 def log(a: Value) -> Value:
     a = as_value(a)
     out = Value(np.log(a.data), (a,))
@@ -205,19 +189,6 @@ def tanh(a: Value) -> Value:
     return out
 
 
-def clamp(a: Value, lo: float, hi: float) -> Value:
-    """Clip with pass-through gradient strictly inside [lo, hi]."""
-    a = as_value(a)
-    out = Value(np.clip(a.data, lo, hi), (a,))
-
-    def bw(g):
-        inside = (a.data > lo) & (a.data < hi)
-        a.grad += g * inside
-
-    out._backward = bw
-    return out
-
-
 def concat_cols(a: Value, b: Value) -> Value:
     a, b = as_value(a), as_value(b)
     out = Value(np.concatenate([a.data, b.data], axis=1), (a, b))
@@ -237,18 +208,6 @@ def gather_rows(a: Value, idx) -> Value:
 
     def bw(g):
         np.add.at(a.grad, idx, g)
-
-    out._backward = bw
-    return out
-
-
-def pick_row(a: Value, i: int) -> Value:
-    """Single row as a 1-d vector."""
-    a = as_value(a)
-    out = Value(a.data[i], (a,))
-
-    def bw(g):
-        a.grad[i] += g
 
     out._backward = bw
     return out
@@ -299,26 +258,6 @@ def cross_entropy_logits(logits: Value, targets) -> Value:
 
     out._backward = bw
     return out
-
-
-def gaussian_kernel(u, v):
-    """exp(-||u - v||^2), bandwidth fixed so the exponent coefficient is 1.
-
-    Accepts two ``Value`` vectors (differentiable result) or two plain
-    arrays (float result). Dimension mismatch is a contract violation.
-    """
-    if isinstance(u, Value) or isinstance(v, Value):
-        u, v = as_value(u), as_value(v)
-        if u.data.shape != v.data.shape:
-            raise ValueError(f"dim mismatch: {u.data.shape} vs {v.data.shape}")
-        d = sub(u, v)
-        return exp(mul(vsum(mul(d, d)), -1.0))
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dim mismatch: {u.shape} vs {v.shape}")
-    d = u - v
-    return float(np.exp(-np.dot(d, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +341,6 @@ class Tape:
     def rows(self, name: str, idx) -> Value:
         return gather_rows(self.leaf(name), idx)
 
-    def row(self, name: str, i: int) -> Value:
-        return pick_row(self.leaf(name), int(i))
-
     def backward(self, root: Value) -> None:
         """Reverse-topological sweep seeding d(root)/d(root) = 1."""
         if root.data.shape != ():
@@ -432,24 +368,23 @@ class Tape:
     def gradients(self) -> dict[str, np.ndarray]:
         return {name: leaf.grad for name, leaf in self.leaves.items()}
 
-    def grad_global_norm(self) -> float:
-        total = 0.0
-        for leaf in self.leaves.values():
-            total += float(np.sum(leaf.grad * leaf.grad))
-        return float(np.sqrt(total))
+def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+    """Scale the gradients in place so their global norm is <= max_norm.
 
-
-def clip_gradients(tape: Tape, max_norm: float) -> float:
-    """Scale all recorded gradients so the global norm is <= max_norm."""
-    norm = tape.grad_global_norm()
+    Returns the norm before clipping.
+    """
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g * g))
+    norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
-        for leaf in tape.leaves.values():
-            leaf.grad *= scale
+        for g in grads.values():
+            g *= scale
     return norm
 
 
-def adam_step(store: ParameterStore, tape: Tape, lr: float,
+def adam_step(store: ParameterStore, grads: dict[str, np.ndarray], lr: float,
               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
               param_filter: Callable[[str], bool] | None = None) -> None:
     """Adam with bias correction over parameters holding nonzero gradients.
@@ -461,10 +396,9 @@ def adam_step(store: ParameterStore, tape: Tape, lr: float,
     b1, b2 = betas
     store.step_count += 1
     t = store.step_count
-    for name, leaf in tape.leaves.items():
+    for name, g in grads.items():
         if param_filter is not None and not param_filter(name):
             continue
-        g = leaf.grad
         if not np.any(g):
             continue
         if not np.all(np.isfinite(g)):

@@ -127,10 +127,6 @@ def build_goal_batches(facts: list[Atom], cfg: RunConfig,
     return batches
 
 
-def _not_generator(name: str) -> bool:
-    return not is_generator_param(name)
-
-
 def _run_iteration(store: ParameterStore, storage: RelationStorage,
                    kb: KnowledgeBase, batches: list[tuple[int, list[Atom]]],
                    cfg: RunConfig, rng: np.random.Generator,
@@ -147,12 +143,11 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
         else:
             lp = generate_predicates(rel, store, cfg.gen_width, cfg.gen_depth)
             view = select_kbs(kb, lp, cfg.proportion, store, rel, tables)
-        tape, loss, _ = training_loss(goals, view, store, cfg, hq, counters,
-                                      known, rng, tables)
-        tape.backward(loss)
-        clip_gradients(tape, cfg.grad_clip)
-        adam_step(store, tape, cfg.prover_lr, param_filter=_not_generator)
-        prover_losses.append(loss.item() / max(1, len(goals)))
+        loss, grads, _ = training_loss(goals, view, store, cfg, hq, counters,
+                                       known, rng, tables)
+        clip_gradients(grads, cfg.grad_clip)
+        adam_step(store, grads, cfg.prover_lr)
+        prover_losses.append(loss / max(1, len(goals)))
     attp_ms = (time.perf_counter() - t0) * 1000.0
     # the m-step must not start until every e-step update has landed
     assert store.step_count == steps_before + len(batches)
@@ -169,8 +164,9 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
             if tape is None:
                 break
             tape.backward(gloss)
-            clip_gradients(tape, cfg.grad_clip)
-            adam_step(store, tape, cfg.gen_lr, param_filter=is_generator_param)
+            grads = tape.gradients()
+            clip_gradients(grads, cfg.grad_clip)
+            adam_step(store, grads, cfg.gen_lr, param_filter=is_generator_param)
             gen_losses.append(gloss.item())
 
     return {

@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tape, Value
 from .kb import KnowledgeBase, Vocabulary
-from .prover import HighQualityBuffer
+from .prover import HighQualityBuffer, pred_matrix
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 
 GEN_PARAMS = ("gen.f.W", "gen.f.b", "gen.g.W", "gen.g.b",
@@ -244,9 +244,7 @@ def update_relation_storage(storage: RelationStorage, hq: HighQualityBuffer,
 
 def item_embeddings(kb: KnowledgeBase, store: ParameterStore) -> np.ndarray:
     """Mean symbol embedding per knowledge item (facts, then rules)."""
-    pe = store[PRED_EMB]
-    if SLOT_EMB in store:
-        pe = np.vstack([pe, store[SLOT_EMB]])
+    pe = pred_matrix(store)
     ce = store[CONST_EMB]
     out = np.zeros((kb.n_items, pe.shape[1]))
     if kb.n_facts:

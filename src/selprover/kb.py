@@ -226,11 +226,6 @@ class KnowledgeBase:
         return KBView(self, np.arange(self.n_facts, dtype=np.int64),
                       tuple(range(self.n_rules)))
 
-    def item_name(self, item_id: int) -> str:
-        if item_id < self.n_facts:
-            return self.facts[item_id].render(self.vocab)
-        return self.rules[item_id - self.n_facts].render(self.vocab)
-
     def item_head_pred(self, item_id: int) -> int:
         if item_id < self.n_facts:
             return int(self.fact_pred[item_id])

@@ -9,7 +9,7 @@ then operates directly on the packed 2k-vectors.
 
 No autodiff graph is recorded. The score is trilinear, so
 ``batch_loss_grad`` writes the loss and its gradients in closed form, and
-the step hands them to ``adam_step`` on the leaves of a ``Tape``.
+the step hands them to ``adam_step`` by parameter name.
 Corruptions come from ``_sample_negatives``, which draws exactly the random
 stream of calling the scalar sampler ``_sample_negative`` row by row: the
 same negatives, the same dropped rows and the same generator state after.
@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tape
+from .autodiff import ParameterStore
 from .config import RunConfig
 from .kb import Atom, Vocabulary
 
@@ -236,8 +236,7 @@ def pretrain_embeddings(train: list[Atom], vocab: Vocabulary, cfg: RunConfig,
     ``pretrain_negatives`` corruptions per positive with
     ``_sample_negatives`` (the random stream of the scalar sampler, draw for
     draw), takes the loss and its gradients from ``batch_loss_grad`` and
-    hands the gradients to ``adam_step`` through the leaves of a fresh
-    ``Tape``; no graph is recorded.
+    hands the gradients to ``adam_step``; no graph is recorded.
     """
     if not train:
         raise ValueError("pretraining needs a nonempty training split")
@@ -256,10 +255,8 @@ def pretrain_embeddings(train: list[Atom], vocab: Vocabulary, cfg: RunConfig,
                 vocab.n_constants, known)
             loss, g_const, g_pred = batch_loss_grad(
                 store, pos, neg[kept], cfg.pretrain_weight_decay)
-            tape = Tape(store)
-            tape.leaf(CONST_EMB).grad = g_const
-            tape.leaf(PRED_EMB).grad = g_pred
-            ad.adam_step(store, tape, lr=cfg.pretrain_lr)
+            ad.adam_step(store, {CONST_EMB: g_const, PRED_EMB: g_pred},
+                         lr=cfg.pretrain_lr)
             epoch_loss += loss * len(pos)
         losses.append(epoch_loss / n)
     return store, losses

@@ -18,22 +18,23 @@ established a unification.
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
 current score bottleneck, ties broken toward the earliest contribution. The
-training loss rebuilds just those winning entries on the tape, which is the
-exact subgradient of the max-min composition away from ties.
+training loss differentiates just those winning entries, which is the exact
+subgradient of the max-min composition away from ties. The kernel
+exp(-||u - v||^2) has the closed-form gradient -2K(u - v) in u, so no
+autodiff graph is recorded: the loss returns dense gradients by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from . import accel
-from . import autodiff as ad
-from .autodiff import ParameterStore, Tape
+from .autodiff import ParameterStore
 from .config import RunConfig
-from .kb import Atom, KBView, KnowledgeBase, Rule, Vocabulary, is_var, mkvar
+from .kb import Atom, KBView, Rule, Vocabulary, is_var, mkvar
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB, _sample_negative
 
 ENTRY_PRED = 0
@@ -49,12 +50,11 @@ class ProverConfig:
     max_depth: int = 2
     min_score: float = 0.1
     beam: int = 0
-    score_clamp: float = 1e-7
 
     @classmethod
     def from_run(cls, cfg: RunConfig) -> "ProverConfig":
         return cls(max_depth=cfg.max_depth, min_score=cfg.min_score,
-                   beam=cfg.beam, score_clamp=cfg.score_clamp)
+                   beam=cfg.beam)
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +64,6 @@ class ProofState:
     subst: dict
     score: float
     entry: tuple[int, int, int] | None
-    trace: tuple[tuple[int, int], ...] | None = None
 
 
 @dataclass(slots=True)
@@ -98,10 +97,6 @@ class HighQualityBuffer:
         if level < cur.level:
             cur.level = level
 
-    def merge(self, other: "HighQualityBuffer") -> None:
-        for item_id, e in other.items.items():
-            self.add(item_id, e.score, e.level, e.goal_rel, e.origin)
-
     def __len__(self) -> int:
         return len(self.items)
 
@@ -116,7 +111,7 @@ class Counters:
 
 
 # ---------------------------------------------------------------------------
-# kernel tables + embedding row lookup
+# kernel tables
 # ---------------------------------------------------------------------------
 
 
@@ -131,21 +126,6 @@ def kernel_tables(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
     E = pred_matrix(store)
     return accel.kernel_matrix(E, E), accel.kernel_matrix(store[CONST_EMB],
                                                           store[CONST_EMB])
-
-
-def pred_row(tape: Tape, pid: int, n_real: int) -> ad.Value:
-    if pid < n_real:
-        return tape.row(PRED_EMB, pid)
-    return tape.row(SLOT_EMB, pid - n_real)
-
-
-def entry_value(tape: Tape, entry: tuple[int, int, int], n_real: int) -> ad.Value:
-    """Rebuild one kernel entry differentiably."""
-    kind, i, j = entry
-    if kind == ENTRY_PRED:
-        return ad.gaussian_kernel(pred_row(tape, i, n_real),
-                                  pred_row(tape, j, n_real))
-    return ad.gaussian_kernel(tape.row(CONST_EMB, i), tape.row(CONST_EMB, j))
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +156,11 @@ class _Ctx:
     """Per-proof search context: view, kernel tables, config, accounting."""
 
     __slots__ = ("view", "Kp", "Kc", "config", "hq", "counters", "goal_rel",
-                 "exclude", "collect_trace", "_next_var")
+                 "exclude", "_next_var")
 
     def __init__(self, view: KBView, Kp: np.ndarray, Kc: np.ndarray,
                  config: ProverConfig, hq: HighQualityBuffer | None,
-                 counters: Counters, goal_rel: int, exclude: int,
-                 collect_trace: bool):
+                 counters: Counters, goal_rel: int, exclude: int):
         self.view = view
         self.Kp = Kp
         self.Kc = Kc
@@ -190,7 +169,6 @@ class _Ctx:
         self.counters = counters
         self.goal_rel = goal_rel
         self.exclude = exclude
-        self.collect_trace = collect_trace
         self._next_var = 1000
 
     def fresh_vars(self, rule: Rule) -> dict:
@@ -255,10 +233,7 @@ def _unify_rule_head(head: Atom, goal: Atom, state: ProofState, ctx: _Ctx,
     subst = state.subst
     if new_bind:
         subst = {**subst, **new_bind}
-    trace = state.trace
-    if trace is not None:
-        trace = trace + ((item_id, level),)
-    return ProofState(subst, score, entry, trace)
+    return ProofState(subst, score, entry)
 
 
 def or_step(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
@@ -322,10 +297,7 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
             ctx.counters.established += 1
             if ctx.hq is not None:
                 ctx.hq.add(item_id, sc, level, ctx.goal_rel)
-            trace = state.trace
-            if trace is not None:
-                trace = trace + ((item_id, level),)
-            yield ProofState(subst, sc, entry, trace)
+            yield ProofState(subst, sc, entry)
     for item_id, rule in view.iter_rules():
         mapping = ctx.fresh_vars(rule)
         head = _rename(rule.head, mapping)
@@ -357,15 +329,13 @@ class ProofResult:
     score: float
     state: ProofState | None
     n_proofs: int
-    trace_lines: list[str] = field(default_factory=list)
 
 
 def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
                config: ProverConfig, hq: HighQualityBuffer | None = None,
                counters: Counters | None = None,
                tables: tuple[np.ndarray, np.ndarray] | None = None,
-               exclude_fact: int = -1, collect_trace: bool = False
-               ) -> ProofResult:
+               exclude_fact: int = -1) -> ProofResult:
     """Best proof score of a ground goal over the view; 0.0 when none.
 
     ``exclude_fact`` names a parent fact id to mask from sweeps (a training
@@ -380,31 +350,16 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
     if counters is None:
         counters = Counters()
     exclude = view.local_fact_index(exclude_fact) if exclude_fact >= 0 else -1
-    ctx = _Ctx(view, Kp, Kc, config, hq, counters, goal.pred, exclude,
-               collect_trace)
-    init = ProofState({}, 1.0, None, () if collect_trace else None)
+    ctx = _Ctx(view, Kp, Kc, config, hq, counters, goal.pred, exclude)
     best = 0.0
     best_state: ProofState | None = None
     n = 0
-    lines: list[str] = []
-    for st in or_step(goal, config.max_depth, init, ctx):
+    for st in or_step(goal, config.max_depth, ProofState({}, 1.0, None), ctx):
         n += 1
-        if collect_trace:
-            lines.append(_trace_line(st, view.parent))
         if st.score > best:
             best = st.score
             best_state = st
-    return ProofResult(best, best_state, n, lines)
-
-
-def _trace_line(state: ProofState, base: KnowledgeBase) -> str:
-    chain = " | ".join(f"d{lvl}:{base.item_name(i)}" for i, lvl in state.trace or ())
-    binds = []
-    for v in sorted(state.subst, key=lambda code: -code - 1):
-        c = resolve(v, state.subst)
-        if not is_var(c):
-            binds.append(f"X{-v - 1}={base.vocab.constant_name(c)}")
-    return f"score={state.score:.6f} items=[{chain}] bind=[{', '.join(binds)}]"
+    return ProofResult(best, best_state, n)
 
 
 # ---------------------------------------------------------------------------
@@ -419,17 +374,17 @@ def build_templates(vocab: Vocabulary, store: ParameterStore, cfg: RunConfig,
     Three shapes: same-direction implication, argument-swapped implication,
     and a two-hop chain. Slot embeddings are appended to the store under
     their own parameter, scaled to the pretrained predicate spread.
+    Either the store or the vocabulary already holding slots is an error,
+    raised before anything is added to the store.
     """
-    counts = ((SHAPE_IMPLIES, cfg.templates_implies, 2),
-              (SHAPE_INVERSE, cfg.templates_inverse, 2),
-              (SHAPE_CHAIN, cfg.templates_chain, 3))
-    n_slots = sum(c * per for _, c, per in counts)
-    scale = float(np.std(store[PRED_EMB])) if store[PRED_EMB].size else 0.1
     if SLOT_EMB in store:
         raise ValueError("templates already built for this store")
-    store.add(SLOT_EMB, rng.normal(0.0, max(scale, 1e-3), size=(n_slots,
-                                                                cfg.embedding_dim)))
-    return template_rules(vocab, cfg)
+    rules = template_rules(vocab, cfg)
+    n_slots = sum(len(r.slots) for r in rules)
+    scale = float(np.std(store[PRED_EMB])) if store[PRED_EMB].size else 0.1
+    store.add(SLOT_EMB, rng.normal(0.0, max(scale, 1e-3),
+                                   size=(n_slots, cfg.embedding_dim)))
+    return rules
 
 
 def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
@@ -440,9 +395,9 @@ def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
     slot embeddings were laid out in this same order.
     """
     X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
-    counts = ((SHAPE_IMPLIES, cfg.templates_implies, 2),
-              (SHAPE_INVERSE, cfg.templates_inverse, 2),
-              (SHAPE_CHAIN, cfg.templates_chain, 3))
+    counts = ((SHAPE_IMPLIES, cfg.templates_implies),
+              (SHAPE_INVERSE, cfg.templates_inverse),
+              (SHAPE_CHAIN, cfg.templates_chain))
     rules: list[Rule] = []
     if any(n.startswith("#") for n in vocab.predicate_names()):
         raise ValueError("vocabulary already contains template slots")
@@ -456,7 +411,7 @@ def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
         next_slot += 1
         return pid
 
-    for shape, count, _ in counts:
+    for shape, count in counts:
         for _ in range(count):
             if shape == SHAPE_IMPLIES:
                 h, b = slot(), slot()
@@ -504,60 +459,99 @@ def classify_rule(rule: Rule) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-def _score_node(tape: Tape, result: ProofResult, n_real: int,
-                clamp: float) -> ad.Value:
-    if result.state is not None and result.state.entry is not None:
-        node = entry_value(tape, result.state.entry, n_real)
-    else:
-        node = ad.constant(result.score)
-    return ad.clamp(node, clamp, 1.0 - clamp)
+def _entry_rows(entry: tuple[int, int, int], n_real: int
+                ) -> tuple[tuple[str, int], tuple[str, int]]:
+    """(parameter name, row) of both operands of a kernel entry.
+
+    Predicate ids at or past ``n_real`` are template slots, stored in their
+    own parameter.
+    """
+    kind, i, j = entry
+    if kind == ENTRY_CONST:
+        return (CONST_EMB, i), (CONST_EMB, j)
+    return tuple((PRED_EMB, p) if p < n_real else (SLOT_EMB, p - n_real)
+                 for p in (i, j))
 
 
 def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
                   cfg: RunConfig, hq: HighQualityBuffer, counters: Counters,
                   known_facts: frozenset, rng: np.random.Generator,
                   tables: tuple[np.ndarray, np.ndarray] | None = None
-                  ) -> tuple[Tape, ad.Value, dict]:
+                  ) -> tuple[float, dict[str, np.ndarray], dict]:
     """Cross-entropy over proof scores of positives and sampled corruptions.
 
     Each positive is masked out of the view for its own proof only. A
-    corruption draw that finds no unknown triple is dropped. Scores
-    are rebuilt on the tape through their bottleneck kernel entries, clamped,
-    and the loss is the negative log likelihood summed over the batch. The
-    caller owns the backward/clip/update sequence.
+    corruption draw that finds no unknown triple is dropped. Each score is
+    clamped to [c, 1 - c] (c = ``score_clamp``), and the loss sums -log s
+    over positives and -log clip(1 - s, c, 1) over negatives. Returns
+    (loss, gradients, stats). The gradients are dense arrays keyed by
+    parameter name, in the order proofs first touch them; the caller owns
+    the clip/update sequence.
+
+    A proof's score is recomputed from its bottleneck entry's rows u, v as
+    K = exp(-||u - v||^2), whose gradient in u is -2K(u - v) and in v its
+    negation. A clamp that is active passes no gradient, and neither does
+    a proof without an entry (none found, or every factor exactly 1).
     """
     pconf = ProverConfig.from_run(cfg)
     if tables is None:
         tables = kernel_tables(store)
     n_real = store[PRED_EMB].shape[0]
-    tape = Tape(store)
-    terms: list[ad.Value] = []
     n_const = store[CONST_EMB].shape[0]
+    c = cfg.score_clamp
+    terms: list[float] = []
+    grads: dict[str, np.ndarray] = {}
     pos_scores: list[float] = []
     neg_scores: list[float] = []
     base = view.parent
+
+    def grad(name: str) -> np.ndarray:
+        g = grads.get(name)
+        if g is None:
+            g = grads[name] = np.zeros_like(store[name])
+        return g
+
+    def add_term(result: ProofResult, negative: bool) -> None:
+        K = result.score
+        entry = result.state.entry if result.state is not None else None
+        if entry is not None:
+            (nu, iu), (nv, iv) = _entry_rows(entry, n_real)
+            d = store[nu][iu] - store[nv][iv]
+            K = np.exp(-(d * d).sum())
+        s = np.clip(K, c, 1.0 - c)
+        if negative:
+            q = np.clip(1.0 - s, c, 1.0)
+            terms.append(-np.log(q))
+            dK = 1.0 / q
+        else:
+            terms.append(-np.log(s))
+            dK = -1.0 / s
+        if entry is None:
+            return
+        # keys follow proof order even where the clamp passes nothing, since
+        # the clip norm sums in key order
+        gu, gv = grad(nu), grad(nv)
+        # inside the clamp s = K, so a negative's clip of 1 - s is inactive
+        if c < K < 1.0 - c:
+            row = -2.0 * (dK * K * d)
+            gu[iu] += row
+            gv[iv] -= row
+
     for goal in positives:
-        goal_hq = HighQualityBuffer()
-        fid = base.fact_id(goal)
-        res_p = prove_goal(goal, view, store, pconf, goal_hq, counters,
-                           tables, exclude_fact=fid)
+        res_p = prove_goal(goal, view, store, pconf, hq, counters, tables,
+                           exclude_fact=base.fact_id(goal))
         pos_scores.append(res_p.score)
-        s_p = _score_node(tape, res_p, n_real, cfg.score_clamp)
-        terms.append(ad.mul(ad.log(s_p), -1.0))
+        add_term(res_p, negative=False)
         for _ in range(cfg.prover_negatives):
             cand = _sample_negative(rng, goal.as_triple(), n_const, known_facts)
             if cand is None:
                 continue
             neg = Atom(cand[0], (cand[1], cand[2]))
-            res_n = prove_goal(neg, view, store, pconf, goal_hq, counters, tables)
+            res_n = prove_goal(neg, view, store, pconf, hq, counters, tables)
             neg_scores.append(res_n.score)
-            s_n = _score_node(tape, res_n, n_real, cfg.score_clamp)
-            terms.append(ad.mul(ad.log(ad.clamp(ad.sub(1.0, s_n),
-                                                cfg.score_clamp, 1.0)), -1.0))
-        hq.merge(goal_hq)
-    loss = ad.sum_list(terms)
+            add_term(res_n, negative=True)
     stats = {
         "mean_pos": float(np.mean(pos_scores)) if pos_scores else 0.0,
         "mean_neg": float(np.mean(neg_scores)) if neg_scores else 0.0,
     }
-    return tape, loss, stats
+    return float(np.sum(terms)), grads, stats

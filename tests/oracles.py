@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def complex_score(h: int, r: int, t: int, store) -> float:
+def complex_score(h: int, r: int, t: int, store):
     """Re(<e_h, w_r, conj(e_t)>) for one triple of symbol ids.
 
     Scalar reference for the scores inside ``pretrain.batch_loss_grad``, read
     straight from the packed [re || im] rows of ``const_emb`` and ``pred_emb``.
+    ``store`` may be any mapping of those two names; the score is a numpy
+    scalar of the rows' dtype, so extended-precision rows stay extended.
     """
     eh = store["const_emb"][h]
     wr = store["pred_emb"][r]
@@ -27,8 +29,8 @@ def complex_score(h: int, r: int, t: int, store) -> float:
     re_h, im_h = eh[:k], eh[k:]
     re_r, im_r = wr[:k], wr[k:]
     re_t, im_t = et[:k], et[k:]
-    return float(np.sum(re_h * re_r * re_t + im_h * re_r * im_t
-                        + re_h * im_r * im_t - im_h * im_r * re_t))
+    return np.sum(re_h * re_r * re_t + im_h * re_r * im_t
+                  + re_h * im_r * im_t - im_h * im_r * re_t)
 
 
 def okernel(E: np.ndarray, i: int, j: int) -> float:

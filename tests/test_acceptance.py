@@ -32,8 +32,7 @@ from selprover.generator import (RelationStorage, StorageEntry, gru_step,
 from selprover.kb import (Atom, KnowledgeBase, KBView, Rule, Vocabulary,
                           mkvar, split_dataset)
 from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
-                              entry_value, prove_goal, template_rules,
-                              training_loss)
+                              prove_goal, template_rules, training_loss)
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.scoring import BatchedEvaluator
 
@@ -335,15 +334,23 @@ def test_nns_completion_matches_quadratic_sort():
 
 
 def _fd_gaussian_kernel() -> float:
-    store = ParameterStore()
+    # one soft fact match whose bottleneck is a constant-kernel entry between
+    # two random 6-d rows; the loss is -log K = ||u - v||^2
     rng = np.random.default_rng(1)
-    store.add("u", rng.normal(0.0, 0.7, size=6))
-    store.add("v", rng.normal(0.0, 0.7, size=6))
+    Ep = np.zeros((1, 6))
+    Ec = rng.normal(0.0, 0.3, size=(3, 6))
+    kb, store = build_package([(0, 0, 1)], [], Ep, Ec)
+    goal = Atom(0, (0, 2))
+    cfg = RunConfig(max_depth=1, min_score=0.0, prover_negatives=0,
+                    embedding_dim=6)
 
-    def f(s, tape):
-        return ad.gaussian_kernel(tape.leaf("u"), tape.leaf("v"))
+    def raw():
+        return training_loss([goal], kb.full_view(), store, cfg,
+                             HighQualityBuffer(), Counters(), kb.fact_set,
+                             np.random.default_rng(0))
 
-    return finite_difference_check(f, store, rng=rng)
+    _, grads, _ = raw()
+    return _sweep_manual_fd(store, lambda: raw()[0], grads, picks=12)
 
 
 def _fd_complex_score() -> float:
@@ -382,14 +389,21 @@ def _grad_case():
 
 
 def _fd_prove_goal() -> float:
+    # the loss's gradient against differences of -log of the search's own
+    # score, re-proved at every perturbed point
     kb, store, goal = _grad_case()
+    cfg = RunConfig(max_depth=2, min_score=0.3, prover_negatives=0,
+                    embedding_dim=2)
+    _, grads, _ = training_loss([goal], kb.full_view(), store, cfg,
+                                HighQualityBuffer(), Counters(), kb.fact_set,
+                                np.random.default_rng(3))
 
-    def f(s, tape):
-        res = prove_goal(goal, kb.full_view(), s,
+    def neg_log_score():
+        res = prove_goal(goal, kb.full_view(), store,
                          ProverConfig(max_depth=2, min_score=0.3))
-        return ad.log(entry_value(tape, res.state.entry, n_real=5))
+        return -np.log(res.score)
 
-    return finite_difference_check(f, store, rng=np.random.default_rng(3))
+    return _sweep_manual_fd(store, neg_log_score, grads)
 
 
 def _sweep_manual_fd(store, evaluate, grads, picks=8, eps=1e-5) -> float:
@@ -421,10 +435,8 @@ def _fd_training_loss() -> float:
                              HighQualityBuffer(), Counters(), kb.fact_set,
                              np.random.default_rng(17))
 
-    tape, loss, _ = raw()
-    tape.backward(loss)
-    grads = {k: v.copy() for k, v in tape.gradients().items()}
-    return _sweep_manual_fd(store, lambda: raw()[1].item(), grads)
+    _, grads, _ = raw()
+    return _sweep_manual_fd(store, lambda: raw()[0], grads)
 
 
 def _gen_store(n_preds, dim, seed):

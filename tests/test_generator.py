@@ -434,7 +434,8 @@ def test_optimizer_loop_reduces_loss_and_moves_only_generator():
     for _ in range(50):
         tape, loss = train_generator_step(st, [0, 5], store, rng)
         tape.backward(loss)
-        adam_step(store, tape, lr=0.01, param_filter=is_generator_param)
+        adam_step(store, tape.gradients(), lr=0.01,
+                  param_filter=is_generator_param)
         losses.append(loss.item())
     assert losses[-1] < losses[0] * 0.8
     np.testing.assert_array_equal(store[PRED_EMB], emb_before)
@@ -448,7 +449,8 @@ def test_overfit_storage_recovers_sequence_in_beam():
     for _ in range(300):
         tape, loss = train_generator_step(st, [0], store, rng, samples=1)
         tape.backward(loss)
-        adam_step(store, tape, lr=0.05, param_filter=is_generator_param)
+        adam_step(store, tape.gradients(), lr=0.05,
+                  param_filter=is_generator_param)
     out = generate_predicates(0, store, width=1, depth=3)
     assert set(out) == {0, 1, 2, 3}
 

@@ -1,14 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from selprover import autodiff as ad
-from selprover.autodiff import ParameterStore, Tape, finite_difference_check
+from selprover.autodiff import ParameterStore
 from selprover.config import RunConfig
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
-                              build_templates, classify_rule, entry_value,
-                              pred_matrix, prove_goal, training_loss)
+                              build_templates, classify_rule, pred_matrix,
+                              prove_goal, training_loss)
 
 from oracles import oracle_prove, random_proof_case
 
@@ -238,14 +239,6 @@ def test_buffer_dedup_keeps_max_score_min_level():
     assert e.score == pytest.approx(0.9)
     assert e.level == 1
     assert e.goal_rel == 2  # follows the best score, not the last write
-    other = HighQualityBuffer()
-    other.add(7, 0.95, 5, goal_rel=4)
-    other.add(8, 0.1, 1, goal_rel=4)
-    hq.merge(other)
-    assert hq.items[7].score == pytest.approx(0.95)
-    assert hq.items[7].goal_rel == 4
-    assert hq.items[7].level == 1
-    assert len(hq) == 2
 
 
 # --- beam ------------------------------------------------------------------
@@ -333,6 +326,16 @@ def test_templates_refuse_double_build():
         build_templates(vocab, store, cfg, np.random.default_rng(0))
 
 
+def test_failed_template_build_leaves_store_untouched():
+    # the vocabulary already holds slots; a fresh store must stay slot-free
+    vocab, _, cfg, _ = template_setup()
+    store = ParameterStore()
+    store.add(PRED_EMB, np.ones((4, cfg.embedding_dim)))
+    with pytest.raises(ValueError, match="template slots"):
+        build_templates(vocab, store, cfg, np.random.default_rng(0))
+    assert SLOT_EMB not in store
+
+
 def test_classify_rejects_non_template_shapes():
     assert classify_rule(Rule(head=Atom(0, (X, X)), body=(Atom(1, (X, Y)),))) is None
     assert classify_rule(Rule(head=Atom(0, (X, Y)),
@@ -383,64 +386,141 @@ def chain_grad_setup():
     return kb, store, Atom(4, (0, 2))
 
 
+def loss_and_grads(kb, store, goal, cfg, known=None, seed=17):
+    """training_loss of one goal with a fixed corruption stream."""
+    loss, grads, _ = training_loss(
+        [goal], kb.full_view(), store, cfg, HighQualityBuffer(), Counters(),
+        kb.fact_set if known is None else known, np.random.default_rng(seed))
+    return loss, grads
+
+
+def worst_fd_error(store, evaluate, grads, names, picks=12, eps=1e-5):
+    """Max relative error of ``grads`` (zero where absent) against central
+    differences of ``evaluate()`` over sampled coordinates of ``names``."""
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for name in names:
+        flat_param = store.params[name].reshape(-1)
+        flat_grad = grads.get(name, np.zeros_like(store[name])).reshape(-1)
+        coords = rng.choice(flat_param.size, size=min(picks, flat_param.size),
+                            replace=False)
+        for c in coords:
+            old = flat_param[c]
+            flat_param[c] = old + eps
+            lp = evaluate()
+            flat_param[c] = old - eps
+            lm = evaluate()
+            flat_param[c] = old
+            fd = (lp - lm) / (2 * eps)
+            rel = abs(fd - flat_grad[c]) / max(abs(fd), abs(flat_grad[c]), 1e-8)
+            worst = max(worst, rel)
+    return worst
+
+
 def test_bottleneck_entry_and_recomputed_value():
     kb, store, goal = chain_grad_setup()
     res = prove_goal(goal, kb.full_view(), store,
                      ProverConfig(max_depth=2, min_score=0.3))
     assert res.score == pytest.approx(np.exp(-0.4), abs=1e-12)
     assert res.state.entry == (0, 3, 1)  # predicate pair (body2, fact2 pred)
-    tape = Tape(store)
-    node = entry_value(tape, res.state.entry, n_real=5)
-    assert node.data == pytest.approx(res.score, abs=1e-12)
+    # the loss recomputes the entry from its rows: -log of the proof score
+    cfg = RunConfig(max_depth=2, min_score=0.3, prover_negatives=0,
+                    embedding_dim=2)
+    loss, grads = loss_and_grads(kb, store, goal, cfg)
+    assert np.exp(-loss) == pytest.approx(res.score, abs=1e-12)
+    assert list(grads) == [PRED_EMB]
+    # only the two rows of the bottleneck entry receive gradient
+    assert np.flatnonzero(np.any(grads[PRED_EMB], axis=1)).tolist() == [1, 3]
 
 
 def test_finite_difference_prove_goal():
+    # the returned gradient is the derivative of -log of the search's own
+    # max-min score, re-proved at every perturbed point
     kb, store, goal = chain_grad_setup()
+    cfg = RunConfig(max_depth=2, min_score=0.3, prover_negatives=0,
+                    embedding_dim=2)
+    _, grads = loss_and_grads(kb, store, goal, cfg)
 
-    def f(st, tape):
-        res = prove_goal(goal, kb.full_view(), st,
+    def evaluate():
+        res = prove_goal(goal, kb.full_view(), store,
                          ProverConfig(max_depth=2, min_score=0.3))
         assert res.state is not None and res.state.entry is not None
-        return ad.log(entry_value(tape, res.state.entry, n_real=5))
+        return -np.log(res.score)
 
-    worst = finite_difference_check(f, store, rng=np.random.default_rng(8))
-    assert worst < 1e-4
+    assert worst_fd_error(store, evaluate, grads, [PRED_EMB, CONST_EMB]) < 1e-4
 
 
 def test_finite_difference_training_loss():
-    # training_loss owns its tape, so sweep central differences by hand;
-    # the corruption rng is re-seeded per evaluation to keep f deterministic
+    # the corruption rng is re-seeded per evaluation to keep the loss
+    # deterministic
     kb, store, goal = chain_grad_setup()
     cfg = RunConfig(max_depth=2, min_score=0.3, prover_negatives=2,
                     embedding_dim=2)
+    _, grads = loss_and_grads(kb, store, goal, cfg)
+    evaluate = lambda: loss_and_grads(kb, store, goal, cfg)[0]  # noqa: E731
+    assert worst_fd_error(store, evaluate, grads, list(grads)) < 1e-4
 
-    def evaluate():
-        return training_loss([goal], kb.full_view(), store, cfg,
-                             HighQualityBuffer(), Counters(), kb.fact_set,
-                             np.random.default_rng(17))
 
-    tape, loss, _ = evaluate()
-    tape.backward(loss)
-    grads = {k: v.copy() for k, v in tape.gradients().items()}
-    rng = np.random.default_rng(5)
-    eps = 1e-5
-    worst = 0.0
-    for name, g_arr in grads.items():
-        flat_param = store.params[name].reshape(-1)
-        flat_grad = g_arr.reshape(-1)
-        coords = rng.choice(flat_param.size, size=min(12, flat_param.size),
-                            replace=False)
-        for c in coords:
-            old = flat_param[c]
-            flat_param[c] = old + eps
-            lp = evaluate()[1].data
-            flat_param[c] = old - eps
-            lm = evaluate()[1].data
-            flat_param[c] = old
-            fd = (lp - lm) / (2 * eps)
-            rel = abs(fd - flat_grad[c]) / max(abs(fd), abs(flat_grad[c]), 1e-8)
-            worst = max(worst, rel)
-    assert worst < 1e-4
+def slot_grad_setup():
+    """A proof whose bottleneck is a template slot against a real predicate.
+
+    Real predicates p0, p1; slots #0 (id 2) and #1 (id 3) in a template
+    #0(X,Y) :- #1(X,Y). The goal p1(c0,c1) is far from the fact p0(c0,c1),
+    so only the rule proves it: head #0 vs p1 at squared distance 0.05,
+    body #1 vs p0 at 0.3, the bottleneck.
+    """
+    vocab = Vocabulary()
+    for name in ("p0", "p1", "#0", "#1"):
+        vocab.intern_predicate(name)
+    for name in ("c0", "c1"):
+        vocab.intern_constant(name)
+    rule = Rule(head=Atom(2, (X, Y)), body=(Atom(3, (X, Y)),))
+    kb = KnowledgeBase(vocab, [Atom(0, (0, 1))], [rule])
+    store = ParameterStore()
+    store.add(CONST_EMB, place([0.0, 0.0], [0.0, 2.0]))
+    store.add(PRED_EMB, place([0.0, 0.0], [5.0, 0.0]))
+    store.add(SLOT_EMB, place([5.0 + np.sqrt(0.05), 0.0], [0.0, np.sqrt(0.3)]))
+    return kb, store, Atom(1, (0, 1))
+
+
+def test_template_slot_gradient_lands_in_slot_rows():
+    kb, store, goal = slot_grad_setup()
+    res = prove_goal(goal, kb.full_view(), store,
+                     ProverConfig(max_depth=2, min_score=0.3))
+    assert res.state.entry == (0, 3, 0)  # slot #1 against p0
+    cfg = RunConfig(max_depth=2, min_score=0.3, prover_negatives=0,
+                    embedding_dim=2)
+    loss, grads = loss_and_grads(kb, store, goal, cfg)
+    assert loss == pytest.approx(0.3, abs=1e-12)
+    assert list(grads) == [SLOT_EMB, PRED_EMB]
+    # pid 3 is slot row 3 - n_real = 1; p0 takes the opposite gradient
+    assert np.flatnonzero(np.any(grads[SLOT_EMB], axis=1)).tolist() == [1]
+    assert np.flatnonzero(np.any(grads[PRED_EMB], axis=1)).tolist() == [0]
+    np.testing.assert_array_equal(grads[SLOT_EMB][1], -grads[PRED_EMB][0])
+    evaluate = lambda: loss_and_grads(kb, store, goal, cfg)[0]  # noqa: E731
+    assert worst_fd_error(store, evaluate, grads,
+                          [SLOT_EMB, PRED_EMB, CONST_EMB], picks=10) < 1e-4
+
+
+def test_clamped_scores_pass_no_gradient():
+    # positive p0(c0,c1) proves through p0(c0,c0) at K = exp(-0.09) >= 1 - c;
+    # the only unknown corruptions, p0(c2,c1) and p0(c0,c2), prove at
+    # K <= exp(-9) <= c; with c = 0.3 every clamp is active
+    Ep = place([0.0, 0.0])
+    Ec = place([0.0, 0.0], [0.3, 0.0], [3.0, 0.0])
+    kb, store = make_package([(0, 0, 0)], [], Ep, Ec)
+    known = frozenset({(0, 0, 0), (0, 0, 1), (0, 1, 1)})
+    goal = Atom(0, (0, 1))
+    clamped = RunConfig(max_depth=1, min_score=0.0, prover_negatives=2,
+                        embedding_dim=2, score_clamp=0.3)
+    loss, grads = loss_and_grads(kb, store, goal, clamped, known)
+    assert loss == pytest.approx(-3.0 * np.log(0.7), abs=1e-12)
+    assert list(grads) == [CONST_EMB]  # entries touched, gradient zero
+    assert not np.any(grads[CONST_EMB])
+    # at the default clamp the same proofs do pass gradient
+    free = dataclasses.replace(clamped, score_clamp=1e-7)
+    _, grads = loss_and_grads(kb, store, goal, free, known)
+    assert np.any(grads[CONST_EMB])
 
 
 def test_training_loss_value_and_masking():
@@ -453,12 +533,12 @@ def test_training_loss_value_and_masking():
     hq = HighQualityBuffer()
     counters = Counters()
     goal = Atom(0, (0, 1))
-    tape, loss, stats = training_loss([goal], kb.full_view(), store, cfg, hq,
-                                      counters, kb.fact_set,
-                                      np.random.default_rng(3))
+    loss, grads, stats = training_loss([goal], kb.full_view(), store, cfg, hq,
+                                       counters, kb.fact_set,
+                                       np.random.default_rng(3))
     # the positive is masked: no other path, so its score clamps to eps
     assert stats["mean_pos"] == 0.0
-    assert loss.data >= -np.log(cfg.score_clamp) - 1e-6
+    assert loss >= -np.log(cfg.score_clamp) - 1e-6
     assert 0 not in hq  # the masked fact never established for its own goal
 
 
@@ -471,12 +551,13 @@ def test_training_loss_drops_exhausted_corruptions():
     cfg = RunConfig(max_depth=1, min_score=0.0, prover_negatives=3,
                     embedding_dim=2)
     counters = Counters()
-    tape, loss, stats = training_loss([Atom(0, (0, 1))], kb.full_view(), store,
-                                      cfg, HighQualityBuffer(), counters,
-                                      kb.fact_set, np.random.default_rng(3))
+    loss, grads, stats = training_loss([Atom(0, (0, 1))], kb.full_view(),
+                                       store, cfg, HighQualityBuffer(),
+                                       counters, kb.fact_set,
+                                       np.random.default_rng(3))
     assert stats["mean_neg"] == 0.0
     assert counters.traversed == kb.n_items  # the positive's proof alone
-    assert loss.data == pytest.approx(-np.log(stats["mean_pos"]), abs=1e-9)
+    assert loss == pytest.approx(-np.log(stats["mean_pos"]), abs=1e-9)
 
 
 def test_training_loss_no_mask_when_goal_not_a_fact():
@@ -486,25 +567,8 @@ def test_training_loss_no_mask_when_goal_not_a_fact():
     cfg = RunConfig(max_depth=1, min_score=0.0, prover_negatives=0,
                     embedding_dim=2)
     goal = Atom(1, (0, 1))  # derivable but not stored
-    tape, loss, stats = training_loss([goal], kb.full_view(), store, cfg,
-                                      HighQualityBuffer(), Counters(),
-                                      kb.fact_set, np.random.default_rng(3))
+    loss, grads, stats = training_loss([goal], kb.full_view(), store, cfg,
+                                       HighQualityBuffer(), Counters(),
+                                       kb.fact_set, np.random.default_rng(3))
     assert stats["mean_pos"] == pytest.approx(np.exp(-0.04), abs=1e-12)
-    assert loss.data == pytest.approx(-np.log(np.exp(-0.04)), abs=1e-9)
-
-
-# --- trace -----------------------------------------------------------------
-
-
-def test_trace_lines_are_stable():
-    Ep = place([0.0, 0.0])
-    Ec = place([0.0, 0.0], [1.0, 0.0])
-    kb, store = make_package([(0, 0, 1)], [], Ep, Ec)
-    res = prove_goal(Atom(0, (0, 1)), kb.full_view(), store,
-                     ProverConfig(max_depth=1, min_score=0.0),
-                     collect_trace=True)
-    assert res.trace_lines == ["score=1.000000 items=[d1:p0(c0, c1)] bind=[]"]
-    res2 = prove_goal(Atom(0, (0, 1)), kb.full_view(), store,
-                      ProverConfig(max_depth=1, min_score=0.0),
-                      collect_trace=True)
-    assert res2.trace_lines == res.trace_lines
+    assert loss == pytest.approx(-np.log(np.exp(-0.04)), abs=1e-9)
