@@ -84,8 +84,9 @@ def _kernel_matrix_nb(A, B):  # pragma: no cover - compiled
 def _kernel_matrix_np(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     out = np.empty((n, B.shape[0]))
-    # chunk rows to keep the (chunk, m, d) temporary bounded
-    step = max(1, int(4e6 // max(1, B.size)))
+    # rows per chunk: the (step, m, d) temporary stays near 2 MB; each
+    # entry reduces its own row pair, so the chunking never changes a result
+    step = max(1, int(2.5e5 // max(1, B.size)))
     for i0 in range(0, n, step):
         i1 = min(n, i0 + step)
         diff = A[i0:i1, None, :] - B[None, :, :]

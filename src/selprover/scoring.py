@@ -27,9 +27,19 @@ Proof families at depth 2, each an exact closed form here:
   chain); its second body is a pair table over (middle, candidate).
 * ``C``: one implication link into a chain whose bodies are plain facts.
 
-Scores below the unification threshold are zeroed at the end; pruning
-during search only removes branches whose final score the cut would zero
-anyway, so thresholding commutes with the max.
+The unification threshold theta (``min_score``) prunes the closed forms as
+the stream prover prunes branches. Scoring does no arithmetic after
+``kernel_tables``, only min and max, so every table here need only be
+theta-faithful: equal to its dense value wherever that value is >= theta,
+and below theta everywhere else. Min and max of theta-faithful inputs are
+theta-faithful, and so is a max that leaves out every term with a factor
+below theta. The max-min products therefore run only over the rows and
+inner indices that can reach theta, and the final cut (scores below theta
+become 0) restores the dense result exactly. At theta = 0 nothing is cut.
+
+Each query direction keeps only its live chains, those with a table entry
+that reaches theta, and stacks their tables, so one vec-mat product scores
+every live chain of a family at once and a dead chain costs nothing.
 
 Head-side queries (vary the subject) reuse the same machinery on the
 reversed view: facts swap subject/object, chains swap their two body slots,
@@ -49,93 +59,165 @@ from .prover import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, classify_rule,
                      kernel_tables)
 
 
-@dataclass(slots=True)
-class _ChainTables:
-    hd: int
-    b1: int
-    b2: int
-    Tmax: np.ndarray            # (C, C): second body via facts or one I-link
-    H2: np.ndarray | None       # (C, C): nested chain, candidate side soft
-    H2strict: np.ndarray | None  # (C, C): nested chain, final object strict
+# ---------------------------------------------------------------------------
+# theta-pruned kernels: each returns a theta-faithful result and makes the
+# plain ``accel`` call when nothing can be left out
+# ---------------------------------------------------------------------------
+
+
+def _matmat(A: np.ndarray, B: np.ndarray, th: float) -> np.ndarray:
+    """Max-min product over the rows of A and the inner indices that reach th."""
+    a = A >= th
+    rows = a.any(axis=1)
+    inner = a.any(axis=0) & (B >= th).any(axis=1)
+    if rows.all() and inner.all():
+        return accel.maxmin_matmat(A, B)
+    out = np.zeros((A.shape[0], B.shape[1]))
+    if rows.any() and inner.any():
+        out[rows] = accel.maxmin_matmat(A[np.ix_(rows, inner)], B[inner])
+    return out
+
+
+def _matvec(M: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
+    """out[i] = max_k min(M[i,k], v[k]) over the k where v reaches th."""
+    keep = v >= th
+    if keep.all():
+        return accel.maxmin_matvec(M, v)
+    if not keep.any():
+        return np.zeros(M.shape[0])
+    return accel.maxmin_matvec(M[:, keep], v[keep])
+
+
+def _vecmat(v: np.ndarray, M: np.ndarray, th: float) -> np.ndarray:
+    """out[j] = max_i min(v[i], M[i,j]) over the i where v reaches th."""
+    keep = v >= th
+    if keep.all():
+        return accel.maxmin_vecmat(v, M)
+    if not keep.any():
+        return np.zeros(M.shape[1])
+    return accel.maxmin_vecmat(v[keep], M[keep])
+
+
+def _group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
+           Kc: np.ndarray, th: float) -> np.ndarray:
+    """accel.strict_group over the facts whose predicate factor reaches th."""
+    keep = psim >= th
+    if keep.all():
+        return accel.strict_group(psim, soft_idx, grp_idx, Kc)
+    return accel.strict_group(psim[keep], soft_idx[keep], grp_idx[keep], Kc)
+
+
+def _live(T: np.ndarray, th: float) -> bool:
+    return bool((T >= th).any())
+
+
+# ---------------------------------------------------------------------------
+# per-direction tables
+# ---------------------------------------------------------------------------
+
+
+def _compose(Kp: np.ndarray, heads: np.ndarray, bodies: np.ndarray,
+             S: np.ndarray, th: float) -> np.ndarray:
+    """One I-link step: out[q,p] = max_j min(Kp[q, h_j], S[b_j, p])."""
+    return _matmat(Kp[:, heads], S[bodies], th)
+
+
+def _sim_matrices(Kp: np.ndarray, imp_h, imp_b, inv_h, inv_b, depth: int,
+                  th: float) -> np.ndarray:
+    """Effective predicate similarity through <= depth I-links, as
+    [forward | swapped]: column p is a same-direction fact of predicate p,
+    column P + p one with its arguments swapped."""
+    simF, simR = Kp, np.zeros_like(Kp)
+    for _ in range(min(depth, 2)):
+        simF, simR = (
+            np.maximum(Kp, np.maximum(_compose(Kp, imp_h, imp_b, simF, th),
+                                      _compose(Kp, inv_h, inv_b, simR, th))),
+            np.maximum(_compose(Kp, imp_h, imp_b, simR, th),
+                       _compose(Kp, inv_h, inv_b, simF, th)),
+        )
+    return np.hstack([simF, simR])
 
 
 @dataclass(slots=True)
 class _Pass:
-    p_idx: np.ndarray
-    s_idx: np.ndarray
-    o_idx: np.ndarray
-    simF: np.ndarray            # goal-level predicate similarity, forward
-    simR: np.ndarray            # same with net argument swap
-    chains: list[_ChainTables]
-    bodyF: np.ndarray           # body-level similarity inside chain bodies
-    bodyR: np.ndarray
-    Wb1hd: np.ndarray | None    # (J, J): Kp[b1_i, hd_j]
-    Wb2hd: np.ndarray | None    # (J, J): Kp[b2_i, hd_j]
-    GIF: np.ndarray | None      # (P, J): best implies link into chain j
-    GIR: np.ndarray | None      # (P, J): best inverse link into chain j
+    """Tables of one query direction.
 
-
-def _compose(Kp: np.ndarray, heads: np.ndarray, bodies: np.ndarray,
-             S: np.ndarray) -> np.ndarray:
-    """One I-link step: out[q,p] = max_j min(Kp[q, h_j], S[b_j, p])."""
-    if len(heads) == 0:
-        return np.zeros((Kp.shape[0], S.shape[1]))
-    return accel.maxmin_matmat(np.ascontiguousarray(Kp[:, heads]),
-                               np.ascontiguousarray(S[bodies]))
-
-
-def _sim_matrices(Kp: np.ndarray, imp_h, imp_b, inv_h, inv_b, depth: int
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Cumulative effective predicate similarity through <= depth I-links."""
-    zero = np.zeros_like(Kp)
-    simF, simR = Kp, zero
-    for _ in range(min(depth, 2)):
-        simF, simR = (
-            np.maximum(Kp, np.maximum(_compose(Kp, imp_h, imp_b, simF),
-                                      _compose(Kp, inv_h, inv_b, simR))),
-            np.maximum(_compose(Kp, imp_h, imp_b, simR),
-                       _compose(Kp, inv_h, inv_b, simF)),
-        )
-    return simF, simR
-
-
-def _pair_table(psim: np.ndarray, s_idx: np.ndarray, o_idx: np.ndarray,
-                Kc: np.ndarray) -> np.ndarray:
-    """T[x,y] = max_f min(psim[f], Kc[x,s_f], Kc[y,o_f]), both sides soft."""
-    grouped = accel.strict_group(psim, s_idx, o_idx, Kc)
-    return accel.maxmin_matmat(grouped, Kc)
+    Fact arrays list every fact twice, as stored and with its arguments
+    swapped: ``col`` indexes a [forward | swapped] similarity row, ``anchor``
+    is the argument unified with the query's anchor constant, and ``key`` the
+    one the free variable binds to. Chain arrays hold the chains whose first
+    body is scored (``hd``); the stacked tables hold live chains only.
+    """
+    col: np.ndarray       # (2F,) fact column in a [forward | swapped] row
+    anchor: np.ndarray    # (2F,)
+    key: np.ndarray       # (2F,)
+    sim: np.ndarray       # (P, 2P) goal-level predicate similarity
+    hd: np.ndarray        # (N,) heads of the scored chains
+    body1: np.ndarray     # (N, L) first-body similarity per kept fact
+    b1_anchor: np.ndarray  # (L,) facts where some first body reaches theta
+    b1_key: np.ndarray    # (L,)
+    t_rows: np.ndarray    # (Lt,) rows of hd whose second-body table is live
+    T: np.ndarray         # (Lt*C, C) stacked second-body pair tables
+    W1: np.ndarray        # (N, Ls): Kp[b1_i, hd_j] for live H2strict chains j
+    H2s: np.ndarray       # (Ls, C, C) nested chain, final object strict
+    W2t: np.ndarray       # (Lh, N): Kp[b2_i, hd_j] for live H2 chains j
+    H2: np.ndarray        # (Lh, C, C) nested chain, candidate side soft
+    GI: np.ndarray        # (P, 2Lh): best implies | inverse link into chain j
 
 
 def _build_pass(Kp: np.ndarray, Kc: np.ndarray, p_idx, s_idx, o_idx,
-                imp_h, imp_b, inv_h, inv_b, chains, depth: int) -> _Pass:
-    simF, simR = _sim_matrices(Kp, imp_h, imp_b, inv_h, inv_b, depth)
-    body_depth = 1 if depth >= 2 else 0
-    bodyF, bodyR = _sim_matrices(Kp, imp_h, imp_b, inv_h, inv_b, body_depth)
-    tables: list[_ChainTables] = []
-    if depth >= 1:
-        for hd, b1, b2 in chains:
-            Tmax = _pair_table(bodyF[b2][p_idx], s_idx, o_idx, Kc)
-            rev = _pair_table(bodyR[b2][p_idx], o_idx, s_idx, Kc)
-            np.maximum(Tmax, rev, out=Tmax)
-            H2 = H2s = None
-            if depth >= 2:
-                MsF_b1 = accel.strict_group(Kp[b1][p_idx], s_idx, o_idx, Kc)
-                MsF_b2 = accel.strict_group(Kp[b2][p_idx], s_idx, o_idx, Kc)
-                F2 = accel.maxmin_matmat(MsF_b2, Kc)
-                H2 = accel.maxmin_matmat(MsF_b1, F2)
-                H2s = accel.maxmin_matmat(MsF_b1, MsF_b2)
-            tables.append(_ChainTables(hd, b1, b2, Tmax, H2, H2s))
-    Wb1hd = Wb2hd = GIF = GIR = None
-    if depth >= 2 and tables:
-        hd_vec = np.array([t.hd for t in tables])
-        b1_vec = np.array([t.b1 for t in tables])
-        b2_vec = np.array([t.b2 for t in tables])
-        Wb1hd = np.ascontiguousarray(Kp[np.ix_(b1_vec, hd_vec)])
-        Wb2hd = np.ascontiguousarray(Kp[np.ix_(b2_vec, hd_vec)])
-        GIF = _compose(Kp, imp_h, imp_b, np.ascontiguousarray(Kp[:, hd_vec]))
-        GIR = _compose(Kp, inv_h, inv_b, np.ascontiguousarray(Kp[:, hd_vec]))
-    return _Pass(p_idx, s_idx, o_idx, simF, simR, tables, bodyF, bodyR,
-                 Wb1hd, Wb2hd, GIF, GIR)
+                imp_h, imp_b, inv_h, inv_b, chains, depth: int,
+                th: float) -> _Pass:
+    P = Kp.shape[0]
+    C = Kc.shape[0]
+    col = np.concatenate([p_idx, p_idx + P])
+    anchor = np.concatenate([s_idx, o_idx])
+    key = np.concatenate([o_idx, s_idx])
+    sim = _sim_matrices(Kp, imp_h, imp_b, inv_h, inv_b, depth, th)
+    if depth == 0 or not len(p_idx):
+        chains = []
+    body = _sim_matrices(Kp, imp_h, imp_b, inv_h, inv_b,
+                         1 if depth >= 2 else 0, th)
+    # second chain body through facts or one I-link, facts taken both ways
+    t_live, T = [], []
+    for j, (_, _, b2) in enumerate(chains):
+        Tj = _matmat(_group(body[b2][col], anchor, key, Kc, th), Kc, th)
+        if _live(Tj, th):
+            t_live.append(j)
+            T.append(Tj)
+    # nested chain whose bodies are plain facts
+    h2s_live, H2s, h2_live, H2 = [], [], [], []
+    if depth >= 2:
+        for j, (_, b1, b2) in enumerate(chains):
+            Ms1 = _group(Kp[b1][p_idx], s_idx, o_idx, Kc, th)
+            Ms2 = _group(Kp[b2][p_idx], s_idx, o_idx, Kc, th)
+            H2j = _matmat(Ms1, _matmat(Ms2, Kc, th), th)
+            if _live(H2j, th):
+                h2_live.append(j)
+                H2.append(H2j)
+            H2sj = _matmat(Ms1, Ms2, th)
+            if _live(H2sj, th):
+                h2s_live.append(j)
+                H2s.append(H2sj)
+    # a live nested chain can sit under any chain's second body
+    need = np.arange(len(chains)) if h2_live else np.array(t_live, np.int64)
+    ch = np.array(chains, dtype=np.int64).reshape(-1, 3)
+    hd, b1, b2 = ch[need, 0], ch[need, 1], ch[need, 2]
+    body1 = body[b1][:, col]
+    kept = (body1 >= th).any(axis=0)
+    hd_h2 = ch[h2_live, 0]
+
+    def stack(tables):
+        return np.array(tables) if tables else np.zeros((0, C, C))
+
+    return _Pass(
+        col=col, anchor=anchor, key=key, sim=sim, hd=hd,
+        body1=body1[:, kept], b1_anchor=anchor[kept], b1_key=key[kept],
+        t_rows=np.searchsorted(need, t_live), T=stack(T).reshape(-1, C),
+        W1=Kp[np.ix_(b1, ch[h2s_live, 0])], H2s=stack(H2s),
+        W2t=Kp[np.ix_(b2, hd_h2)].T.copy(), H2=stack(H2),
+        GI=np.hstack([_compose(Kp, imp_h, imp_b, Kp[:, hd_h2], th),
+                      _compose(Kp, inv_h, inv_b, Kp[:, hd_h2], th)]))
 
 
 class BatchedEvaluator:
@@ -147,14 +229,11 @@ class BatchedEvaluator:
     """
 
     def __init__(self, view: KBView, store: ParameterStore,
-                 max_depth: int = 2, min_score: float = 0.1,
-                 tables: tuple[np.ndarray, np.ndarray] | None = None):
+                 max_depth: int = 2, min_score: float = 0.1):
         if max_depth > 2:
             raise ValueError(
                 f"batched scoring supports depth <= 2, got {max_depth}")
-        if tables is None:
-            tables = kernel_tables(store)
-        self.Kp, self.Kc = tables
+        self.Kp, self.Kc = kernel_tables(store)
         self.min_score = float(min_score)
         self.n_constants = self.Kc.shape[0]
         imp, inv, chains = [], [], []
@@ -175,15 +254,15 @@ class BatchedEvaluator:
         imp_b = np.array([b for _, b in imp], dtype=np.int64)
         inv_h = np.array([h for h, _ in inv], dtype=np.int64)
         inv_b = np.array([b for _, b in inv], dtype=np.int64)
-        p_idx = view.pred.copy()
-        s_idx = view.subj.copy()
-        o_idx = view.obj.copy()
-        self._fwd = _build_pass(self.Kp, self.Kc, p_idx, s_idx, o_idx,
-                                imp_h, imp_b, inv_h, inv_b, chains, max_depth)
+        p_idx = view.pred.astype(np.int64)
+        s_idx = view.subj.astype(np.int64)
+        o_idx = view.obj.astype(np.int64)
+        args = (imp_h, imp_b, inv_h, inv_b)
+        self._fwd = _build_pass(self.Kp, self.Kc, p_idx, s_idx, o_idx, *args,
+                                chains, max_depth, self.min_score)
         rev_chains = [(hd, b2, b1) for hd, b1, b2 in chains]
-        self._rev = _build_pass(self.Kp, self.Kc, p_idx, o_idx, s_idx,
-                                imp_h, imp_b, inv_h, inv_b, rev_chains,
-                                max_depth)
+        self._rev = _build_pass(self.Kp, self.Kc, p_idx, o_idx, s_idx, *args,
+                                rev_chains, max_depth, self.min_score)
 
     def score_tails(self, rel: int, subj: int) -> np.ndarray:
         """Scores of (rel, subj, y) for every constant y."""
@@ -195,50 +274,38 @@ class BatchedEvaluator:
 
     def _score(self, pa: _Pass, rel: int, a: int) -> np.ndarray:
         C = self.n_constants
-        Kc = self.Kc
-        Kp = self.Kp
-        V = np.zeros(C)
-        if len(pa.p_idx):
-            # family A: implication links only, then one soft fact sweep
-            u = np.minimum(pa.simF[rel][pa.p_idx], Kc[a][pa.s_idx])
-            w = accel.scatter_max(pa.o_idx, u, C)
-            np.maximum(V, accel.maxmin_matvec(Kc, w), out=V)
-            ur = np.minimum(pa.simR[rel][pa.p_idx], Kc[a][pa.o_idx])
-            wr = accel.scatter_max(pa.s_idx, ur, C)
-            np.maximum(V, accel.maxmin_matvec(Kc, wr), out=V)
-        if pa.chains and len(pa.p_idx):
-            J = len(pa.chains)
-            rows_h2s = rows_h2 = cols_h2 = B1C = None
-            if pa.Wb1hd is not None:
-                rows_h2s = np.stack([t.H2strict[a] for t in pa.chains])
-                rows_h2 = np.stack([t.H2[a] for t in pa.chains])
-                cols_h2 = np.stack([np.ascontiguousarray(t.H2[:, a])
-                                    for t in pa.chains])
-                B1C = accel.maxmin_matmat(pa.Wb1hd, rows_h2s)
-            P1 = np.zeros((J, C))
-            for i, t in enumerate(pa.chains):
-                # family B: first chain body binds the middle constant
-                u1 = np.minimum(pa.bodyF[t.b1][pa.p_idx], Kc[a][pa.s_idx])
-                b1 = accel.scatter_max(pa.o_idx, u1, C)
-                u1r = np.minimum(pa.bodyR[t.b1][pa.p_idx], Kc[a][pa.o_idx])
-                np.maximum(b1, accel.scatter_max(pa.s_idx, u1r, C), out=b1)
-                if B1C is not None:
-                    np.maximum(b1, B1C[i], out=b1)
-                np.minimum(b1, Kp[rel, t.hd], out=b1)
-                P1[i] = b1
-                np.maximum(V, accel.maxmin_vecmat(b1, t.Tmax), out=V)
-            if pa.Wb2hd is not None:
+        th = self.min_score
+        Ka = self.Kc[a]
+        # family A: implication links only, then one soft fact sweep
+        u = np.minimum(pa.sim[rel][pa.col], Ka[pa.anchor])
+        live = u >= th
+        w = accel.scatter_max(pa.key[live], u[live], C)
+        V = _matvec(self.Kc, w, th)
+        cap = self.Kp[rel][pa.hd]
+        if _live(cap, th):
+            # family B: first chain body binds the middle constant, all
+            # scored chains in one scatter keyed by (chain, middle)
+            anc = Ka[pa.b1_anchor]
+            f = anc >= th
+            U = np.minimum(np.minimum(pa.body1[:, f], anc[f]), cap[:, None])
+            i, k = np.nonzero(U >= th)
+            B1 = accel.scatter_max(i * C + pa.b1_key[f][k], U[i, k],
+                                   len(cap) * C).reshape(-1, C)
+            if len(pa.H2s):
+                # first body through a nested chain
+                B1C = _matmat(pa.W1, pa.H2s[:, a], th)
+                np.maximum(B1, np.minimum(B1C, cap[:, None]), out=B1)
+            if len(pa.T):
+                np.maximum(V, _vecmat(B1[pa.t_rows].ravel(), pa.T, th),
+                           out=V)
+            if len(pa.H2):
                 # second chain body through a nested chain
-                Q = accel.maxmin_matmat(np.ascontiguousarray(pa.Wb2hd.T), P1)
-                for j, t in enumerate(pa.chains):
-                    np.maximum(V, accel.maxmin_vecmat(Q[j], t.H2), out=V)
-            if pa.GIF is not None:
-                # family C: one implication link into a plain-fact chain
-                gif = pa.GIF[rel]
-                gir = pa.GIR[rel]
-                np.maximum(V, np.minimum(gif[:, None], rows_h2).max(axis=0),
+                Q = _matmat(pa.W2t, B1, th)
+                np.maximum(V, _vecmat(Q.ravel(), pa.H2.reshape(-1, C), th),
                            out=V)
-                np.maximum(V, np.minimum(gir[:, None], cols_h2).max(axis=0),
-                           out=V)
-        V[V < self.min_score] = 0.0
+        if len(pa.H2):
+            # family C: one implication link into a plain-fact chain
+            rows = np.concatenate([pa.H2[:, a], pa.H2[:, :, a]])
+            np.maximum(V, _vecmat(pa.GI[rel], rows, th), out=V)
+        V[V < th] = 0.0
         return V

@@ -68,6 +68,16 @@ class TestKernelMatrix:
         with pytest.raises(ValueError):
             accel.kernel_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    def test_chunked_equals_single_chunk(self):
+        # m * d = 1.25e5 puts two rows in each chunk of the numpy path: three
+        # chunks for five rows, the last one short
+        rng = np.random.default_rng(12)
+        A = rng.normal(size=(5, 100))
+        B = rng.normal(size=(1250, 100))
+        diff = A[:, None, :] - B[None, :, :]
+        whole = np.exp(-np.einsum("ijk,ijk->ij", diff, diff))
+        np.testing.assert_array_equal(accel._kernel_matrix_np(A, B), whole)
+
 
 def naive_sweep(prefix, psim, a1sim, a2sim, threshold, exclude):
     F = len(psim)

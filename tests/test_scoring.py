@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selprover import accel
 from selprover.autodiff import ParameterStore
@@ -153,17 +154,88 @@ def test_learned_templates_match_stream():
                               np.random.default_rng(depth))
 
 
-def test_threshold_is_a_post_hoc_cut():
-    rng = np.random.default_rng(77)
-    facts, rules, Ep, Ec = random_template_case(rng)
-    kb, store = build_kb(facts, rules, Ep, Ec)
-    free = BatchedEvaluator(kb.full_view(), store, max_depth=2, min_score=0.0)
-    cut = BatchedEvaluator(kb.full_view(), store, max_depth=2, min_score=0.4)
-    for rel in range(2):
-        v0 = free.score_tails(rel, 0)
-        vt = cut.score_tails(rel, 0)
-        np.testing.assert_allclose(vt, np.where(v0 >= 0.4, v0, 0.0),
-                                   atol=1e-12, rtol=0)
+def assert_cut_is_exact(kb, store, depth, threshold):
+    """Scores at a threshold equal the threshold-free scores cut afterwards.
+
+    Pruning inside the evaluator must change nothing at or above the
+    threshold, bit for bit, on both sides and for every (rel, anchor).
+    """
+    free = BatchedEvaluator(kb.full_view(), store, depth, 0.0)
+    cut = BatchedEvaluator(kb.full_view(), store, depth, threshold)
+    for rel in range(kb.vocab.n_predicates):
+        for a in range(kb.vocab.n_constants):
+            for side in ("score_tails", "score_heads"):
+                v0 = getattr(free, side)(rel, a)
+                np.testing.assert_array_equal(
+                    getattr(cut, side)(rel, a),
+                    np.where(v0 >= threshold, v0, 0.0))
+    return free, cut
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.3, 2.0),
+       st.sampled_from([0.05, 0.1, 0.25, 0.5, 0.9]), st.integers(0, 2))
+def test_threshold_is_a_post_hoc_cut(seed, scale, threshold, depth):
+    facts, rules, Ep, Ec = random_template_case(np.random.default_rng(seed))
+    kb, store = build_kb(facts, rules, Ep * scale, Ec * scale)
+    assert_cut_is_exact(kb, store, depth, threshold)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.3, 2.0), st.integers(0, 2),
+       st.integers(0, 2**16))
+def test_threshold_at_a_score_prunes_exactly(seed, scale, depth, pick):
+    # every score is some kernel value, so a threshold equal to one of them
+    # puts a factor exactly at the threshold somewhere in the tables
+    facts, rules, Ep, Ec = random_template_case(np.random.default_rng(seed))
+    kb, store = build_kb(facts, rules, Ep * scale, Ec * scale)
+    free = BatchedEvaluator(kb.full_view(), store, depth, 0.0)
+    scores = np.unique(np.concatenate(
+        [free.score_tails(rel, a) for rel in range(kb.vocab.n_predicates)
+         for a in range(kb.vocab.n_constants)]))
+    assert_cut_is_exact(kb, store, depth, float(scores[pick % len(scores)]))
+
+
+# the five predicates sit far apart, so only an exact predicate match
+# scores; the four constants sit on a unit square scaled by 0.8
+FAR_EP = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0], [-3.0, 0.0],
+                   [0.0, -3.0]])
+SQUARE_EC = 0.8 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+PATH_FACTS = [(1, 0, 1), (1, 1, 2)]
+
+
+def n_live_chains(pa):
+    return len(pa.t_rows) + len(pa.H2)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_threshold_every_chain_dead(depth):
+    kb, store = build_kb(PATH_FACTS, [implies(0, 1), chain(0, 3, 4)],
+                         FAR_EP, SQUARE_EC)
+    free, cut = assert_cut_is_exact(kb, store, depth, 0.1)
+    assert n_live_chains(free._fwd) > 0
+    assert n_live_chains(cut._fwd) == n_live_chains(cut._rev) == 0
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_threshold_one_live_chain(depth):
+    kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1), chain(0, 3, 4)],
+                         FAR_EP, SQUARE_EC)
+    _, cut = assert_cut_is_exact(kb, store, depth, 0.1)
+    for pa in (cut._fwd, cut._rev):
+        assert len(pa.t_rows) == 1 and len(pa.H2) <= 1
+    assert cut.score_tails(0, 0)[2] == 1.0
+
+
+def test_threshold_equal_to_a_score_keeps_it():
+    # a threshold equal to a constant kernel value on the chain's path: a
+    # score exactly at the threshold survives, so no mask may use ">"
+    kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1)], FAR_EP, SQUARE_EC)
+    free = BatchedEvaluator(kb.full_view(), store, 2, 0.0)
+    threshold = float(free.Kc[3, 2])
+    assert free.score_tails(0, 0)[3] == threshold
+    _, cut = assert_cut_is_exact(kb, store, 2, threshold)
+    assert cut.score_tails(0, 0)[3] == threshold
 
 
 def test_rejects_non_template_rules():
