@@ -1,18 +1,11 @@
-"""Hot numeric kernels: numpy reference forms, three with numba twins.
+"""Hot numeric kernels, one vectorized numpy form each.
 
 Everything the prover does at scale reduces to a small algebra over dense
 float64 matrices: Gaussian kernel tables, fused min-score fact sweeps, and
 max-min (tropical-like) products used to compose proof branches.  Every
-kernel is a vectorized numpy function.  The numpy forms are the reference
-and the measured path: ``perfbench/run.py --trace 1`` times them as
-``accel.micro.*``.
-
-``kernel_matrix``, ``strict_group`` and ``maxmin_matmat`` also have a numba
-``@njit`` twin, because their numpy forms need chunked cubic temporaries.
-The twins run when numba imports cleanly (the optional ``[numba]`` extra);
-``USE_NUMBA`` selects them, and tests flip it to compare the two paths,
-which agree up to floating-point summation order.  The other kernels are one
-vectorized pass and have no twin.
+kernel is a vectorized numpy function; ``kernel_matrix`` and
+``maxmin_matmat`` chunk their cubic temporaries to about 2 MB.
+``perfbench/run.py --trace 1`` times them as ``accel.micro.*``.
 
 Score convention used throughout: proof scores live in (0, 1], and 0.0 means
 "no path".  Max-reductions therefore initialize to 0.0, and fused sweeps mark
@@ -21,35 +14,11 @@ dead entries with -1.0 so callers can distinguish them at any threshold.
 
 from __future__ import annotations
 
-import math
+import importlib.util
 
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on numba-less installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range  # type: ignore[assignment]
-
-# Module-level switch for the numba twins.  Tests flip it directly to
-# exercise both paths in one process.
-USE_NUMBA = HAVE_NUMBA
-
-
-def set_threads(n: int) -> None:
-    """Bound the numba thread pool. No-op on the numpy path."""
-    if HAVE_NUMBA and n > 0:
-        numba.set_num_threads(min(n, numba.config.NUMBA_NUM_THREADS))
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None  # perfbench reports it
 
 
 def _f64(a: np.ndarray) -> np.ndarray:
@@ -65,23 +34,12 @@ def _i64(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True, parallel=True)
-def _kernel_matrix_nb(A, B):  # pragma: no cover - compiled
-    n = A.shape[0]
-    m = B.shape[0]
-    d = A.shape[1]
-    out = np.empty((n, m))
-    for i in prange(n):
-        for j in range(m):
-            acc = 0.0
-            for k in range(d):
-                diff = A[i, k] - B[j, k]
-                acc += diff * diff
-            out[i, j] = math.exp(-acc)
-    return out
-
-
-def _kernel_matrix_np(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """exp(-||a_i - b_j||^2) for every row pair. Shapes (n,d),(m,d) -> (n,m)."""
+    A = _f64(np.atleast_2d(A))
+    B = _f64(np.atleast_2d(B))
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"dim mismatch: {A.shape} vs {B.shape}")
     n = A.shape[0]
     out = np.empty((n, B.shape[0]))
     # rows per chunk: the (step, m, d) temporary stays near 2 MB; each
@@ -92,19 +50,6 @@ def _kernel_matrix_np(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         diff = A[i0:i1, None, :] - B[None, :, :]
         out[i0:i1] = np.exp(-np.einsum("ijk,ijk->ij", diff, diff))
     return out
-
-
-def kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """exp(-||a_i - b_j||^2) for every row pair. Shapes (n,d),(m,d) -> (n,m)."""
-    A = _f64(np.atleast_2d(A))
-    B = _f64(np.atleast_2d(B))
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"dim mismatch: {A.shape} vs {B.shape}")
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        return np.zeros((A.shape[0], B.shape[0]))
-    if USE_NUMBA:
-        return _kernel_matrix_nb(A, B)
-    return _kernel_matrix_np(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -152,37 +97,6 @@ def scatter_max(keys: np.ndarray, vals: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-@njit(cache=True)
-def _strict_group_nb(psim, soft_idx, grp_idx, Kc):  # pragma: no cover - compiled
-    C = Kc.shape[0]
-    F = psim.shape[0]
-    out = np.zeros((C, C))
-    for f in range(F):
-        p = psim[f]
-        s = soft_idx[f]
-        z = grp_idx[f]
-        for x in range(C):
-            v = Kc[x, s]
-            if p < v:
-                v = p
-            if v > out[x, z]:
-                out[x, z] = v
-    return out
-
-
-def _strict_group_np(psim, soft_idx, grp_idx, Kc):
-    C = Kc.shape[0]
-    F = psim.shape[0]
-    out = np.zeros((C, C))
-    if F == 0:
-        return out
-    cand = np.minimum(psim[None, :], Kc[:, soft_idx])  # (C, F)
-    rows = np.broadcast_to(np.arange(C)[:, None], (C, F))
-    cols = np.broadcast_to(grp_idx[None, :], (C, F))
-    np.maximum.at(out, (rows, cols), cand)
-    return out
-
-
 def strict_group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
                  Kc: np.ndarray) -> np.ndarray:
     """Fact table keyed by a strictly bound argument.
@@ -192,8 +106,18 @@ def strict_group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
     substituted into the soft position; columns z over the constants a free
     variable binds to.  Missing groups stay at 0.0.
     """
-    fn = _strict_group_nb if USE_NUMBA else _strict_group_np
-    return fn(_f64(psim), _i64(soft_idx), _i64(grp_idx), _f64(Kc))
+    psim = _f64(psim)
+    Kc = _f64(Kc)
+    C = Kc.shape[0]
+    F = psim.shape[0]
+    out = np.zeros((C, C))
+    if F == 0:
+        return out
+    cand = np.minimum(psim[None, :], Kc[:, _i64(soft_idx)])  # (C, F)
+    rows = np.broadcast_to(np.arange(C)[:, None], (C, F))
+    cols = np.broadcast_to(_i64(grp_idx)[None, :], (C, F))
+    np.maximum.at(out, (rows, cols), cand)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +143,12 @@ def maxmin_vecmat(v: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(v[:, None], M).max(axis=0), 0.0)
 
 
-@njit(cache=True, parallel=True)
-def _maxmin_matmat_nb(A, B):  # pragma: no cover - compiled
-    n = A.shape[0]
-    kk = A.shape[1]
-    m = B.shape[1]
-    out = np.zeros((n, m))
-    for i in prange(n):
-        row = np.zeros(m)
-        for k in range(kk):
-            a = A[i, k]
-            for j in range(m):
-                t = B[k, j]
-                if a < t:
-                    t = a
-                if t > row[j]:
-                    row[j] = t
-        for j in range(m):
-            out[i, j] = row[j]
-    return out
-
-
-def _maxmin_matmat_np(A, B):
+def maxmin_matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Max-min product: out[i,j] = max_k min(A[i,k], B[k,j]), floored at 0.0."""
+    A = _f64(A)
+    B = _f64(B)
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"inner dim mismatch: {A.shape} vs {B.shape}")
     n, kk = A.shape
     m = B.shape[1]
     out = np.zeros((n, m))
@@ -253,26 +161,3 @@ def _maxmin_matmat_np(A, B):
         i1 = min(n, i0 + step)
         out[i0:i1] = np.minimum(A[i0:i1, :, None], B[None, :, :]).max(axis=1)
     return np.maximum(out, 0.0)
-
-
-def maxmin_matmat(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Max-min product: out[i,j] = max_k min(A[i,k], B[k,j]), floored at 0.0."""
-    A = _f64(A)
-    B = _f64(B)
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"inner dim mismatch: {A.shape} vs {B.shape}")
-    fn = _maxmin_matmat_nb if USE_NUMBA else _maxmin_matmat_np
-    return fn(A, B)
-
-
-def warmup() -> None:
-    """Trigger jit compilation of every numba twin on tiny inputs."""
-    if not USE_NUMBA:
-        return
-    E = np.zeros((2, 3))
-    kernel_matrix(E, E)
-    psim = np.array([0.5, 0.9])
-    idx = np.array([0, 1])
-    Kc = np.eye(2)
-    strict_group(psim, idx, idx, Kc)
-    maxmin_matmat(Kc, Kc)

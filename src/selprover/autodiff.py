@@ -385,20 +385,17 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 
 def adam_step(store: ParameterStore, grads: dict[str, np.ndarray], lr: float,
-              betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-              param_filter: Callable[[str], bool] | None = None) -> None:
+              betas: tuple[float, float] = (0.9, 0.999),
+              eps: float = 1e-8) -> None:
     """Adam with bias correction over parameters holding nonzero gradients.
 
     A parameter whose gradient contains NaN/Inf is skipped for this step and
-    counted in ``store.rejected_updates``. ``param_filter`` restricts which
-    names may move (used when one phase trains a parameter subset).
+    counted in ``store.rejected_updates``.
     """
     b1, b2 = betas
     store.step_count += 1
     t = store.step_count
     for name, g in grads.items():
-        if param_filter is not None and not param_filter(name):
-            continue
         if not np.any(g):
             continue
         if not np.all(np.isfinite(g)):

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import accel
 from .autodiff import ParameterStore
 from .config import ConfigError, RunConfig, load_config
 from .datasets import Dataset, DatasetError, load_dataset
@@ -49,7 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--data-dir", dest="data_dir", metavar="PATH")
     common.add_argument("--seed", type=int)
     common.add_argument("--output-root", dest="output_root", metavar="PATH")
-    common.add_argument("--threads", type=int, help="worker cap (0 = default)")
     common.add_argument("--set", action="append", metavar="KEY=VALUE",
                         dest="assignments", help="any config field, repeatable")
     common.add_argument("-v", "--verbose", action="store_true")
@@ -97,15 +95,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         if not sep or not key:
             raise ConfigError(f"--set needs KEY=VALUE, got {item!r}")
         overrides[key] = value
-    for name in ("dataset", "data_dir", "seed", "output_root", "threads",
-                 "iterations", "baseline_full_kb"):
+    for name in ("dataset", "data_dir", "seed", "output_root", "iterations",
+                 "baseline_full_kb"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     cfg = load_config(args.config, overrides)
     if not cfg.dataset:
         raise ConfigError("a dataset is required (--dataset NAME or config file)")
-    accel.set_threads(cfg.threads)
     return cfg
 
 
@@ -200,7 +197,6 @@ def _efficiency_records(state: TrainState) -> list[EfficiencyRecord]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
-    accel.warmup()  # keep jit compilation out of the first mode's wall time
     runs = {}
     out = None
     for mode, flag in (("selected", False), ("full-kb", True)):

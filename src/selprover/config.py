@@ -24,7 +24,7 @@ class RunConfig:
     ``embedding_dim`` is the real dimension handed to the prover; the complex
     pretrainer uses half of it per component. ``beam`` of 0 means uncapped
     stream search. ``batches_per_iteration`` of 0 means a full pass over the
-    training goals per iteration. ``threads`` of 0 keeps the library default.
+    training goals per iteration.
     """
 
     # data / run identity
@@ -73,7 +73,6 @@ class RunConfig:
 
     # modes
     baseline_full_kb: bool = False
-    threads: int = 0
 
     @property
     def storage_layers(self) -> int:
@@ -114,7 +113,7 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("iterations", "patience", "beam", "prover_negatives",
-                     "batches_per_iteration", "valid_subsample", "threads"):
+                     "batches_per_iteration", "valid_subsample"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("pretrain_lr", "prover_lr", "gen_lr", "grad_clip"):

@@ -121,8 +121,7 @@ def _from_single_file(name: str, path: str, seed: int,
 
 def _from_facts(name: str, facts: list[Atom], vocab: Vocabulary, seed: int,
                 ratios: tuple[float, float, float]) -> Dataset:
-    split = split_dataset(facts, ratios, seed)
-    return Dataset(name, vocab, split.train, split.valid, split.test)
+    return Dataset(name, vocab, *split_dataset(facts, ratios, seed))
 
 
 # Synthetic family graphs: parent edges form seeded trees, the remaining

@@ -34,7 +34,7 @@ from .generator import (RelationStorage, generate_predicates, init_generator,
 from .kb import Atom, KBView, KnowledgeBase
 from .pretrain import PRED_EMB, pretrain_embeddings
 from .prover import (Counters, HighQualityBuffer, build_templates,
-                     kernel_tables, pred_matrix, training_loss)
+                     kernel_tables, training_loss)
 from .scoring import BatchedEvaluator
 
 log = logging.getLogger(__name__)
@@ -63,13 +63,14 @@ def storage_capacities(cfg: RunConfig) -> tuple[int, ...]:
 
 def select_kbs(kb: KnowledgeBase, logic_predicates: dict[int, float],
                proportion: float, store: ParameterStore, goal_rel: int,
-               tables: tuple[np.ndarray, np.ndarray] | None = None) -> KBView:
+               tables: tuple[np.ndarray, np.ndarray]) -> KBView:
     """Restrict the KB to items headed by a generated predicate.
 
     Template rules participate through the real predicate nearest their head
     slot. When more items match than the cap allows, items with the highest
     head generation score survive; ties break by kernel similarity of the
-    item's own head to the goal relation, then by item id. Below the cap
+    item's own head to the goal relation, read from the predicate table of
+    ``tables = kernel_tables(store)``, then by item id. Below the cap
     nothing is padded in.
     """
     if not 0.0 < proportion <= 1.0:
@@ -87,11 +88,7 @@ def select_kbs(kb: KnowledgeBase, logic_predicates: dict[int, float],
     rule_ids = [j for j, rule in enumerate(kb.rules)
                 if gen_score[to_real[rule.head.pred]] >= 0.0]
     if len(fact_ids) + len(rule_ids) > cap:
-        if tables is not None:
-            sim = tables[0][:, goal_rel]
-        else:
-            d = pred_matrix(store) - store[PRED_EMB][goal_rel]
-            sim = np.exp(-np.sum(d * d, axis=1))
+        sim = tables[0][:, goal_rel]
         ranked = sorted(
             [(int(i), int(kb.fact_pred[i])) for i in fact_ids]
             + [(kb.n_facts + j, kb.rules[j].head.pred) for j in rule_ids],
@@ -164,9 +161,12 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
             if tape is None:
                 break
             tape.backward(gloss)
-            grads = tape.gradients()
+            # the m-step trains the generator alone: clip and step its
+            # gradients only, not the predicate rows the GRU reads
+            grads = {name: g for name, g in tape.gradients().items()
+                     if is_generator_param(name)}
             clip_gradients(grads, cfg.grad_clip)
-            adam_step(store, grads, cfg.gen_lr, param_filter=is_generator_param)
+            adam_step(store, grads, cfg.gen_lr)
             gen_losses.append(gloss.item())
 
     return {

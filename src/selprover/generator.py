@@ -29,13 +29,6 @@ from .kb import KnowledgeBase, Vocabulary
 from .prover import HighQualityBuffer, pred_matrix
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 
-GEN_PARAMS = ("gen.f.W", "gen.f.b", "gen.g.W", "gen.g.b",
-              "gen.gru.Wz", "gen.gru.Uz", "gen.gru.bz",
-              "gen.gru.Wr", "gen.gru.Ur", "gen.gru.br",
-              "gen.gru.Wh", "gen.gru.Uh", "gen.gru.bh",
-              "gen.out.W", "gen.out.b")
-
-
 def is_generator_param(name: str) -> bool:
     return name.startswith("gen.")
 

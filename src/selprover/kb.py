@@ -155,10 +155,6 @@ class Rule:
     slots: tuple[int, ...] = ()
     shape: str | None = None
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body and self.head.is_ground
-
     def variables(self) -> tuple[int, ...]:
         seen: list[int] = []
         for atom in (self.head, *self.body):
@@ -314,24 +310,13 @@ def serialize_triples(facts: Iterable[Atom], vocab: Vocabulary) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-@dataclass(slots=True)
-class DatasetSplit:
-    train: list[Atom]
-    valid: list[Atom]
-    test: list[Atom]
-    seed: int
-
-    @property
-    def all_facts(self) -> list[Atom]:
-        return [*self.train, *self.valid, *self.test]
-
-
 _SPLIT_REDRAWS = 30
 
 
 def split_dataset(facts: Sequence[Atom], ratios: tuple[float, float, float],
-                  seed: int) -> DatasetSplit:
-    """Seeded shuffle into train/valid/test with floor sizing, remainder to test.
+                  seed: int) -> tuple[list[Atom], list[Atom], list[Atom]]:
+    """Seeded shuffle into (train, valid, test) with floor sizing, remainder
+    to test.
 
     Redraws the shuffle (bounded) until every predicate seen in valid or test
     also occurs in train, then accepts the last draw regardless; a predicate
@@ -360,4 +345,4 @@ def split_dataset(facts: Sequence[Atom], ratios: tuple[float, float, float],
     train = [facts[i] for i in order[:n_train]]
     valid = [facts[i] for i in order[n_train:n_train + n_valid]]
     test = [facts[i] for i in order[n_train + n_valid:]]
-    return DatasetSplit(train=train, valid=valid, test=test, seed=seed)
+    return train, valid, test

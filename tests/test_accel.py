@@ -1,7 +1,7 @@
-"""Numeric kernels: naive-loop oracles plus numba/numpy path equivalence.
+"""Numeric kernels against naive-loop oracles.
 
-Only ``kernel_matrix``, ``strict_group`` and ``maxmin_matmat`` have a numba
-twin; tests of the other kernels run the numpy path alone.
+``kernel_matrix`` and ``maxmin_matmat`` chunk their temporaries; the
+chunking tests pin each to its one-shot numpy expression bit for bit.
 """
 
 import numpy as np
@@ -11,18 +11,9 @@ from hypothesis import given, settings, strategies as st
 from selprover import accel
 
 
-NUMPY_ONLY = pytest.mark.parametrize("path", ["numpy"], indirect=True)
-
-
-@pytest.fixture(params=["numba", "numpy"])
-def path(request, monkeypatch):
-    """Run each test under both kernel implementations."""
-    if request.param == "numba":
-        if not accel.HAVE_NUMBA:
-            pytest.skip("numba unavailable")
-        monkeypatch.setattr(accel, "USE_NUMBA", True)
-    else:
-        monkeypatch.setattr(accel, "USE_NUMBA", False)
+@pytest.fixture(params=["numpy"])
+def path(request):
+    """The kernel implementation under test; numpy is the only one."""
     return request.param
 
 
@@ -69,14 +60,14 @@ class TestKernelMatrix:
             accel.kernel_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_chunked_equals_single_chunk(self):
-        # m * d = 1.25e5 puts two rows in each chunk of the numpy path: three
-        # chunks for five rows, the last one short
+        # m * d = 1.25e5 puts two rows in each chunk: three chunks
+        # for five rows, the last one short
         rng = np.random.default_rng(12)
         A = rng.normal(size=(5, 100))
         B = rng.normal(size=(1250, 100))
         diff = A[:, None, :] - B[None, :, :]
         whole = np.exp(-np.einsum("ijk,ijk->ij", diff, diff))
-        np.testing.assert_array_equal(accel._kernel_matrix_np(A, B), whole)
+        np.testing.assert_array_equal(accel.kernel_matrix(A, B), whole)
 
 
 def naive_sweep(prefix, psim, a1sim, a2sim, threshold, exclude):
@@ -117,14 +108,12 @@ class TestSweepScores:
         np.testing.assert_allclose(s, es, rtol=1e-15)
         np.testing.assert_array_equal(w, ew)
 
-    @NUMPY_ONLY
     def test_tie_prefers_earliest(self, path):
         s, w = accel.sweep_scores(0.5, np.array([0.5]), np.array([0.5]), np.array([0.5]), 0.0)
         assert w[0] == 0  # carried prefix wins the tie
         s, w = accel.sweep_scores(0.9, np.array([0.5]), np.array([0.5]), None, 0.0)
         assert w[0] == 1
 
-    @NUMPY_ONLY
     def test_exclude_marks_dead(self, path):
         s, w = accel.sweep_scores(1.0, np.array([0.9, 0.9]), None, None, 0.0, exclude=1)
         assert s[1] == -1.0 and w[1] == -1
@@ -165,14 +154,8 @@ class TestStrictGroup:
         grp = rng.integers(0, C, F)
         Kc = accel.kernel_matrix(rng.normal(size=(C, 3)), rng.normal(size=(C, 3)))
         expect = naive_strict_group(psim, soft, grp, Kc)
-        for use_numba in ([True, False] if accel.HAVE_NUMBA else [False]):
-            old = accel.USE_NUMBA
-            accel.USE_NUMBA = use_numba
-            try:
-                got = accel.strict_group(psim, soft, grp, Kc)
-            finally:
-                accel.USE_NUMBA = old
-            np.testing.assert_allclose(got, expect, rtol=1e-15)
+        got = accel.strict_group(psim, soft, grp, Kc)
+        np.testing.assert_allclose(got, expect, rtol=1e-15)
 
 
 def naive_maxmin_mat(A, B):
@@ -197,14 +180,8 @@ class TestMaxMinProducts:
         A = rng.uniform(0.0, 1.0, (n, k))
         B = rng.uniform(0.0, 1.0, (k, m))
         expect = naive_maxmin_mat(A, B)
-        for use_numba in ([True, False] if accel.HAVE_NUMBA else [False]):
-            old = accel.USE_NUMBA
-            accel.USE_NUMBA = use_numba
-            try:
-                got = accel.maxmin_matmat(A, B)
-            finally:
-                accel.USE_NUMBA = old
-            np.testing.assert_allclose(got, expect, rtol=1e-15)
+        got = accel.maxmin_matmat(A, B)
+        np.testing.assert_allclose(got, expect, rtol=1e-15)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 2**31 - 1))
@@ -221,13 +198,13 @@ class TestMaxMinProducts:
         np.testing.assert_allclose(got_vm, ref_vm, rtol=1e-15)
 
     def test_matmat_chunked_equals_single_chunk(self):
-        # k * m = 1e5 puts two rows in each chunk of the numpy path: three
-        # chunks for five rows, the last one short
+        # k * m = 1e5 puts two rows in each chunk: three chunks
+        # for five rows, the last one short
         rng = np.random.default_rng(11)
         A = rng.uniform(-0.2, 1.0, (5, 200))
         B = rng.uniform(-0.2, 1.0, (200, 500))
         whole = np.maximum(np.minimum(A[:, :, None], B[None]).max(axis=1), 0.0)
-        np.testing.assert_array_equal(accel._maxmin_matmat_np(A, B), whole)
+        np.testing.assert_array_equal(accel.maxmin_matmat(A, B), whole)
 
     def test_associativity_small(self, path):
         # max-min products associate; spot-check on one triple
@@ -237,33 +214,3 @@ class TestMaxMinProducts:
         right = accel.maxmin_matmat(A, accel.maxmin_matmat(B, C))
         np.testing.assert_allclose(left, right, rtol=1e-15)
 
-
-def test_warmup_runs():
-    accel.warmup()
-
-
-def test_paths_agree_on_large_random():
-    """One sized block comparing the two implementations end to end."""
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(9)
-    E = rng.normal(size=(60, 16))
-    F = 400
-    psim = rng.uniform(0, 1, F)
-    soft = rng.integers(0, 60, F)
-    grp = rng.integers(0, 60, F)
-    old = accel.USE_NUMBA
-    try:
-        accel.USE_NUMBA = True
-        K1 = accel.kernel_matrix(E, E)
-        G1 = accel.strict_group(psim, soft, grp, K1)
-        P1 = accel.maxmin_matmat(G1, K1)
-        accel.USE_NUMBA = False
-        K2 = accel.kernel_matrix(E, E)
-        G2 = accel.strict_group(psim, soft, grp, K2)
-        P2 = accel.maxmin_matmat(G2, K2)
-    finally:
-        accel.USE_NUMBA = old
-    np.testing.assert_allclose(K1, K2, rtol=1e-12)
-    np.testing.assert_allclose(G1, G2, rtol=1e-12)
-    np.testing.assert_allclose(P1, P2, rtol=1e-12)

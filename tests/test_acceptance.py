@@ -32,7 +32,8 @@ from selprover.generator import (RelationStorage, StorageEntry, gru_step,
 from selprover.kb import (Atom, KnowledgeBase, KBView, Rule, Vocabulary,
                           mkvar, split_dataset)
 from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
-                              prove_goal, template_rules, training_loss)
+                              kernel_tables, prove_goal, template_rules,
+                              training_loss)
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.scoring import BatchedEvaluator
 
@@ -554,7 +555,8 @@ def test_selected_kb_cap(n_facts, n_rules, prop_pct, seed):
           for p in rng.choice(n_preds, size=int(rng.integers(1, n_preds + 1)),
                               replace=False)}
     proportion = prop_pct / 100.0
-    view = select_kbs(kb, lp, proportion, store, goal_rel=int(rng.integers(n_preds)))
+    view = select_kbs(kb, lp, proportion, store, int(rng.integers(n_preds)),
+                      kernel_tables(store))
     assert view.n_items <= math.ceil(proportion * kb.n_items)
     _cap_runs[0] += 1
 
@@ -592,13 +594,12 @@ def test_split_partition_law(n, seed):
     p = vocab.intern_predicate("r")
     facts = [Atom(p, (vocab.intern_constant(f"a{i}"),
                       vocab.intern_constant(f"b{i}"))) for i in range(n)]
-    split = split_dataset(facts, (0.3, 0.2, 0.5), seed)
-    parts = [split.train, split.valid, split.test]
-    ids = [sorted(id(f) for f in part) for part in parts]
+    train, valid, test = split_dataset(facts, (0.3, 0.2, 0.5), seed)
+    ids = [sorted(id(f) for f in part) for part in (train, valid, test)]
     all_ids = sorted(x for chunk in ids for x in chunk)
     assert all_ids == sorted(id(f) for f in facts)
-    assert len(split.train) == int(0.3 * n)
-    assert len(split.valid) == int(0.2 * n)
+    assert len(train) == int(0.3 * n)
+    assert len(valid) == int(0.2 * n)
     _split_runs[0] += 1
 
 

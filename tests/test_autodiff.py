@@ -147,12 +147,6 @@ class TestAdam:
         assert store["u"][0] != 0.0  # healthy parameter still moved
         assert store.rejected_updates == 1
 
-    def test_param_filter(self):
-        store = make_store(a=np.zeros(1), b=np.zeros(1))
-        ad.adam_step(store, {"a": np.ones(1), "b": np.ones(1)}, lr=0.1,
-                     param_filter=lambda n: n == "a")
-        assert store["a"][0] != 0.0 and store["b"][0] == 0.0
-
     def test_determinism(self):
         def run():
             store = make_store(w=np.full(3, 0.5))

@@ -7,15 +7,16 @@ import types
 import numpy as np
 import pytest
 
-from selprover.autodiff import ParameterStore
+from selprover.autodiff import ParameterStore, Tape, clip_gradients
 from selprover.config import RunConfig
 from selprover.em import (TrainState, build_goal_batches, em_iteration,
                           initialize, load_checkpoint, run_training,
                           save_checkpoint, select_kbs, storage_capacities,
                           write_metrics_csv)
-from selprover.generator import RelationStorage
+from selprover.generator import RelationStorage, is_generator_param
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
+from selprover.prover import kernel_tables
 
 X, Y = mkvar(0), mkvar(1)
 
@@ -91,7 +92,8 @@ def test_storage_capacities_compound():
 def test_select_all_predicates_full_proportion():
     kb = flat_kb(2, 3, [(0, 0, 1), (1, 1, 2), (0, 2, 0)])
     store = flat_store(np.eye(2), np.zeros((3, 2)))
-    view = select_kbs(kb, {0: 1.0, 1: 0.5}, 1.0, store, 0)
+    view = select_kbs(kb, {0: 1.0, 1: 0.5}, 1.0, store, 0,
+                      kernel_tables(store))
     assert view.n_items == kb.n_items
     np.testing.assert_array_equal(view.fact_ids, [0, 1, 2])
 
@@ -99,7 +101,7 @@ def test_select_all_predicates_full_proportion():
 def test_select_empty_predicates_empty_view():
     kb = flat_kb(2, 2, [(0, 0, 1)])
     store = flat_store(np.eye(2), np.zeros((2, 2)))
-    view = select_kbs(kb, {}, 0.5, store, 0)
+    view = select_kbs(kb, {}, 0.5, store, 0, kernel_tables(store))
     assert view.n_items == 0
 
 
@@ -108,7 +110,8 @@ def test_select_cap_keeps_lowest_ids_on_ties():
             [(1, i, i) for i in range(5)]
     kb = flat_kb(2, 5, facts)
     store = flat_store(np.eye(2) * 3.0, np.zeros((5, 2)))
-    view = select_kbs(kb, {0: 0.9}, 0.3, store, 0)   # cap = ceil(3) = 3
+    view = select_kbs(kb, {0: 0.9}, 0.3, store, 0,   # cap = ceil(3) = 3
+                      kernel_tables(store))
     np.testing.assert_array_equal(view.fact_ids, [0, 1, 2])
     assert view.n_rules == 0
 
@@ -117,7 +120,8 @@ def test_select_prefers_higher_generation_score():
     facts = [(0, 0, 0), (0, 1, 1), (1, 2, 2), (1, 0, 1)]
     kb = flat_kb(2, 3, facts)
     store = flat_store(np.eye(2) * 3.0, np.zeros((3, 2)))
-    view = select_kbs(kb, {0: 0.2, 1: 0.9}, 0.75, store, 0)  # cap = 3
+    view = select_kbs(kb, {0: 0.2, 1: 0.9}, 0.75, store, 0,  # cap = 3
+                      kernel_tables(store))
     np.testing.assert_array_equal(view.fact_ids, [0, 2, 3])
 
 
@@ -127,7 +131,8 @@ def test_select_tie_breaks_by_goal_similarity():
     facts = [(0, 0, 0), (0, 1, 1), (1, 2, 2), (1, 0, 1)]
     kb = flat_kb(3, 3, facts)
     store = flat_store(Ep, np.zeros((3, 2)))
-    view = select_kbs(kb, {0: 0.5, 1: 0.5}, 0.75, store, 2)  # cap = 3
+    view = select_kbs(kb, {0: 0.5, 1: 0.5}, 0.75, store, 2,  # cap = 3
+                      kernel_tables(store))
     np.testing.assert_array_equal(view.fact_ids, [0, 2, 3])
 
 
@@ -141,10 +146,11 @@ def test_select_maps_template_heads_to_nearest_real():
     kb = KnowledgeBase(vocab, [Atom(0, (0, 1)), Atom(1, (1, 0))], [rule])
     store = flat_store([[0.0, 0.0], [4.0, 4.0]], np.zeros((2, 2)),
                        slots=[[3.9, 4.0]])   # slot nearest p1
-    with_p1 = select_kbs(kb, {1: 0.8}, 1.0, store, 1)
+    tables = kernel_tables(store)
+    with_p1 = select_kbs(kb, {1: 0.8}, 1.0, store, 1, tables)
     assert with_p1.rule_ids == (0,)
     np.testing.assert_array_equal(with_p1.fact_ids, [1])
-    without = select_kbs(kb, {0: 0.8}, 1.0, store, 0)
+    without = select_kbs(kb, {0: 0.8}, 1.0, store, 0, tables)
     assert without.rule_ids == ()
     np.testing.assert_array_equal(without.fact_ids, [0])
 
@@ -154,15 +160,16 @@ def test_select_cap_invariant_random():
     kb = flat_kb(4, 5, [(int(rng.integers(4)), int(rng.integers(5)),
                          int(rng.integers(5))) for _ in range(30)])
     store = flat_store(rng.normal(size=(4, 3)), rng.normal(size=(5, 3)))
+    tables = kernel_tables(store)
     for _ in range(40):
         prop = float(rng.uniform(0.05, 1.0))
         lp = {int(p): float(rng.uniform(0, 1))
               for p in rng.choice(4, size=int(rng.integers(1, 5)),
                                   replace=False)}
-        view = select_kbs(kb, lp, prop, store, int(rng.integers(4)))
+        view = select_kbs(kb, lp, prop, store, int(rng.integers(4)), tables)
         assert view.n_items <= math.ceil(prop * kb.n_items)
     with pytest.raises(ValueError, match="proportion"):
-        select_kbs(kb, {0: 1.0}, 0.0, store, 0)
+        select_kbs(kb, {0: 1.0}, 0.0, store, 0, tables)
 
 
 # --- goal batches ----------------------------------------------------------
@@ -286,6 +293,45 @@ def test_zero_batches_is_a_quiet_iteration(ready):
     row = nxt.metrics_log[0]
     assert math.isnan(row["prover_loss"])
     assert math.isnan(row["utilization"])
+
+
+def test_mstep_clip_norm_counts_generator_gradients_only(ready, monkeypatch):
+    """The generator tape also reaches the predicate rows, which the m-step
+    never updates; a grad_clip between the generator-only norm and the norm
+    with those rows must leave the m-step unscaled."""
+    state = fresh_state(ready)
+    batches = build_goal_batches(ready.splits.train, ready.cfg,
+                                 np.random.default_rng(1))
+    em_iteration(state, ready.kb, batches, ready.cfg,
+                 np.random.default_rng(2), ready.known)
+    assert state.storage.total() > 0
+    norms = []   # per m-step: (every tape gradient, generator only)
+    gradients = Tape.gradients
+
+    def recorded(tape):
+        g = gradients(tape)
+        gen = {k: v for k, v in g.items() if is_generator_param(k)}
+        norms.append((clip_gradients(g, math.inf),
+                      clip_gradients(gen, math.inf)))
+        return g
+
+    monkeypatch.setattr(Tape, "gradients", recorded)
+
+    def mstep_only(grad_clip):
+        # no goal batches: the iteration runs the m-step alone
+        again = TrainState(1, copy.deepcopy(state.store),
+                           copy.deepcopy(state.storage))
+        cfg = dataclasses.replace(ready.cfg, grad_clip=grad_clip)
+        return em_iteration(again, ready.kb, [], cfg,
+                            np.random.default_rng(3), ready.known).store
+
+    free = mstep_only(1e9)
+    with_pred = max(n for n, _ in norms)
+    gen_only = max(n for _, n in norms)
+    assert gen_only < with_pred
+    clipped = mstep_only((gen_only + with_pred) / 2.0)
+    for name in free.params:
+        np.testing.assert_array_equal(clipped[name], free[name])
 
 
 # --- full runs -------------------------------------------------------------

@@ -94,17 +94,16 @@ class TestSplitDataset:
                                              vocab.intern_constant(f"c{j}"))))
                     k += 1
         assert len(facts) == 2565
-        split = kb.split_dataset(facts, (0.3, 0.2, 0.5), seed=7)
-        assert (len(split.train), len(split.valid), len(split.test)) == (769, 513, 1283)
+        train, valid, test = kb.split_dataset(facts, (0.3, 0.2, 0.5), seed=7)
+        assert (len(train), len(valid), len(test)) == (769, 513, 1283)
 
     def test_determinism(self):
         facts, vocab, _ = kb.parse_triples(
             "\n".join(f"a{i}\tp\tb{i}" for i in range(10)))
         s1 = kb.split_dataset(facts, (0.3, 0.2, 0.5), seed=3)
         s2 = kb.split_dataset(facts, (0.3, 0.2, 0.5), seed=3)
-        assert [f.as_triple() for f in s1.train] == [f.as_triple() for f in s2.train]
-        assert [f.as_triple() for f in s1.valid] == [f.as_triple() for f in s2.valid]
-        assert [f.as_triple() for f in s1.test] == [f.as_triple() for f in s2.test]
+        assert [[f.as_triple() for f in part] for part in s1] == \
+            [[f.as_triple() for f in part] for part in s2]
 
     def test_bad_ratios_rejected(self):
         facts, _, _ = kb.parse_triples("a\tp\tb")
@@ -121,9 +120,10 @@ class TestSplitDataset:
         lines += [f"a{i}\tq\tb{i}" for i in range(20)]
         facts, _, _ = kb.parse_triples("\n".join(lines))
         for seed in range(20):
-            split = kb.split_dataset(facts, (0.3, 0.2, 0.5), seed=seed)
-            train_preds = {f.pred for f in split.train}
-            rest_preds = {f.pred for f in split.valid} | {f.pred for f in split.test}
+            train, valid, test = kb.split_dataset(facts, (0.3, 0.2, 0.5),
+                                                  seed=seed)
+            train_preds = {f.pred for f in train}
+            rest_preds = {f.pred for f in valid} | {f.pred for f in test}
             assert rest_preds <= train_preds
 
     @settings(max_examples=300, deadline=None)
@@ -134,15 +134,15 @@ class TestSplitDataset:
         p = vocab.intern_predicate("p")
         facts = [kb.Atom(p, (vocab.intern_constant(f"x{i}"),
                              vocab.intern_constant(f"y{i}"))) for i in range(n)]
-        split = kb.split_dataset(facts, (0.3, 0.2, 0.5), seed=seed)
-        tr = {f.as_triple() for f in split.train}
-        va = {f.as_triple() for f in split.valid}
-        te = {f.as_triple() for f in split.test}
-        assert len(split.train) + len(split.valid) + len(split.test) == n
+        train, valid, test = kb.split_dataset(facts, (0.3, 0.2, 0.5), seed=seed)
+        tr = {f.as_triple() for f in train}
+        va = {f.as_triple() for f in valid}
+        te = {f.as_triple() for f in test}
+        assert len(train) + len(valid) + len(test) == n
         assert tr | va | te == {f.as_triple() for f in facts}
         assert not (tr & va) and not (tr & te) and not (va & te)
-        assert len(split.train) == int(0.3 * n)
-        assert len(split.valid) == int(0.2 * n)
+        assert len(train) == int(0.3 * n)
+        assert len(valid) == int(0.2 * n)
 
 
 class TestCorruptions:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from selprover import accel
 from selprover.autodiff import ParameterStore
 from selprover.kb import Atom, KBView, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB
@@ -277,19 +276,3 @@ def test_subset_view_scores_subset_facts_only():
         want = prove_goal(Atom(0, (0, y)), sub, store, cfg).score
         assert ev.score_tails(0, 0)[y] == pytest.approx(want, abs=1e-9)
 
-
-def test_both_accel_paths_agree():
-    if not accel.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(3)
-    facts, rules, Ep, Ec = random_template_case(rng)
-    kb, store = build_kb(facts, rules, Ep, Ec)
-    saved = accel.USE_NUMBA
-    try:
-        accel.USE_NUMBA = True
-        a = BatchedEvaluator(kb.full_view(), store, 2, 0.1).score_tails(0, 0)
-        accel.USE_NUMBA = False
-        b = BatchedEvaluator(kb.full_view(), store, 2, 0.1).score_tails(0, 0)
-    finally:
-        accel.USE_NUMBA = saved
-    np.testing.assert_allclose(a, b, atol=1e-12, rtol=0)
