@@ -40,7 +40,8 @@ from .scoring import BatchedEvaluator
 log = logging.getLogger(__name__)
 
 METRIC_COLUMNS = ("iteration", "prover_loss", "generator_loss", "valid_mrr",
-                  "attp_ms", "utilization")
+                  "attp_ms", "utilization", "traversed", "established")
+COUNT_COLUMNS = ("iteration", "traversed", "established")
 
 
 @dataclass
@@ -227,8 +228,8 @@ def load_checkpoint(out_dir, kb: KnowledgeBase,
     rows: list[dict] = []
     with (out / "metrics.csv").open(newline="") as fh:
         for rec in csv.DictReader(fh):
-            rows.append({"iteration": int(rec["iteration"]),
-                         **{c: float(rec[c]) for c in METRIC_COLUMNS[1:]}})
+            rows.append({c: int(rec[c]) if c in COUNT_COLUMNS
+                         else float(rec[c]) for c in METRIC_COLUMNS})
     return TrainState(len(rows), store, storage, rows)
 
 

@@ -198,6 +198,8 @@ class KnowledgeBase:
         self.fact_pred = np.fromiter((f.pred for f in kept), np.int64, n)
         self.fact_subj = np.fromiter((f.args[0] for f in kept), np.int64, n)
         self.fact_obj = np.fromiter((f.args[1] for f in kept), np.int64, n)
+        self.rule_head_pred = np.fromiter((r.head.pred for r in self.rules),
+                                          np.int64, len(self.rules))
 
     @property
     def n_facts(self) -> int:
@@ -229,7 +231,8 @@ class KnowledgeBase:
 
 
 class KBView:
-    """Read-only subset of a knowledge base, with fact columns pre-gathered.
+    """Read-only subset of a knowledge base, with fact columns and rule-head
+    predicates pre-gathered.
 
     ``fact_ids``/``rule_ids`` index into the parent; item ids reported by the
     view are parent item ids (rule item id = n_facts + rule index).
@@ -243,6 +246,8 @@ class KBView:
         self.pred = parent.fact_pred[self.fact_ids]
         self.subj = parent.fact_subj[self.fact_ids]
         self.obj = parent.fact_obj[self.fact_ids]
+        self.rule_head = parent.rule_head_pred[
+            np.asarray(self.rule_ids, dtype=np.int64)]
         self._local_of_parent: dict[int, int] | None = None
 
     @property

@@ -15,6 +15,20 @@ sweep only the view they are handed, which is how learned knowledge
 selection plugs in; utilization counters track how many swept items actually
 established a unification.
 
+An or-step builds a ``ProofState`` only where one can survive, and both cuts
+are exact: search results, counters and the buffer come out as without them.
+Rule heads are screened with one gather from the predicate kernel table: a
+head's score is ``min(state score, Kp[head, goal], constant factors)``, so a
+rule whose ``Kp[head, goal]`` is below the threshold can never unify, and
+only the others take the scalar renaming/unification path. The screened
+rules still count as traversed. Under a positive beam, the step keeps the
+stable top-``beam`` of its states, and fact states come first, so a fact
+outside the stable top-``beam`` of the facts alone cannot make the cut.
+Every live fact is counted and buffered, in stream order, but states are
+built for those top facts only. Without a beam, fact states stay lazy, one
+at a time, because the buffer's insertion order follows the interleaving of
+facts with their consumers' deeper steps.
+
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
 current score bottleneck, ties broken toward the earliest contribution. The
@@ -273,8 +287,21 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
         if repeated:
             # same variable in both positions only matches loop facts
             alive &= view.subj == view.obj
-        for f in np.nonzero(alive)[0]:
-            f = int(f)
+        live = np.flatnonzero(alive)
+        precut = 0 < cfg.beam < len(live)
+        if precut:
+            # or_step keeps the stable top-beam of this step and fact states
+            # come first in it, so no fact outside the stable top-beam of the
+            # facts alone can make that cut. Every live fact is still
+            # accounted, in stream order and before any rule runs.
+            ctx.counters.established += len(live)
+            if ctx.hq is not None:
+                for f in live.tolist():
+                    ctx.hq.add(int(view.fact_ids[f]), float(scores[f]), level,
+                               ctx.goal_rel)
+            top = np.argsort(-scores[live], kind="stable")[:cfg.beam]
+            live = np.sort(live[top])
+        for f in live.tolist():
             sc = float(scores[f])
             w = int(which[f])
             if w == 0:
@@ -293,15 +320,22 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
                 bind[a1] = int(view.obj[f])
             if bind:
                 subst = {**subst, **bind}
-            item_id = int(view.fact_ids[f])
-            ctx.counters.established += 1
-            if ctx.hq is not None:
-                ctx.hq.add(item_id, sc, level, ctx.goal_rel)
+            if not precut:
+                ctx.counters.established += 1
+                if ctx.hq is not None:
+                    ctx.hq.add(int(view.fact_ids[f]), sc, level, ctx.goal_rel)
             yield ProofState(subst, sc, entry)
-    for item_id, rule in view.iter_rules():
+    # a head scores at most Kp[head, goal], so a rule below min_score there
+    # cannot unify: one gather screens every rule (a NaN kernel passes)
+    kp = ctx.Kp[view.rule_head, goal.pred]
+    parent = view.parent
+    for k in np.flatnonzero(~(kp < cfg.min_score)).tolist():
+        rid = view.rule_ids[k]
+        rule = parent.rules[rid]
         mapping = ctx.fresh_vars(rule)
         head = _rename(rule.head, mapping)
-        st2 = _unify_rule_head(head, goal, state, ctx, item_id, level)
+        st2 = _unify_rule_head(head, goal, state, ctx, parent.n_facts + rid,
+                               level)
         if st2 is None:
             continue
         if not rule.body:

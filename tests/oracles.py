@@ -43,16 +43,22 @@ class OracleStats:
     or_calls: int = 0
     established: int = 0
     scores: list = field(default_factory=list)
+    harvest: dict = field(default_factory=dict)
 
 
 def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
-                 exclude_fact=-1):
+                 exclude_fact=-1, beam=0):
     """All completed proof scores of a ground goal, by brute enumeration.
 
     Returns (best_score, stats); best is 0.0 when nothing completes. The
     semantics mirror the contract the engine must satisfy: min-of-kernels
     scoring, thresholded unification, depth-guarded bodies, hard failure on
-    re-binding a locally bound variable to a different constant.
+    re-binding a locally bound variable to a different constant. A positive
+    ``beam`` keeps, after each or-step has collected all of its results,
+    the ``beam`` best of them (a stable sort, so ties keep their order).
+    ``stats.harvest`` maps every item that unified (fact ``i``, rule
+    ``len(facts) + j``) to (max score, min level), in first-unification
+    order; level 1 is the goal's own or-step.
     """
     counter = [0]
     stats = OracleStats()
@@ -66,7 +72,7 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
             t = env[t]
         return t
 
-    def unify(head, goal_atom, env, score):
+    def unify(head, goal_atom, env, score, item, level):
         s = min(score, okernel(Ep, head[0], goal_atom[0]))
         local: dict = {}
         for ha_raw, ga_raw in ((head[1], goal_atom[1]), (head[2], goal_atom[2])):
@@ -88,6 +94,9 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
         if s < threshold:
             return None
         stats.established += 1
+        prev = stats.harvest.get(item)
+        stats.harvest[item] = ((s, level) if prev is None
+                               else (max(prev[0], s), min(prev[1], level)))
         return {**env, **local}, s
 
     def rename(atom, mapping):
@@ -97,22 +106,26 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
 
     def orx(goal_atom, d, env, score):
         stats.or_calls += 1
+        level = max_depth - d + 1
         out = []
         for i, f in enumerate(facts):
             if i == exclude_fact:
                 continue
-            r = unify(f, goal_atom, env, score)
+            r = unify(f, goal_atom, env, score, i, level)
             if r is not None:
                 out.append(r)
-        for head, body in rules:
+        for j, (head, body) in enumerate(rules):
             vars_here = sorted({t for a in (head, *body) for t in a[1:] if t < 0},
                                reverse=True)
             mapping = {v: fresh() for v in vars_here}
-            r = unify(rename(head, mapping), goal_atom, env, score)
+            r = unify(rename(head, mapping), goal_atom, env, score,
+                      len(facts) + j, level)
             if r is None:
                 continue
             env2, s2 = r
             out.extend(andx([rename(b, mapping) for b in body], d, env2, s2))
+        if beam > 0:
+            out = sorted(out, key=lambda r: -r[1])[:beam]
         return out
 
     def andx(body, d, env, score):

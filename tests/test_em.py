@@ -347,7 +347,8 @@ def test_run_training_writes_metrics_and_checkpoints(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert list(rows[0]) == ["iteration", "prover_loss", "generator_loss",
-                            "valid_mrr", "attp_ms", "utilization"]
+                            "valid_mrr", "attp_ms", "utilization",
+                            "traversed", "established"]
     assert float(rows[1]["valid_mrr"]) > 0.0
     for sub in ("best", "final"):
         assert (tmp_path / "run" / "checkpoints" / sub / "store.npz").exists()
@@ -371,10 +372,15 @@ def test_checkpoint_round_trip(tmp_path):
             for layer in back.storage.layers for e in layer] == \
            [(e.pred, e.goal_rel, e.provenance)
             for layer in state.storage.layers for e in layer]
+    counts = [(r["traversed"], r["established"]) for r in back.metrics_log]
+    assert counts == [(r["traversed"], r["established"])
+                      for r in state.metrics_log]
+    assert all(type(n) is int for pair in counts for n in pair)
     redump = tmp_path / "redump.csv"
     write_metrics_csv(redump, [
         {k: row[k] for k in ("iteration", "prover_loss", "generator_loss",
-                             "valid_mrr", "attp_ms", "utilization")}
+                             "valid_mrr", "attp_ms", "utilization",
+                             "traversed", "established")}
         for row in back.metrics_log])
     original = (tmp_path / "run" / "checkpoints" / "final" / "metrics.csv")
     assert redump.read_text() == original.read_text()
@@ -418,4 +424,4 @@ def test_zero_iterations_leaves_state_initial(tmp_path):
     assert state.metrics_log == []
     text = (tmp_path / "run" / "metrics.csv").read_text()
     assert text.strip() == "iteration,prover_loss,generator_loss," \
-                           "valid_mrr,attp_ms,utilization"
+                           "valid_mrr,attp_ms,utilization,traversed,established"

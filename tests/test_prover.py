@@ -6,10 +6,11 @@ import pytest
 from selprover.autodiff import ParameterStore
 from selprover.config import RunConfig
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
+from selprover import prover
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
-                              build_templates, classify_rule, pred_matrix,
-                              prove_goal, training_loss)
+                              build_templates, classify_rule, kernel_tables,
+                              pred_matrix, prove_goal, training_loss)
 
 from oracles import oracle_prove, random_proof_case
 
@@ -273,6 +274,97 @@ def test_narrow_beam_is_sound_and_deterministic():
         assert one_a.score <= full.score + 1e-12
         assert one_a.score == one_b.score
         assert one_a.n_proofs == one_b.n_proofs
+
+
+def test_beam_matches_oracle_with_harvest():
+    rng = np.random.default_rng(57)
+    cut = 0
+    for _ in range(40):
+        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng, weird=True)
+        kb, store = make_package(facts, rules, Ep, Ec)
+        goal_atom = Atom(goal[0], (goal[1], goal[2]))
+        searches = set()
+        for beam in (0, 1, 2, 3):
+            hq, counters = HighQualityBuffer(), Counters()
+            res = prove_goal(goal_atom, kb.full_view(), store,
+                             ProverConfig(max_depth=2, min_score=thr,
+                                          beam=beam),
+                             hq=hq, counters=counters)
+            best, stats = oracle_prove(goal, facts, rules, Ep, Ec, 2, thr,
+                                       beam=beam)
+            assert res.score == pytest.approx(best, abs=1e-9)
+            assert res.n_proofs == len(stats.scores)
+            assert counters.established == stats.established
+            assert counters.traversed == stats.or_calls * kb.n_items
+            assert hq.items.keys() == stats.harvest.keys()
+            for item, (score, level) in stats.harvest.items():
+                assert hq.items[item].score == pytest.approx(score, abs=1e-9)
+                assert hq.items[item].level == level
+            if beam > 0:
+                # both sides finish an or-step before recursing past it
+                assert list(hq.items) == list(stats.harvest)
+            searches.add((len(stats.scores), stats.or_calls))
+        cut += len(searches) > 1
+    assert cut >= 10  # the sample has searches a narrow beam truncates
+
+
+# --- rule-head screen ------------------------------------------------------
+
+
+def test_screen_keeps_a_rule_exactly_at_min_score():
+    # h(X,Y) :- p(X,Y) over p(a,b) for goal g(a,b); only Kp[h, g] < 1, and
+    # p sits far from g, so the fact sweep of the goal itself finds nothing
+    Ep = place([0.0, 0.0], [0.5, 0.0], [5.0, 0.0])  # g, h, p
+    Ec = place([0.0, 0.0], [3.0, 0.0])  # a, b
+    kb, store = make_package([(2, 0, 1)], [((1, X, Y), [(2, X, Y)])], Ep, Ec)
+    v = float(kernel_tables(store)[0][1, 0])
+    assert 0.7 < v < 0.8
+    goal = Atom(0, (0, 1))
+    hq, counters = HighQualityBuffer(), Counters()
+    res = prove_goal(goal, kb.full_view(), store,
+                     ProverConfig(max_depth=2, min_score=v), hq=hq,
+                     counters=counters)
+    assert res.score == v
+    assert res.n_proofs == 1
+    assert counters.established == 2  # the rule head, then the body fact
+    assert hq.items[kb.n_facts].level == 1
+    hq, counters = HighQualityBuffer(), Counters()
+    above = prove_goal(goal, kb.full_view(), store,
+                       ProverConfig(max_depth=2,
+                                    min_score=float(np.nextafter(v, 1.0))),
+                       hq=hq, counters=counters)
+    assert above.score == 0.0
+    assert above.n_proofs == 0
+    assert counters.established == 0
+    assert len(hq) == 0
+
+
+def test_screened_rules_are_never_unified(monkeypatch):
+    calls = []
+    real = prover._unify_rule_head
+
+    def counting(*args):
+        calls.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(prover, "_unify_rule_head", counting)
+    # six rules whose heads sit far from the goal predicate
+    Ep = place([0.0, 0.0], [4.0, 0.0], [0.0, 4.0])
+    Ec = place([0.0, 0.0], [1.0, 0.0])
+    facts = [(0, 0, 1), (1, 1, 0)]
+    rules = [((h, X, Y), [(0, X, Y)]) for h in (1, 2)] * 3
+    kb, store = make_package(facts, rules, Ep, Ec)
+    counters = Counters()
+    res = prove_goal(Atom(0, (1, 0)), kb.full_view(), store,
+                     ProverConfig(max_depth=2, min_score=0.1),
+                     counters=counters)
+    assert calls == []
+    assert counters.traversed == kb.n_items == 8  # one or-step, every item
+    assert res.score == pytest.approx(np.exp(-1.0), abs=1e-12)
+    # a near head goes through the scalar path, which the counter sees
+    prove_goal(Atom(1, (1, 0)), kb.full_view(), store,
+               ProverConfig(max_depth=2, min_score=0.1))
+    assert calls == [kb.n_facts + j for j in (0, 2, 4)]
 
 
 # --- templates -------------------------------------------------------------
