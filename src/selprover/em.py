@@ -129,7 +129,8 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
                    kb: KnowledgeBase, batches: list[tuple[int, list[Atom]]],
                    cfg: RunConfig, rng: np.random.Generator,
                    known: frozenset) -> dict:
-    hq = HighQualityBuffer()
+    # only the storage update reads the harvest, and full-KB runs skip it
+    hq = None if cfg.baseline_full_kb else HighQualityBuffer()
     counters = Counters()
     prover_losses: list[float] = []
     steps_before = store.step_count

@@ -170,11 +170,36 @@ class Rule:
         return f"{head} :- " + ", ".join(a.render(vocab) for a in self.body)
 
 
+def standardize(rule: Rule) -> tuple[Atom, tuple[Atom, ...], int]:
+    """Head, body and variable count ``n`` of a rule whose variables are
+    renumbered ``mkvar(0..n-1)`` in ``rule.variables()`` order.
+
+    Adding the same offset to every code (``mkvar(k) - base ==
+    mkvar(base + k)``) then standardizes a rule apart with ``n`` fresh
+    variables and no mapping. A rule already in this form, as every template
+    rule is, comes back with its own head and body.
+    """
+    variables = rule.variables()
+    if variables == tuple(mkvar(k) for k in range(len(variables))):
+        # no equal copies: atoms allocated here outlive the run's
+        # temporaries, and on family-large they raised peak RSS by ~1 MB
+        return rule.head, rule.body, len(variables)
+    codes = {v: mkvar(k) for k, v in enumerate(variables)}
+
+    def renumber(atom: Atom) -> Atom:
+        a0, a1 = atom.args
+        return Atom(atom.pred, (codes.get(a0, a0), codes.get(a1, a1)))
+
+    return (renumber(rule.head), tuple(renumber(b) for b in rule.body),
+            len(codes))
+
+
 class KnowledgeBase:
     """Immutable store of deduplicated ground facts plus rules.
 
     Items live in one id space: fact item ids are 0..n_facts-1 in insertion
-    order, rule item ids follow.
+    order, rule item ids follow. ``rule_std[j]`` is ``standardize(rules[j])``,
+    computed once here for the prover.
     """
 
     def __init__(self, vocab: Vocabulary, facts: Sequence[Atom],
@@ -200,6 +225,8 @@ class KnowledgeBase:
         self.fact_obj = np.fromiter((f.args[1] for f in kept), np.int64, n)
         self.rule_head_pred = np.fromiter((r.head.pred for r in self.rules),
                                           np.int64, len(self.rules))
+        self.rule_std: tuple[tuple[Atom, tuple[Atom, ...], int], ...] = tuple(
+            standardize(r) for r in self.rules)
 
     @property
     def n_facts(self) -> int:

@@ -29,6 +29,11 @@ built for those top facts only. Without a beam, fact states stay lazy, one
 at a time, because the buffer's insertion order follows the interleaving of
 facts with their consumers' deeper steps.
 
+Rules are standardized apart once per knowledge base: ``KnowledgeBase``
+keeps each rule with its variables renumbered ``mkvar(0..n-1)``. A rule
+that passes the screen is renamed by offset, adding the index of the next
+fresh variable to every variable code, which needs no mapping.
+
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
 current score bottleneck, ties broken toward the earliest contribution. The
@@ -170,7 +175,7 @@ class _Ctx:
     """Per-proof search context: view, kernel tables, config, accounting."""
 
     __slots__ = ("view", "Kp", "Kc", "config", "hq", "counters", "goal_rel",
-                 "exclude", "_next_var")
+                 "exclude", "next_var")
 
     def __init__(self, view: KBView, Kp: np.ndarray, Kc: np.ndarray,
                  config: ProverConfig, hq: HighQualityBuffer | None,
@@ -183,21 +188,15 @@ class _Ctx:
         self.counters = counters
         self.goal_rel = goal_rel
         self.exclude = exclude
-        self._next_var = 1000
-
-    def fresh_vars(self, rule: Rule) -> dict:
-        mapping = {}
-        for v in rule.variables():
-            mapping[v] = mkvar(self._next_var)
-            self._next_var += 1
-        return mapping
+        # index of the next fresh variable, mkvar(next_var)
+        self.next_var = 1000
 
 
-def _rename(atom: Atom, mapping: dict) -> Atom:
+def _rename(atom: Atom, base: int) -> Atom:
+    """A standardized atom with every variable mkvar(k) made mkvar(base + k)."""
     a0, a1 = atom.args
-    return Atom(atom.pred,
-                (mapping.get(a0, a0) if is_var(a0) else a0,
-                 mapping.get(a1, a1) if is_var(a1) else a1))
+    return Atom(atom.pred, (a0 - base if a0 < 0 else a0,
+                            a1 - base if a1 < 0 else a1))
 
 
 def _unify_rule_head(head: Atom, goal: Atom, state: ProofState, ctx: _Ctx,
@@ -296,34 +295,38 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
             # accounted, in stream order and before any rule runs.
             ctx.counters.established += len(live)
             if ctx.hq is not None:
-                for f in live.tolist():
-                    ctx.hq.add(int(view.fact_ids[f]), float(scores[f]), level,
-                               ctx.goal_rel)
+                for fid, sc in zip(view.fact_ids[live].tolist(),
+                                   scores[live].tolist()):
+                    ctx.hq.add(fid, sc, level, ctx.goal_rel)
             top = np.argsort(-scores[live], kind="stable")[:cfg.beam]
             live = np.sort(live[top])
-        for f in live.tolist():
-            sc = float(scores[f])
-            w = int(which[f])
+        bind0 = is_var(a0)
+        bind1 = is_var(a1) and not repeated
+        # one list per column: plain ints and floats, no numpy scalars
+        for sc, w, p, s, o, fid in zip(
+                scores[live].tolist(), which[live].tolist(),
+                view.pred[live].tolist(), view.subj[live].tolist(),
+                view.obj[live].tolist(), view.fact_ids[live].tolist()):
             if w == 0:
                 entry = state.entry
             elif w == 1:
-                entry = (ENTRY_PRED, goal.pred, int(view.pred[f]))
+                entry = (ENTRY_PRED, goal.pred, p)
             elif w == 2:
-                entry = (ENTRY_CONST, a0, int(view.subj[f]))
+                entry = (ENTRY_CONST, a0, s)
             else:
-                entry = (ENTRY_CONST, a1, int(view.obj[f]))
+                entry = (ENTRY_CONST, a1, o)
             subst = state.subst
             bind: dict = {}
-            if is_var(a0):
-                bind[a0] = int(view.subj[f])
-            if is_var(a1) and not repeated:
-                bind[a1] = int(view.obj[f])
+            if bind0:
+                bind[a0] = s
+            if bind1:
+                bind[a1] = o
             if bind:
                 subst = {**subst, **bind}
             if not precut:
                 ctx.counters.established += 1
                 if ctx.hq is not None:
-                    ctx.hq.add(int(view.fact_ids[f]), sc, level, ctx.goal_rel)
+                    ctx.hq.add(fid, sc, level, ctx.goal_rel)
             yield ProofState(subst, sc, entry)
     # a head scores at most Kp[head, goal], so a rule below min_score there
     # cannot unify: one gather screens every rule (a NaN kernel passes)
@@ -331,18 +334,19 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
     parent = view.parent
     for k in np.flatnonzero(~(kp < cfg.min_score)).tolist():
         rid = view.rule_ids[k]
-        rule = parent.rules[rid]
-        mapping = ctx.fresh_vars(rule)
-        head = _rename(rule.head, mapping)
-        st2 = _unify_rule_head(head, goal, state, ctx, parent.n_facts + rid,
-                               level)
+        head, body, n_vars = parent.rule_std[rid]
+        # standardize apart by offset: fresh variables next_var .. + n_vars-1
+        base = ctx.next_var
+        ctx.next_var += n_vars
+        st2 = _unify_rule_head(_rename(head, base), goal, state, ctx,
+                               parent.n_facts + rid, level)
         if st2 is None:
             continue
-        if not rule.body:
+        if not body:
             yield st2
         else:
-            body = tuple(_rename(b, mapping) for b in rule.body)
-            yield from and_step(body, depth, st2, ctx)
+            yield from and_step(tuple(_rename(b, base) for b in body), depth,
+                                st2, ctx)
 
 
 def and_step(body: tuple[Atom, ...], depth: int, state: ProofState, ctx: _Ctx
@@ -508,8 +512,9 @@ def _entry_rows(entry: tuple[int, int, int], n_real: int
 
 
 def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
-                  cfg: RunConfig, hq: HighQualityBuffer, counters: Counters,
-                  known_facts: frozenset, rng: np.random.Generator,
+                  cfg: RunConfig, hq: HighQualityBuffer | None,
+                  counters: Counters, known_facts: frozenset,
+                  rng: np.random.Generator,
                   tables: tuple[np.ndarray, np.ndarray] | None = None
                   ) -> tuple[float, dict[str, np.ndarray], dict]:
     """Cross-entropy over proof scores of positives and sampled corruptions.
@@ -520,7 +525,9 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
     over positives and -log clip(1 - s, c, 1) over negatives. Returns
     (loss, gradients, stats). The gradients are dense arrays keyed by
     parameter name, in the order proofs first touch them; the caller owns
-    the clip/update sequence.
+    the clip/update sequence. Unifications that clear the threshold go to
+    ``hq``; with ``hq=None`` nothing is harvested and ``counters`` still
+    count them.
 
     A proof's score is recomputed from its bottleneck entry's rows u, v as
     K = exp(-||u - v||^2), whose gradient in u is -2K(u - v) and in v its

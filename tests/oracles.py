@@ -33,6 +33,17 @@ def complex_score(h: int, r: int, t: int, store):
                   + re_h * im_r * im_t - im_h * im_r * re_t)
 
 
+def composite_expression(a, b, c):
+    """sum(sigmoid(h / 2) * h) with h = tanh(a @ b + c), in the rows' dtype.
+
+    Numpy reference for the tape composite in ``tests/test_autodiff.py``;
+    ``np.longdouble`` rows keep its rounding error below what a central
+    difference at eps 1e-5 must resolve for gradients near 1e-8.
+    """
+    h = np.tanh(a @ b + c)
+    return np.sum(h / (1 + np.exp(-h / 2)))
+
+
 def okernel(E: np.ndarray, i: int, j: int) -> float:
     d = E[i] - E[j]
     return float(np.exp(-np.dot(d, d)))

@@ -3,9 +3,11 @@ named gradients; store IO."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from selprover import autodiff as ad
+
+from oracles import composite_expression
 
 
 def make_store(**arrays):
@@ -18,20 +20,36 @@ def make_store(**arrays):
 class TestPrimitiveGradients:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))
+    @example(25905)  # a[7] has gradient 2.3e-8: float64 differences miss it
     def test_composite_expression(self, seed):
-        """Random composite of the core ops agrees with central differences."""
+        """Random composite of the core ops agrees with central differences
+        of a long-double numpy oracle, at every coordinate."""
         rng = np.random.default_rng(seed)
         store = make_store(a=rng.normal(size=(3, 4)), b=rng.normal(size=(4, 2)),
                            c=rng.normal(size=2))
-
-        def f(s, tape):
-            h = ad.matmul(tape.leaf("a"), tape.leaf("b"))
-            h = ad.add(h, tape.leaf("c"))
-            h = ad.tanh(h)
-            g = ad.sigmoid(ad.mul(h, 0.5))
-            return ad.vsum(ad.mul(g, h))
-
-        assert ad.finite_difference_check(f, store, rng=rng) < 1e-4
+        tape = ad.Tape(store)
+        h = ad.matmul(tape.leaf("a"), tape.leaf("b"))
+        h = ad.add(h, tape.leaf("c"))
+        h = ad.tanh(h)
+        g = ad.sigmoid(ad.mul(h, 0.5))
+        tape.backward(ad.vsum(ad.mul(g, h)))
+        grads = tape.gradients()
+        rows = {k: store[k].astype(np.longdouble) for k in "abc"}
+        eps = 1e-5
+        worst = 0.0
+        for name in "abc":
+            flat = rows[name].reshape(-1)
+            for i in range(flat.size):
+                keep = flat[i]
+                flat[i] = keep + eps
+                up = composite_expression(rows["a"], rows["b"], rows["c"])
+                flat[i] = keep - eps
+                dn = composite_expression(rows["a"], rows["b"], rows["c"])
+                flat[i] = keep
+                fd = float((up - dn) / (2 * eps))
+                gr = float(grads[name].reshape(-1)[i])
+                worst = max(worst, abs(fd - gr) / max(abs(fd), abs(gr), 1e-8))
+        assert worst < 1e-4
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**31 - 1))

@@ -7,6 +7,7 @@ import types
 import numpy as np
 import pytest
 
+from selprover import em
 from selprover.autodiff import ParameterStore, Tape, clip_gradients
 from selprover.config import RunConfig
 from selprover.em import (TrainState, build_goal_batches, em_iteration,
@@ -16,7 +17,7 @@ from selprover.em import (TrainState, build_goal_batches, em_iteration,
 from selprover.generator import RelationStorage, is_generator_param
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
-from selprover.prover import kernel_tables
+from selprover.prover import HighQualityBuffer, kernel_tables, training_loss
 
 X, Y = mkvar(0), mkvar(1)
 
@@ -283,6 +284,58 @@ def test_baseline_mode_skips_selection_and_generator(ready):
         if name.startswith("gen."):
             np.testing.assert_array_equal(nxt.store[name], snap[name])
     assert not np.array_equal(nxt.store[PRED_EMB], snap[PRED_EMB])
+
+
+def counting_adds(monkeypatch):
+    adds = []
+    add = HighQualityBuffer.add
+
+    def counted(self, *args, **kwargs):
+        adds.append(args[0])
+        add(self, *args, **kwargs)
+
+    monkeypatch.setattr(HighQualityBuffer, "add", counted)
+    return adds
+
+
+def test_full_kb_iteration_keeps_no_harvest(ready, monkeypatch):
+    """No storage update reads a full-KB run's harvest, so its e-step fills
+    no buffer; loss, counters and store match the same e-step with one."""
+    cfg = dataclasses.replace(ready.cfg, baseline_full_kb=True)
+    batches = build_goal_batches(ready.splits.train, cfg,
+                                 np.random.default_rng(4))
+    buffers = []
+
+    def with_buffer(goals, view, store, cfg, hq, *rest):
+        buffers.append(hq if hq is not None else HighQualityBuffer())
+        return training_loss(goals, view, store, cfg, buffers[-1], *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(em, "training_loss", with_buffer)
+        harvested = em_iteration(fresh_state(ready), ready.kb, batches, cfg,
+                                 np.random.default_rng(5), ready.known)
+    assert sum(len(b) for b in buffers) > 0  # the reference really harvests
+    adds = counting_adds(monkeypatch)
+    plain = em_iteration(fresh_state(ready), ready.kb, batches, cfg,
+                         np.random.default_rng(5), ready.known)
+    assert adds == []
+    row, ref = plain.metrics_log[0], harvested.metrics_log[0]
+    del row["attp_ms"], ref["attp_ms"]
+    np.testing.assert_equal(row, ref)  # NaN equals NaN here
+    assert row["established"] > 0
+    assert unchanged(plain.store, snapshot(harvested.store))
+    assert plain.storage.total() == harvested.storage.total() == 0
+
+
+def test_selection_iteration_still_harvests(ready, monkeypatch):
+    adds = counting_adds(monkeypatch)
+    state = fresh_state(ready)
+    batches = build_goal_batches(ready.splits.train, ready.cfg,
+                                 np.random.default_rng(1))
+    nxt = em_iteration(state, ready.kb, batches, ready.cfg,
+                       np.random.default_rng(2), ready.known)
+    assert adds
+    assert nxt.storage.total() > 0
 
 
 def test_zero_batches_is_a_quiet_iteration(ready):

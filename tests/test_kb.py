@@ -210,6 +210,24 @@ class TestKnowledgeBase:
         kb2 = kb.KnowledgeBase(base.vocab, base.facts, [rule])
         assert kb2.item_head_pred(kb2.n_facts) == q
 
+    def test_rules_standardized_in_first_appearance_order(self):
+        base = build_kb([("a", "p", "b")])
+        p = base.vocab.predicate_id("p")
+        a = base.vocab.constant_id("a")
+        v = kb.mkvar
+        # head (Y, X) with non-contiguous and large codes, a constant kept
+        rule = kb.Rule(head=kb.Atom(p, (v(1), v(0))),
+                       body=(kb.Atom(p, (v(0), v(1200))),
+                             kb.Atom(p, (v(1200), v(5))),
+                             kb.Atom(p, (a, v(1)))))
+        kb2 = kb.KnowledgeBase(base.vocab, base.facts, [rule])
+        head, body, n = kb2.rule_std[0]
+        assert n == 4
+        assert head == kb.Atom(p, (v(0), v(1)))
+        assert body == (kb.Atom(p, (v(1), v(2))), kb.Atom(p, (v(2), v(3))),
+                        kb.Atom(p, (a, v(0))))
+        assert kb2.rules == (rule,)  # the stored rule itself is untouched
+
     def test_view_exclusion_lookup(self):
         base = build_kb([("a", "p", "b"), ("c", "p", "d"), ("e", "q", "f")])
         view = base.full_view()

@@ -308,6 +308,85 @@ def test_beam_matches_oracle_with_harvest():
     assert cut >= 10  # the sample has searches a narrow beam truncates
 
 
+# --- standardizing apart ---------------------------------------------------
+
+# alpha-variants of the X/Y/Z (mkvar 0/1/2) rules random_proof_case draws:
+# out of order, non-contiguous, and at or past the first fresh variable code
+RENUMBERINGS = (
+    {X: Y, Y: X, Z: Z},
+    {X: mkvar(5), Y: mkvar(2), Z: mkvar(0)},
+    {X: mkvar(1200), Y: mkvar(1000), Z: mkvar(1001)},
+)
+
+
+def renumber(rules, codes):
+    def atom(a):
+        return (a[0], codes.get(a[1], a[1]), codes.get(a[2], a[2]))
+    return [(atom(head), [atom(b) for b in body]) for head, body in rules]
+
+
+def test_renumbered_rules_prove_alike():
+    rng = np.random.default_rng(58)
+    deep = 0
+    for case in range(40):
+        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng)
+        depth, beam = 2 + case % 2, (0, 0, 2)[case % 3]
+
+        def run(rl):
+            kb, store = make_package(facts, rl, Ep, Ec)
+            hq, counters = HighQualityBuffer(), Counters()
+            res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
+                             store, ProverConfig(max_depth=depth,
+                                                 min_score=thr, beam=beam),
+                             hq=hq, counters=counters)
+            return (res.score, res.n_proofs,
+                    res.state.entry if res.state is not None else None,
+                    counters.traversed, counters.established,
+                    [(i, e.score, e.level, e.goal_rel)
+                     for i, e in hq.items.items()])
+
+        want = run(rules)
+        best, stats = oracle_prove(goal, facts, rules, Ep, Ec, depth, thr,
+                                   beam=beam)
+        assert want[0] == pytest.approx(best, abs=1e-9)
+        assert want[1] == len(stats.scores)
+        assert want[4] == stats.established
+        for codes in RENUMBERINGS:
+            renamed = renumber(rules, codes)
+            assert run(renamed) == want
+            best2, stats2 = oracle_prove(goal, facts, renamed, Ep, Ec, depth,
+                                         thr, beam=beam)
+            assert (best2, stats2.scores, stats2.harvest) == \
+                   (best, stats.scores, stats.harvest)
+        deep += depth == 3 and want[1] > 0
+    assert deep >= 5  # depth-3 proofs nest rule renamings inside each other
+
+
+def test_fresh_variables_follow_standardized_order():
+    # the chain rule of test_chain_rule_completes_with_exact_embeddings with
+    # head (mkvar(7), mkvar(3)) and mkvar(0) in the middle: standardizing
+    # makes them X, Y, Z, and the one renaming gives mkvar(1000 + k)
+    Ep = place([0.0, 0.0], [4.0, 0.0])
+    Ec = place([0.0, 0.0], [0.0, 3.0], [3.0, 0.0])  # a, m, b
+    V0, V3, V7 = mkvar(0), mkvar(3), mkvar(7)
+    rules = [((1, V7, V3), [(0, V7, V0), (0, V0, V3)])]
+    kb, store = make_package([(0, 0, 1), (0, 1, 2)], rules, Ep, Ec)
+    res = prove_goal(Atom(1, (0, 2)), kb.full_view(), store,
+                     ProverConfig(max_depth=2, min_score=0.1))
+    assert res.n_proofs == 1
+    assert res.state.subst == {mkvar(1000): 0, mkvar(1001): 2, mkvar(1002): 1}
+
+
+def test_standardize_is_identity_on_templates():
+    vocab, store, cfg, rules = template_setup()
+    kb = KnowledgeBase(vocab, [], rules)
+    assert kb.rule_std == tuple((r.head, r.body, len(r.variables()))
+                                for r in rules)
+    # the template's own atoms, not equal copies
+    assert all(h is r.head and b is r.body
+               for (h, b, _), r in zip(kb.rule_std, rules))
+
+
 # --- rule-head screen ------------------------------------------------------
 
 
