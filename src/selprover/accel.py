@@ -68,14 +68,17 @@ def sweep_scores(prefix: float, psim: np.ndarray, a1sim, a2sim,
     0 carried prefix, 1 predicate, 2 first argument, 3 second argument,
     with ties resolved toward the earliest factor.
     """
-    psim = _f64(psim)
-    F = psim.shape[0]
-    rows = [np.full(F, float(prefix)), psim]
-    rows.append(_f64(a1sim) if a1sim is not None else np.full(F, np.inf))
-    rows.append(_f64(a2sim) if a2sim is not None else np.full(F, np.inf))
-    stack = np.stack(rows)
-    scores = stack.min(axis=0)
-    which = stack.argmin(axis=0).astype(np.int8)  # argmin takes the first on ties
+    F = len(psim)
+    scores = float(prefix)
+    which = np.zeros(F, dtype=np.int8)
+    for k, sim in enumerate((psim, a1sim, a2sim), start=1):
+        if sim is None:
+            continue
+        sim = _f64(sim)
+        # argmin's rule: a later factor takes over only when strictly lower,
+        # or NaN where the minimum so far is a number
+        which[~(sim >= scores) & (scores == scores)] = k
+        scores = np.minimum(scores, sim)
     dead = scores < float(threshold)
     exclude = int(exclude)
     if 0 <= exclude < F:

@@ -39,9 +39,11 @@ from .scoring import BatchedEvaluator
 
 log = logging.getLogger(__name__)
 
+PROOF_COUNTS = ("goals_pos", "proved_pos", "goals_neg", "proved_neg")
 METRIC_COLUMNS = ("iteration", "prover_loss", "generator_loss", "valid_mrr",
-                  "attp_ms", "utilization", "traversed", "established")
-COUNT_COLUMNS = ("iteration", "traversed", "established")
+                  "attp_ms", "utilization", "traversed", "established",
+                  *PROOF_COUNTS)
+COUNT_COLUMNS = ("iteration", "traversed", "established", *PROOF_COUNTS)
 
 
 @dataclass
@@ -132,6 +134,7 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
     # only the storage update reads the harvest, and full-KB runs skip it
     hq = None if cfg.baseline_full_kb else HighQualityBuffer()
     counters = Counters()
+    proofs = dict.fromkeys(PROOF_COUNTS, 0)
     prover_losses: list[float] = []
     steps_before = store.step_count
     t0 = time.perf_counter()
@@ -142,8 +145,10 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
         else:
             lp = generate_predicates(rel, store, cfg.gen_width, cfg.gen_depth)
             view = select_kbs(kb, lp, cfg.proportion, store, rel, tables)
-        loss, grads, _ = training_loss(goals, view, store, cfg, hq, counters,
-                                       known, rng, tables)
+        loss, grads, stats = training_loss(goals, view, store, cfg, hq,
+                                           counters, known, rng, tables)
+        for key in PROOF_COUNTS:
+            proofs[key] += stats[key]
         clip_gradients(grads, cfg.grad_clip)
         adam_step(store, grads, cfg.prover_lr)
         prover_losses.append(loss / max(1, len(goals)))
@@ -181,6 +186,7 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
                         if counters.traversed else float("nan")),
         "traversed": counters.traversed,
         "established": counters.established,
+        **proofs,
     }
 
 

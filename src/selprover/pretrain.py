@@ -10,9 +10,12 @@ then operates directly on the packed 2k-vectors.
 No autodiff graph is recorded. The score is trilinear, so
 ``batch_loss_grad`` writes the loss and its gradients in closed form, and
 the step hands them to ``adam_step`` by parameter name.
-Corruptions come from ``_sample_negatives``, which draws exactly the random
-stream of calling the scalar sampler ``_sample_negative`` row by row: the
-same negatives, the same dropped rows and the same generator state after.
+Corruptions come from ``_sample_negatives``. It draws a batch's (constant,
+side) pairs in one call and walks the rows against that one stream, in
+vectorized chunks, so it gets exactly what calling the scalar sampler
+``_sample_negative`` row by row gets: the same negatives, the same dropped
+rows and the same generator state after. The scalar sampler stays for the
+prover's corruptions, one goal at a time.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .kb import Atom, Vocabulary
 CONST_EMB = "const_emb"
 PRED_EMB = "pred_emb"
 SLOT_EMB = "slot_emb"
+
+# draws of one corruption before ``_sample_negative`` gives up on its row
+MAX_TRIES = 100
+# rows that ``_sample_negatives`` checks against the pair stream at once
+_WALK_CHUNK = 128
 
 
 def init_store(n_constants: int, n_predicates: int, dim: int,
@@ -143,11 +151,11 @@ def _sample_negative(rng: np.random.Generator, triple: tuple[int, int, int],
                      ) -> tuple[int, int, int] | None:
     """Corrupt the head or the tail uniformly, rejecting known triples.
 
-    Returns None when 100 draws in a row hit a known triple or the input;
-    a negative is never a known fact.
+    Returns None when ``MAX_TRIES`` draws in a row hit a known triple or the
+    input; a negative is never a known fact.
     """
     p, s, o = triple
-    for _ in range(100):
+    for _ in range(MAX_TRIES):
         c = int(rng.integers(n_constants))
         if rng.integers(2) == 0:
             cand = (p, c, o)
@@ -183,48 +191,68 @@ def _sample_negatives(rng: np.random.Generator, triples: np.ndarray,
     returns None. The draws, their order and the generator's state after the
     call are exactly those of the scalar loop.
 
-    One call to ``rng.integers`` with the bounds tiled as [n, 2, n, 2, ...]
-    yields the same values, and leaves the generator in the same state, as
-    the alternating scalar draws. So the remaining rows get one (constant,
-    side) pair each, checked in one vectorized pass. At the first rejected
-    row the generator is rewound, the pairs of the accepted rows are drawn
-    again, and that row goes to ``_sample_negative``, which goes on drawing
-    until it accepts or gives up.
+    Each try of the scalar loop takes one (constant, side) pair, and one
+    call to ``rng.integers`` with the bounds tiled as [n, 2, n, 2, ...]
+    yields the same pairs as the alternating scalar draws. So the pairs are
+    drawn once, with some slack, and the rows walk that one stream. A chunk
+    of rows is checked at once, row k against the k-th pair from a pointer;
+    the rows before the first rejected one are accepted and move the
+    pointer past their pairs. The rejected pair moves the pointer by one
+    and counts one try of its row, and the next chunk starts again at that
+    row; on its ``MAX_TRIES``-th try the row is dropped. Pairs that run out
+    are drawn from the same stream. At the end the generator is rewound to
+    its state before the call and draws exactly the pairs used, so it ends
+    where the scalar loop ends.
     """
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     m = len(triples)
-    neg = triples.copy()
-    kept = np.ones(m, dtype=bool)
-    keys = _known_keys(known, n_constants)
+    n = n_constants
+    keys = _known_keys(known, n)
     p, s, o = triples.T
-    bounds = np.tile([n_constants, 2], m)
-    i = 0
+    # a corruption is checked by its key: (p, c, o) is head_base + c * n,
+    # (p, s, c) is tail_base + c, and the input itself is own
+    own = (p * n + s) * n + o
+    head_base = own - s * n
+    tail_base = own - o
+    chosen = own.copy()
+    kept = np.ones(m, dtype=bool)
+
+    def draw(n_pairs: int) -> np.ndarray:
+        return rng.integers(0, np.tile([n, 2], n_pairs)).reshape(-1, 2)
+
+    state = rng.bit_generator.state
+    # one pair a row, and slack for the rows' rejected pairs
+    pairs = draw(m + m // 8 + _WALK_CHUNK)
+    used = i = tries = 0
     while i < m:
-        state = rng.bit_generator.state
-        draws = rng.integers(0, bounds[2 * i:]).reshape(-1, 2)
-        head = draws[:, 1] == 0
-        cs = np.where(head, draws[:, 0], s[i:])
-        co = np.where(head, o[i:], draws[:, 0])
-        key = (p[i:] * n_constants + cs) * n_constants + co
-        rejected = ((keys[np.searchsorted(keys, key)] == key)
-                    | ((cs == s[i:]) & (co == o[i:])))
-        r = int(np.argmax(rejected))
-        if not rejected[r]:
-            r = m - i
-        neg[i:i + r, 1] = cs[:r]
-        neg[i:i + r, 2] = co[:r]
-        if i + r == m:
-            break
-        rng.bit_generator.state = state
-        if r:
-            rng.integers(0, bounds[:2 * r])
-        cand = _sample_negative(rng, tuple(triples[i + r].tolist()),
-                                n_constants, known)
-        if cand is None:
-            kept[i + r] = False
-        else:
-            neg[i + r] = cand
-        i += r + 1
+        r = min(_WALK_CHUNK, m - i)
+        if used + r > len(pairs):
+            pairs = np.concatenate([pairs, draw(m - i + _WALK_CHUNK)])
+        c, side = pairs[used:used + r].T
+        cand = np.where(side == 0, head_base[i:i + r] + c * n,
+                        tail_base[i:i + r] + c)
+        ok = ((keys[np.searchsorted(keys, cand)] != cand)
+              & (cand != own[i:i + r]))
+        a = r if ok.all() else int(ok.argmin())
+        chosen[i:i + a] = cand[:a]
+        i += a
+        used += a
+        if a:
+            tries = 0
+        if a == r:
+            continue
+        # row i rejects the pair at the pointer
+        tries += 1
+        used += 1
+        if tries == MAX_TRIES:
+            kept[i] = False
+            i += 1
+            tries = 0
+    rng.bit_generator.state = state
+    draw(used)
+    neg = triples.copy()
+    neg[:, 1] = chosen // n % n
+    neg[:, 2] = chosen % n
     return neg, kept
 
 

@@ -523,11 +523,13 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
     corruption draw that finds no unknown triple is dropped. Each score is
     clamped to [c, 1 - c] (c = ``score_clamp``), and the loss sums -log s
     over positives and -log clip(1 - s, c, 1) over negatives. Returns
-    (loss, gradients, stats). The gradients are dense arrays keyed by
-    parameter name, in the order proofs first touch them; the caller owns
-    the clip/update sequence. Unifications that clear the threshold go to
-    ``hq``; with ``hq=None`` nothing is harvested and ``counters`` still
-    count them.
+    (loss, gradients, stats). ``stats`` holds the mean proof score of the
+    positives and of the negatives, and how many of each were scored
+    (``goals_*``) and proved, that is scored above 0 (``proved_*``). The
+    gradients are dense arrays keyed by parameter name, in the order proofs
+    first touch them; the caller owns the clip/update sequence. Unifications
+    that clear the threshold go to ``hq``; with ``hq=None`` nothing is
+    harvested and ``counters`` still count them.
 
     A proof's score is recomputed from its bottleneck entry's rows u, v as
     K = exp(-||u - v||^2), whose gradient in u is -2K(u - v) and in v its
@@ -594,5 +596,9 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
     stats = {
         "mean_pos": float(np.mean(pos_scores)) if pos_scores else 0.0,
         "mean_neg": float(np.mean(neg_scores)) if neg_scores else 0.0,
+        "goals_pos": len(pos_scores),
+        "proved_pos": sum(1 for s in pos_scores if s > 0.0),
+        "goals_neg": len(neg_scores),
+        "proved_neg": sum(1 for s in neg_scores if s > 0.0),
     }
     return float(np.sum(terms)), grads, stats

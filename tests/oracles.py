@@ -33,6 +33,47 @@ def complex_score(h: int, r: int, t: int, store):
                   + re_h * im_r * im_t - im_h * im_r * re_t)
 
 
+def pretrain_reference(train, vocab, cfg, rng):
+    """``pretrain.pretrain_embeddings`` with corruptions drawn row by row.
+
+    Each positive of a batch gets ``pretrain_negatives`` calls to the scalar
+    sampler ``pretrain._sample_negative``, in batch order, and a call that
+    gives up adds no negative. The loss, its gradients and the update come
+    from the package's ``batch_loss_grad`` and ``adam_step``, so the batch
+    sampler is the one part this loop does differently. Returns (store,
+    mean loss per epoch).
+    """
+    from selprover import autodiff, pretrain
+
+    store = pretrain.init_store(vocab.n_constants, vocab.n_predicates,
+                                cfg.embedding_dim, rng)
+    triples = [f.as_triple() for f in train]
+    known = frozenset(triples)
+    losses = []
+    for _ in range(cfg.pretrain_epochs):
+        order = rng.permutation(len(triples))
+        epoch_loss = 0.0
+        for b0 in range(0, len(triples), cfg.pretrain_batch):
+            pos = [triples[j] for j in order[b0:b0 + cfg.pretrain_batch]]
+            neg = []
+            for t in pos:
+                for _ in range(cfg.pretrain_negatives):
+                    cand = pretrain._sample_negative(rng, t, vocab.n_constants,
+                                                     known)
+                    if cand is not None:
+                        neg.append(cand)
+            loss, g_const, g_pred = pretrain.batch_loss_grad(
+                store, np.array(pos, dtype=np.int64),
+                np.array(neg, dtype=np.int64).reshape(-1, 3),
+                cfg.pretrain_weight_decay)
+            autodiff.adam_step(store, {pretrain.CONST_EMB: g_const,
+                                       pretrain.PRED_EMB: g_pred},
+                               lr=cfg.pretrain_lr)
+            epoch_loss += loss * len(pos)
+        losses.append(epoch_loss / len(triples))
+    return store, losses
+
+
 def composite_expression(a, b, c):
     """sum(sigmoid(h / 2) * h) with h = tanh(a @ b + c), in the rows' dtype.
 

@@ -94,18 +94,21 @@ def naive_sweep(prefix, psim, a1sim, a2sim, threshold, exclude):
 
 
 class TestSweepScores:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 30), st.integers(0, 3),
-           st.floats(0.0, 1.0), st.integers(-1, 35), st.integers(0, 2**31 - 1))
+           st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.integers(-1, 35),
+           st.integers(0, 2**31 - 1))
     def test_matches_naive(self, F, mask, threshold, exclude, seed):
+        # factors from a small grid, so ties are common, and NaN among them
         rng = np.random.default_rng(seed)
-        psim = rng.uniform(0.01, 1.0, F)
-        a1 = rng.uniform(0.01, 1.0, F) if mask & 1 else None
-        a2 = rng.uniform(0.01, 1.0, F) if mask & 2 else None
-        prefix = float(rng.uniform(0.01, 1.0))
+        grid = np.array([0.2, 0.5, 0.5, 1.0, np.nan])
+        psim = rng.choice(grid, F)
+        a1 = rng.choice(grid, F) if mask & 1 else None
+        a2 = rng.choice(grid, F) if mask & 2 else None
+        prefix = float(rng.choice(grid))
         s, w = accel.sweep_scores(prefix, psim, a1, a2, threshold, exclude)
         es, ew = naive_sweep(prefix, psim, a1, a2, threshold, exclude)
-        np.testing.assert_allclose(s, es, rtol=1e-15)
+        np.testing.assert_array_equal(s, es)
         np.testing.assert_array_equal(w, ew)
 
     def test_tie_prefers_earliest(self, path):

@@ -250,6 +250,10 @@ def test_iteration_commits_new_state(ready):
     assert math.isfinite(row["generator_loss"])
     assert row["traversed"] > 0
     assert 0.0 <= row["utilization"] <= 1.0
+    assert row["goals_pos"] == sum(len(goals) for _, goals in batches)
+    assert row["goals_neg"] <= ready.cfg.prover_negatives * row["goals_pos"]
+    assert 0 <= row["proved_pos"] <= row["goals_pos"]
+    assert 0 <= row["proved_neg"] <= row["goals_neg"]
     # the store and storage are trained in place
     assert nxt.store is state.store and nxt.storage is state.storage
     assert not unchanged(nxt.store, snap)
@@ -401,7 +405,8 @@ def test_run_training_writes_metrics_and_checkpoints(tmp_path):
     assert len(rows) == 2
     assert list(rows[0]) == ["iteration", "prover_loss", "generator_loss",
                             "valid_mrr", "attp_ms", "utilization",
-                            "traversed", "established"]
+                            "traversed", "established", "goals_pos",
+                            "proved_pos", "goals_neg", "proved_neg"]
     assert float(rows[1]["valid_mrr"]) > 0.0
     for sub in ("best", "final"):
         assert (tmp_path / "run" / "checkpoints" / sub / "store.npz").exists()
@@ -425,15 +430,16 @@ def test_checkpoint_round_trip(tmp_path):
             for layer in back.storage.layers for e in layer] == \
            [(e.pred, e.goal_rel, e.provenance)
             for layer in state.storage.layers for e in layer]
-    counts = [(r["traversed"], r["established"]) for r in back.metrics_log]
-    assert counts == [(r["traversed"], r["established"])
-                      for r in state.metrics_log]
-    assert all(type(n) is int for pair in counts for n in pair)
+    count_keys = ("traversed", "established", "goals_pos", "proved_pos",
+                  "goals_neg", "proved_neg")
+    counts = [[r[k] for k in count_keys] for r in back.metrics_log]
+    assert counts == [[r[k] for k in count_keys] for r in state.metrics_log]
+    assert all(type(n) is int for row in counts for n in row)
     redump = tmp_path / "redump.csv"
     write_metrics_csv(redump, [
         {k: row[k] for k in ("iteration", "prover_loss", "generator_loss",
                              "valid_mrr", "attp_ms", "utilization",
-                             "traversed", "established")}
+                             *count_keys)}
         for row in back.metrics_log])
     original = (tmp_path / "run" / "checkpoints" / "final" / "metrics.csv")
     assert redump.read_text() == original.read_text()
@@ -477,4 +483,6 @@ def test_zero_iterations_leaves_state_initial(tmp_path):
     assert state.metrics_log == []
     text = (tmp_path / "run" / "metrics.csv").read_text()
     assert text.strip() == "iteration,prover_loss,generator_loss," \
-                           "valid_mrr,attp_ms,utilization,traversed,established"
+                           "valid_mrr,attp_ms,utilization,traversed," \
+                           "established,goals_pos,proved_pos,goals_neg," \
+                           "proved_neg"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from selprover import kb, pretrain
+from selprover import datasets, kb, pretrain
 from selprover.config import RunConfig
 
-from oracles import complex_score
+from oracles import complex_score, pretrain_reference
 
 
 def tiny_vocab(n_const=4, n_pred=2):
@@ -136,30 +136,122 @@ class TestComplexScore:
                                              rel=1e-10, abs=1e-12)
 
 
+def assert_same_stream(rows, n_const, known, batch_rng, scalar_rng,
+                       sample=pretrain._sample_negative):
+    """``_sample_negatives`` on ``rows`` equals ``sample`` called row by row.
+
+    The two generators start in the same state. Negatives, dropped rows and
+    the generator state after must all match. Returns ``kept``.
+    """
+    neg, kept = pretrain._sample_negatives(
+        batch_rng, np.array(rows, dtype=np.int64).reshape(-1, 3), n_const,
+        known)
+    expect = [sample(scalar_rng, t, n_const, known) for t in rows]
+    assert kept.tolist() == [e is not None for e in expect]
+    assert ([tuple(t) for t in neg[kept].tolist()]
+            == [e for e in expect if e is not None])
+    assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+    return kept
+
+
 class TestBatchSampler:
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 3), st.integers(0, 40),
            st.floats(0.0, 1.0), st.integers(0, 2**31 - 1))
+    # known_frac 1.0 makes every corruption known, so every row is dropped
     @example(n_const=3, n_pred=1, m=5, known_frac=1.0, seed=0)
+    # row 6 is dropped between accepted rows
+    @example(n_const=3, n_pred=2, m=10, known_frac=0.9, seed=4)
+    # rows 4 and 5 are dropped: their 200 tries outrun the first draw's
+    # slack, so the walk draws more pairs from the stream
+    @example(n_const=3, n_pred=1, m=8, known_frac=0.8, seed=0)
     def test_same_stream_as_scalar_loop(self, n_const, n_pred, m, known_frac,
                                         seed):
-        # known_frac 1.0 makes every corruption known, so every row is dropped
         rng = np.random.default_rng(seed)
         every = [(p, s, o) for p in range(n_pred) for s in range(n_const)
                  for o in range(n_const)]
         known = frozenset(t for t in every if rng.uniform() < known_frac)
         rows = [every[i] for i in rng.integers(0, len(every), m)]
-        batch_rng = np.random.default_rng(seed + 1)
-        scalar_rng = np.random.default_rng(seed + 1)
-        neg, kept = pretrain._sample_negatives(
-            batch_rng, np.array(rows, dtype=np.int64).reshape(-1, 3),
-            n_const, known)
-        expect = [pretrain._sample_negative(scalar_rng, t, n_const, known)
-                  for t in rows]
-        assert kept.tolist() == [e is not None for e in expect]
-        assert ([tuple(t) for t in neg[kept].tolist()]
-                == [e for e in expect if e is not None])
-        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert_same_stream(rows, n_const, known,
+                           np.random.default_rng(seed + 1),
+                           np.random.default_rng(seed + 1))
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_short_chunks_match_scalar_loop(self, chunk, seed, monkeypatch):
+        # short walk chunks make the chunk boundaries many: a row's tries
+        # must start again from one after any row is accepted, also when a
+        # whole chunk is accepted at once
+        monkeypatch.setattr(pretrain, "_WALK_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        every = [(p, s, o) for p in range(2) for s in range(3)
+                 for o in range(3)]
+        known = frozenset(t for t in every if rng.uniform() < 0.8)
+        rows = [every[i] for i in rng.integers(0, len(every), 60)]
+        assert_same_stream(rows, 3, known, np.random.default_rng(seed + 1),
+                           np.random.default_rng(seed + 1))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_whole_chunk_accepted_resets_tries(self, seed):
+        # row 0 is rejected nine times in ten, then accepted; the next
+        # _WALK_CHUNK - 1 rows are almost never rejected, so the chunk from
+        # row 0 is accepted whole; the row after it has every corruption
+        # known and must take all MAX_TRIES tries, whatever row 0 took
+        n = 1000
+        chunk = pretrain._WALK_CHUNK
+        known = ({(2, c, 1) for c in range(n - n // 10)}
+                 | {(2, 0, c) for c in range(n - n // 10)}
+                 | {(0, c, 1) for c in range(n)}
+                 | {(0, 0, c) for c in range(n)})
+        rows = ([(2, 0, 1)] + [(1, 2 + i, 3 + i) for i in range(chunk - 1)]
+                + [(0, 0, 1)] + [(1, 3, 4)] * 5)
+        kept = assert_same_stream(rows, n, frozenset(known),
+                                  np.random.default_rng(seed),
+                                  np.random.default_rng(seed))
+        assert not kept[chunk] and kept.sum() == len(rows) - 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_family_large_batch_matches_scalar_loop(self, seed, tmp_path):
+        # a pretraining batch at RunConfig defaults: every training triple,
+        # ten corruptions each, against the training triples; three batches
+        # in a row carry the generator state from one to the next
+        splits = datasets.load_dataset("family-large", str(tmp_path), 7)
+        assert (len(splits.train), splits.vocab.n_constants) == (129, 95)
+        rows = [f.as_triple() for f in splits.train for _ in range(10)]
+        known = frozenset(f.as_triple() for f in splits.train)
+        batch_rng = np.random.default_rng(seed)
+        scalar_rng = np.random.default_rng(seed)
+        for _ in range(3):
+            assert_same_stream(rows, 95, known, batch_rng, scalar_rng)
+
+    def test_batch_sampler_never_calls_scalar_sampler(self, monkeypatch):
+        # (0, 0, 0) has every corruption known, so it is dropped after
+        # MAX_TRIES rejections; the other rows have one unknown corruption
+        # each and are accepted after rejections of their own
+        known = frozenset((0, s, o) for s in range(3) for o in range(3)) \
+            - {(0, 2, 2)}
+        rows = [(0, 2, 1), (0, 0, 0), (0, 1, 2)] * 4
+        scalar = pretrain._sample_negative
+
+        def refuse(*args):
+            raise AssertionError("the batch sampler called the scalar one")
+
+        monkeypatch.setattr(pretrain, "_sample_negative", refuse)
+        kept = assert_same_stream(rows, 3, known, np.random.default_rng(11),
+                                  np.random.default_rng(11), sample=scalar)
+        assert kept.tolist() == [True, False, True] * 4
+
+    def test_dropped_row_spends_max_tries_draws(self):
+        # every corruption over two constants is known: the row takes
+        # MAX_TRIES (constant, side) pairs from the stream, then gives up
+        known = frozenset((0, s, o) for s in range(2) for o in range(2))
+        rng = np.random.default_rng(5)
+        _, kept = pretrain._sample_negatives(
+            rng, np.array([[0, 0, 1]]), 2, known)
+        after = np.random.default_rng(5)
+        after.integers(0, 2, 2 * pretrain.MAX_TRIES)
+        assert pretrain.MAX_TRIES == 100 and kept.tolist() == [False]
+        assert rng.bit_generator.state == after.bit_generator.state
 
 
 def small_cfg(**kw):
@@ -224,6 +316,27 @@ class TestPretraining:
         filt = frozenset(f.as_triple() for f in facts)
         mrr = pretrain.quick_filtered_mrr(store, facts, filt, vocab.n_constants)
         assert mrr > 0.6
+
+    def test_matches_row_by_row_reference(self):
+        # r holds every triple over a, b, c except c r c, so most draws are
+        # rejected, and every corruption of the four r facts without c is
+        # known, so their rows are dropped; 12 facts in batches of 5 leave a
+        # short last batch
+        lines = [f"{s}\tr\t{o}" for s in "abc" for o in "abc"
+                 if (s, o) != ("c", "c")]
+        lines += [f"{s}\tq\t{o}" for s, o in ("ab", "bc", "ca", "ba")]
+        facts, vocab, _ = kb.parse_triples("\n".join(lines))
+        assert (len(facts), vocab.n_constants) == (12, 3)
+        cfg = small_cfg(pretrain_epochs=4, pretrain_batch=5,
+                        pretrain_negatives=3)
+        rng = np.random.default_rng(6)
+        ref_rng = np.random.default_rng(6)
+        store, losses = pretrain.pretrain_embeddings(facts, vocab, cfg, rng)
+        ref_store, ref_losses = pretrain_reference(facts, vocab, cfg, ref_rng)
+        assert losses == ref_losses
+        for name in (pretrain.CONST_EMB, pretrain.PRED_EMB):
+            np.testing.assert_array_equal(store[name], ref_store[name])
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_pretraining_drops_exhausted_draws(self):
         # every corruption of every fact is known, so no negative survives

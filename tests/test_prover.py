@@ -709,6 +709,9 @@ def test_training_loss_value_and_masking():
                                        np.random.default_rng(3))
     # the positive is masked: no other path, so its score clamps to eps
     assert stats["mean_pos"] == 0.0
+    # one corruption, too far from the fact to clear the threshold
+    assert [stats[k] for k in ("goals_pos", "proved_pos", "goals_neg",
+                               "proved_neg")] == [1, 0, 1, 0]
     assert loss >= -np.log(cfg.score_clamp) - 1e-6
     assert 0 not in hq  # the masked fact never established for its own goal
 
@@ -727,6 +730,8 @@ def test_training_loss_drops_exhausted_corruptions():
                                        counters, kb.fact_set,
                                        np.random.default_rng(3))
     assert stats["mean_neg"] == 0.0
+    assert [stats[k] for k in ("goals_pos", "proved_pos", "goals_neg",
+                               "proved_neg")] == [1, 1, 0, 0]
     assert counters.traversed == kb.n_items  # the positive's proof alone
     assert loss == pytest.approx(-np.log(stats["mean_pos"]), abs=1e-9)
 
@@ -742,4 +747,5 @@ def test_training_loss_no_mask_when_goal_not_a_fact():
                                        HighQualityBuffer(), Counters(),
                                        kb.fact_set, np.random.default_rng(3))
     assert stats["mean_pos"] == pytest.approx(np.exp(-0.04), abs=1e-12)
+    assert (stats["goals_pos"], stats["proved_pos"]) == (1, 1)
     assert loss == pytest.approx(-np.log(np.exp(-0.04)), abs=1e-9)
