@@ -1,16 +1,15 @@
-"""Parameter store, Adam over named gradients, and the GRU generator's tape.
+"""Parameter store, Adam over named gradients, and a small autodiff tape.
 
 ``clip_gradients`` and ``adam_step`` take gradients as a dict of dense
-arrays keyed by parameter name. The embedding pretrainer and the prover's
-training loss write theirs in closed form; the generator's m-step reads
-them off a tape with ``Tape.gradients``.
+arrays keyed by parameter name. The embedding pretrainer, the prover's
+training loss and the generator's m-step all write theirs in closed form.
 
-The tape is a tiny reverse-mode autodiff for the GRU generator alone:
-``Value`` wraps an ndarray, remembers its parents and a backward closure,
-and ``Tape.backward`` runs the closures in reverse topological order.
-Scalar results are 0-d arrays. Only what the generator and its
-finite-difference probes need is implemented; this is not a general tensor
-library.
+The tape is a tiny reverse-mode autodiff that no training path uses any
+more: the tests build their reference GRU on it. ``Value`` wraps an
+ndarray, remembers its parents and a backward closure, and
+``Tape.backward`` runs the closures in reverse topological order. Scalar
+results are 0-d arrays. Only what that reference and the finite-difference
+probes need is implemented; this is not a general tensor library.
 """
 
 from __future__ import annotations

@@ -145,16 +145,39 @@ _FIELD_TYPES = {f.name: f for f in fields(RunConfig)}
 _TUPLE_FIELDS = {"split_ratios": float, "ep_coefficients": int}
 
 
+def _number(name: str, value, kind: type):
+    """One int or float config value; ConfigError names the key otherwise.
+
+    Strings parse as ``kind``. An int field also takes a float with no
+    fractional part; no numeric field takes a bool or NaN.
+    """
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ConfigError(f"{name} must be {what}, got {value!r}") from None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is int and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        if kind is float and value == value:
+            return float(value)
+    raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 def _coerce(name: str, value):
     if name in _TUPLE_FIELDS:
         if isinstance(value, str):
             value = [p for p in value.replace(",", " ").split() if p]
-        return tuple(_TUPLE_FIELDS[name](v) for v in value)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_number(f"{name} entry", v, _TUPLE_FIELDS[name])
+                     for v in value)
     f = _FIELD_TYPES[name]
     if f.type in ("int", int):
-        return int(value)
+        return _number(name, value, int)
     if f.type in ("float", float):
-        return float(value)
+        return _number(name, value, float)
     if f.type in ("bool", bool):
         if isinstance(value, bool):
             return value

@@ -28,9 +28,8 @@ from .autodiff import ParameterStore, adam_step, clip_gradients
 from .config import RunConfig
 from .evaluate import compute_mrr_hits, evaluate_ranking
 from .generator import (RelationStorage, generate_predicates, init_generator,
-                        is_generator_param, nearest_real_predicate,
-                        nns_complete, train_generator_step,
-                        update_relation_storage)
+                        nearest_real_predicate, nns_complete,
+                        train_generator_step, update_relation_storage)
 from .kb import Atom, KBView, KnowledgeBase
 from .pretrain import PRED_EMB, pretrain_embeddings
 from .prover import (Counters, HighQualityBuffer, build_templates,
@@ -163,18 +162,15 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
         update_relation_storage(storage, hq, kb)
         goal_rels = storage.goal_relations()
         for _ in range(cfg.gen_epochs):
-            tape, gloss = train_generator_step(storage, goal_rels, store, rng,
-                                               cfg.gen_samples)
-            if tape is None:
+            # the m-step trains the generator alone: its gradients leave the
+            # predicate rows the GRU reads untouched
+            grads, gloss = train_generator_step(storage, goal_rels, store,
+                                                rng, cfg.gen_samples)
+            if grads is None:
                 break
-            tape.backward(gloss)
-            # the m-step trains the generator alone: clip and step its
-            # gradients only, not the predicate rows the GRU reads
-            grads = {name: g for name, g in tape.gradients().items()
-                     if is_generator_param(name)}
             clip_gradients(grads, cfg.grad_clip)
             adam_step(store, grads, cfg.gen_lr)
-            gen_losses.append(gloss.item())
+            gen_losses.append(gloss)
 
     return {
         "prover_loss": float(np.mean(prover_losses)) if prover_losses

@@ -15,6 +15,11 @@ early iterations still fill the buffers.
 
 The m-step teacher-forces the generator on sequences read off the storage:
 goal relation, then one sampled predicate per layer in depth order.
+
+The GRU runs in closed form on stacked rows: the beam advances all of a
+depth step's beams in one forward pass, and the m-step pads a goal batch's
+sequences to a common length and runs one masked forward pass and its
+backpropagation through time by hand.
 """
 
 from __future__ import annotations
@@ -23,15 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import ParameterStore, Tape, Value
+from .autodiff import ParameterStore
 from .kb import KnowledgeBase, Vocabulary
 from .prover import HighQualityBuffer, pred_matrix
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
-
-def is_generator_param(name: str) -> bool:
-    return name.startswith("gen.")
-
 
 def init_generator(store: ParameterStore, n_real_preds: int, dim: int,
                    rng: np.random.Generator) -> None:
@@ -55,40 +55,45 @@ def init_generator(store: ParameterStore, n_real_preds: int, dim: int,
     store.add("gen.out.b", np.zeros(n_real_preds))
 
 
-def init_hidden(tape: Tape, goal_rel: int) -> Value:
-    """h0 = f(embedding of the goal relation), as a (1, D) row."""
-    e = tape.rows(PRED_EMB, [goal_rel])
-    return ad.add(ad.matmul(e, tape.leaf("gen.f.W")), tape.leaf("gen.f.b"))
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(a))
+    return np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _next_hidden(tape: Tape, h_prev: Value, r_prev: int, r_cur: int) -> Value:
-    pair = ad.concat_cols(tape.rows(PRED_EMB, [r_prev]),
-                          tape.rows(PRED_EMB, [r_cur]))
-    x = ad.add(ad.matmul(pair, tape.leaf("gen.g.W")), tape.leaf("gen.g.b"))
-    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, tape.leaf("gen.gru.Wz")),
-                                 ad.matmul(h_prev, tape.leaf("gen.gru.Uz"))),
-                          tape.leaf("gen.gru.bz")))
-    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, tape.leaf("gen.gru.Wr")),
-                                 ad.matmul(h_prev, tape.leaf("gen.gru.Ur"))),
-                          tape.leaf("gen.gru.br")))
-    htil = ad.tanh(ad.add(ad.add(ad.matmul(x, tape.leaf("gen.gru.Wh")),
-                                 ad.matmul(ad.mul(r, h_prev),
-                                           tape.leaf("gen.gru.Uh"))),
-                          tape.leaf("gen.gru.bh")))
+def init_hidden(store: ParameterStore, goal_rels) -> np.ndarray:
+    """h0 = f(embedding of the goal relation), one (D,) row per goal."""
+    e = store[PRED_EMB][np.asarray(goal_rels, dtype=np.int64)]
+    return e @ store["gen.f.W"] + store["gen.f.b"]
+
+
+def _cell(store: ParameterStore, h: np.ndarray, r_prev, r_cur):
+    """One GRU step on stacked rows: (next hidden, what backprop reads)."""
+    emb = store[PRED_EMB]
+    pair = np.concatenate([emb[r_prev], emb[r_cur]], axis=1)
+    x = pair @ store["gen.g.W"] + store["gen.g.b"]
+    z = _sigmoid(x @ store["gen.gru.Wz"] + h @ store["gen.gru.Uz"]
+                 + store["gen.gru.bz"])
+    r = _sigmoid(x @ store["gen.gru.Wr"] + h @ store["gen.gru.Ur"]
+                 + store["gen.gru.br"])
+    rh = r * h
+    c = np.tanh(x @ store["gen.gru.Wh"] + rh @ store["gen.gru.Uh"]
+                + store["gen.gru.bh"])
     # update gate at 0 keeps the previous hidden state
-    return ad.add(ad.sub(h_prev, ad.mul(z, h_prev)), ad.mul(z, htil))
+    return h - z * h + z * c, (pair, h, x, z, r, rh, c)
 
 
-def _output_logits(tape: Tape, h: Value) -> Value:
-    return ad.add(ad.matmul(h, tape.leaf("gen.out.W")),
-                  tape.leaf("gen.out.b"))
+def _logits(store: ParameterStore, h: np.ndarray) -> np.ndarray:
+    return h @ store["gen.out.W"] + store["gen.out.b"]
 
 
-def gru_step(tape: Tape, h_prev: Value, r_prev: int, r_cur: int
-             ) -> tuple[Value, Value]:
-    """One generator step: (next hidden (1,D), distribution (1,P))."""
-    h_next = _next_hidden(tape, h_prev, r_prev, r_cur)
-    return h_next, ad.softmax(_output_logits(tape, h_next))
+def gru_step(store: ParameterStore, h_prev: np.ndarray, r_prev, r_cur
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """One generator step on stacked rows: (next hidden (n, D),
+    distribution over real predicates (n, P))."""
+    h_next, _ = _cell(store, h_prev, r_prev, r_cur)
+    logits = _logits(store, h_next)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return h_next, e / e.sum(axis=1, keepdims=True)
 
 
 def generate_predicates(goal_rel: int, store: ParameterStore, width: int,
@@ -102,26 +107,29 @@ def generate_predicates(goal_rel: int, store: ParameterStore, width: int,
     """
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
-    tape = Tape(store)
-    h0 = init_hidden(tape, goal_rel)
     out: dict[int, float] = {goal_rel: 1.0}
-    # beam item: (cumulative probability, r_prev, r_cur, hidden)
-    beams = [(1.0, goal_rel, goal_rel, h0)]
+    # beams as parallel columns: cumulative probability, r_prev, r_cur, hidden
+    cum, r_prev, r_cur = [1.0], [goal_rel], [goal_rel]
+    h = init_hidden(store, [goal_rel])
     cap = width * width
     for _ in range(depth):
+        h, dist = gru_step(store, h, r_prev, r_cur)
+        picks = np.argsort(-dist, axis=1, kind="stable")[:, :width].tolist()
+        probs = dist.tolist()
         grown = []
-        for cum, rp, rc, h in beams:
-            h2, dist = gru_step(tape, h, rp, rc)
-            probs = dist.data[0]
-            order = np.argsort(-probs, kind="stable")
-            picks = [int(p) for p in order[:width]]
-            for p in picks:
-                score = float(probs[p])
+        for b, row in enumerate(picks):
+            for p in row:
+                score = probs[b][p]
                 if score > out.get(p, 0.0):
                     out[p] = score
-                grown.append((cum * score, rc, p, h2))
-        grown.sort(key=lambda b: (-b[0], b[2]))
-        beams = grown[:cap]
+                grown.append((cum[b] * score, p, b))
+        grown.sort(key=lambda g: (-g[0], g[1]))
+        grown = grown[:cap]
+        parents = [b for _, _, b in grown]
+        cum = [c for c, _, _ in grown]
+        r_prev = [r_cur[b] for b in parents]
+        r_cur = [p for _, p, _ in grown]
+        h = h[parents]
     return out
 
 
@@ -169,8 +177,12 @@ class RelationStorage:
             drop = min(range(len(layer)), key=lambda i: (layer[i].score, i))
             layer.pop(drop)
 
-    def entries_for_goal(self, level: int, goal_rel: int) -> list[StorageEntry]:
-        return [e for e in self.layers[level - 1] if e.goal_rel == goal_rel]
+    def entries_by_goal(self, level: int) -> dict[int, list[StorageEntry]]:
+        """One layer's entries grouped by goal relation, in storage order."""
+        groups: dict[int, list[StorageEntry]] = {}
+        for e in self.layers[level - 1]:
+            groups.setdefault(e.goal_rel, []).append(e)
+        return groups
 
     def goal_relations(self) -> list[int]:
         seen: list[int] = []
@@ -312,38 +324,94 @@ def nearest_real_predicate(store: ParameterStore, n_real: int) -> np.ndarray:
 
 def train_generator_step(storage: RelationStorage, goals: list[int],
                          store: ParameterStore, rng: np.random.Generator,
-                         samples: int = 4) -> tuple[Tape | None, Value | None]:
+                         samples: int = 4
+                         ) -> tuple[dict[str, np.ndarray] | None, float | None]:
     """Teacher-forced cross-entropy over storage sequences for a goal batch.
 
     Each sampled sequence starts at the goal relation and walks one stored
     predicate per layer (stopping at the first layer with nothing for that
     goal). Targets that are template slots train toward their nearest real
-    predicate. Returns (tape, mean loss), or (None, None) when the storage
-    offers nothing for these goals.
+    predicate. Returns (gradients of the mean loss, mean loss as a scalar of
+    the store's dtype), or (None, None) when the storage offers nothing for
+    these goals. The gradients cover the generator's parameters alone, in
+    the order ``gen.f``, ``gen.g``, the z, r and h gates (W, U, b each),
+    ``gen.out``; ``clip_gradients`` sums its norm in that order.
     """
     n_real = store[PRED_EMB].shape[0]
     to_real = nearest_real_predicate(store, n_real)
-    tape = Tape(store)
-    losses: list[Value] = []
+    layers = [storage.entries_by_goal(level)
+              for level in range(1, storage.n_layers + 1)]
+    rows: list[list[int]] = []   # goal, goal, then one target per layer
     for goal in goals:
+        pools = []
+        for by_goal in layers:
+            pool = by_goal.get(goal)
+            if not pool:
+                break
+            pools.append(pool)
+        if not pools:
+            continue
         for _ in range(samples):
-            targets: list[int] = []
-            for level in range(1, storage.n_layers + 1):
-                pool = storage.entries_for_goal(level, goal)
-                if not pool:
-                    break
-                pick = pool[int(rng.integers(len(pool)))]
-                targets.append(int(to_real[pick.pred]))
-            if not targets:
-                continue
-            h = init_hidden(tape, goal)
-            prev, cur = goal, goal
-            for t in targets:
-                h = _next_hidden(tape, h, prev, cur)
-                losses.append(
-                    ad.cross_entropy_logits(_output_logits(tape, h), [t]))
-                prev, cur = cur, t
-    if not losses:
+            rows.append([goal, goal] + [
+                int(to_real[pool[int(rng.integers(len(pool)))].pred])
+                for pool in pools])
+    if not rows:
         return None, None
-    loss = ad.mul(ad.sum_list(losses), 1.0 / len(losses))
-    return tape, loss
+
+    # pad every sequence to the deepest layer by repeating its last id; the
+    # mask drops the padded steps from the loss, so nothing flows back
+    steps = storage.n_layers
+    seq = np.array([r + r[-1:] * (steps + 2 - len(r)) for r in rows],
+                   dtype=np.int64)
+    n = len(rows)
+    mask = (np.arange(steps)[None, :]
+            < np.array([len(r) - 2 for r in rows])[:, None]).reshape(-1)
+    count = int(mask.sum())
+
+    h = init_hidden(store, seq[:, 0])
+    caches, hs = [], []
+    for t in range(steps):
+        h, cache = _cell(store, h, seq[:, t], seq[:, t + 1])
+        caches.append(cache)
+        hs.append(h)
+    # row i * steps + t is sequence i at step t: the loss's summation order
+    hid = np.stack(hs, axis=1).reshape(n * steps, -1)
+    logits = _logits(store, hid)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    at = (np.arange(n * steps), seq[:, 2:].reshape(-1))
+    loss = np.sum(-logp[at][mask]) * (1.0 / count)
+
+    # backpropagation through time, d(mean loss) per logit row first
+    d_logits = np.exp(logp)
+    d_logits[at] -= 1.0
+    d_logits *= 1.0 / count
+    d_logits[~mask] = 0.0
+    d_hid = (d_logits @ store["gen.out.W"].T).reshape(n, steps, -1)
+    dh = np.zeros_like(h)
+    saved = []
+    for t in reversed(range(steps)):
+        pair, h_prev, x, z, r, rh, c = caches[t]
+        dh = dh + d_hid[:, t]
+        da_h = dh * z * (1.0 - c * c)
+        d_rh = da_h @ store["gen.gru.Uh"].T
+        da_r = d_rh * h_prev * r * (1.0 - r)
+        da_z = dh * (c - h_prev) * z * (1.0 - z)
+        dx = (da_z @ store["gen.gru.Wz"].T + da_r @ store["gen.gru.Wr"].T
+              + da_h @ store["gen.gru.Wh"].T)
+        dh = (dh * (1.0 - z) + d_rh * r + da_z @ store["gen.gru.Uz"].T
+              + da_r @ store["gen.gru.Ur"].T)
+        saved.append((pair, h_prev, x, rh, dx, da_z, da_r, da_h))
+    pair, h_prev, x, rh, dx, da_z, da_r, da_h = (
+        np.concatenate(cols) for cols in zip(*saved))
+    grads = {"gen.f.W": store[PRED_EMB][seq[:, 0]].T @ dh,
+             "gen.f.b": dh.sum(axis=0),
+             "gen.g.W": pair.T @ dx, "gen.g.b": dx.sum(axis=0)}
+    for gate, da, h_in in (("z", da_z, h_prev), ("r", da_r, h_prev),
+                           ("h", da_h, rh)):
+        grads[f"gen.gru.W{gate}"] = x.T @ da
+        grads[f"gen.gru.U{gate}"] = h_in.T @ da
+        grads[f"gen.gru.b{gate}"] = da.sum(axis=0)
+    grads["gen.out.W"] = hid.T @ d_logits
+    grads["gen.out.b"] = d_logits.sum(axis=0)
+    return grads, loss

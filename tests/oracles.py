@@ -285,3 +285,105 @@ def nns_oracle(anchors: np.ndarray, items: np.ndarray):
         d.sort()
         out.append(d[0][1])
     return out
+
+
+def _tape_hidden(tape, h_prev, r_prev: int, r_cur: int):
+    """One GRU step on a (1, D) row, every op recorded on ``tape``."""
+    from selprover import autodiff as ad
+
+    def leaf(name):
+        return tape.leaf(f"gen.{name}")
+
+    pair = ad.concat_cols(tape.rows("pred_emb", [r_prev]),
+                          tape.rows("pred_emb", [r_cur]))
+    x = ad.add(ad.matmul(pair, leaf("g.W")), leaf("g.b"))
+    z = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaf("gru.Wz")),
+                                 ad.matmul(h_prev, leaf("gru.Uz"))),
+                          leaf("gru.bz")))
+    r = ad.sigmoid(ad.add(ad.add(ad.matmul(x, leaf("gru.Wr")),
+                                 ad.matmul(h_prev, leaf("gru.Ur"))),
+                          leaf("gru.br")))
+    htil = ad.tanh(ad.add(ad.add(ad.matmul(x, leaf("gru.Wh")),
+                                 ad.matmul(ad.mul(r, h_prev), leaf("gru.Uh"))),
+                          leaf("gru.bh")))
+    return ad.add(ad.sub(h_prev, ad.mul(z, h_prev)), ad.mul(z, htil))
+
+
+def _tape_start(tape, goal_rel: int):
+    from selprover import autodiff as ad
+
+    e = tape.rows("pred_emb", [goal_rel])
+    return ad.add(ad.matmul(e, tape.leaf("gen.f.W")), tape.leaf("gen.f.b"))
+
+
+def _tape_logits(tape, h):
+    from selprover import autodiff as ad
+
+    return ad.add(ad.matmul(h, tape.leaf("gen.out.W")),
+                  tape.leaf("gen.out.b"))
+
+
+def tape_generate_predicates(goal_rel: int, store, width: int, depth: int):
+    """``generator.generate_predicates`` one beam and one (1, D) row at a
+    time on the autodiff tape: the same beam rules (stable argsort, sort by
+    (-cumulative, predicate), width^2 cap), no stacking."""
+    from selprover import autodiff as ad
+
+    tape = ad.Tape(store)
+    out = {goal_rel: 1.0}
+    beams = [(1.0, goal_rel, goal_rel, _tape_start(tape, goal_rel))]
+    for _ in range(depth):
+        grown = []
+        for cum, rp, rc, h in beams:
+            h2 = _tape_hidden(tape, h, rp, rc)
+            probs = ad.softmax(_tape_logits(tape, h2)).data[0]
+            for p in np.argsort(-probs, kind="stable")[:width]:
+                p = int(p)
+                score = float(probs[p])
+                if score > out.get(p, 0.0):
+                    out[p] = score
+                grown.append((cum * score, rc, p, h2))
+        grown.sort(key=lambda b: (-b[0], b[2]))
+        beams = grown[:width * width]
+    return out
+
+
+def tape_generator_step(storage, goals, store, rng, samples=4):
+    """``generator.train_generator_step`` built sequence by sequence on the
+    autodiff tape and differentiated by ``Tape.backward``.
+
+    The storage pools are looked up again for every sample, in the order
+    the sampled sequences draw from ``rng``. Returns (gradients of every
+    leaf, in the tape's leaf order: the predicate rows the GRU reads, then
+    the ``gen.*`` parameters; mean loss), or (None, None).
+    """
+    from selprover import autodiff as ad
+    from selprover.generator import nearest_real_predicate
+
+    n_real = store["pred_emb"].shape[0]
+    to_real = nearest_real_predicate(store, n_real)
+    tape = ad.Tape(store)
+    losses = []
+    for goal in goals:
+        for _ in range(samples):
+            targets = []
+            for layer in storage.layers:
+                pool = [e for e in layer if e.goal_rel == goal]
+                if not pool:
+                    break
+                pick = pool[int(rng.integers(len(pool)))]
+                targets.append(int(to_real[pick.pred]))
+            if not targets:
+                continue
+            h = _tape_start(tape, goal)
+            prev, cur = goal, goal
+            for t in targets:
+                h = _tape_hidden(tape, h, prev, cur)
+                losses.append(ad.cross_entropy_logits(_tape_logits(tape, h),
+                                                      [t]))
+                prev, cur = cur, t
+    if not losses:
+        return None, None
+    loss = ad.mul(ad.sum_list(losses), 1.0 / len(losses))
+    tape.backward(loss)
+    return tape.gradients(), loss.item()

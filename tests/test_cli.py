@@ -42,6 +42,14 @@ class TestArgHandling:
         assert cli.run_command(["train", "--dataset", "family",
                                 "--set", "oops"]) == 2
 
+    def test_unparsable_config_value_is_usage_error(self, tmp_path, caplog):
+        out_root = tmp_path / "runs"
+        assert cli.run_command(["train", "--dataset", "family",
+                                "--output-root", str(out_root),
+                                "--set", "embedding_dim=abc"]) == 2
+        assert "embedding_dim must be an integer" in caplog.text
+        assert not out_root.exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         assert cli.run_command(["train", "--dataset", "family",
                                 "--set", "no_such_key=1"]) == 2

@@ -2,9 +2,13 @@
 
 import ast
 import dataclasses
+import json
 from pathlib import Path
 
+import pytest
+
 from selprover import config
+from selprover.config import ConfigError, load_config
 
 SRC = Path(config.__file__).resolve().parent
 
@@ -44,3 +48,34 @@ def test_every_field_is_read():
     unread = [f.name for f in dataclasses.fields(config.RunConfig)
               if f.name not in reads.names]
     assert unread == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("embedding_dim", "abc"),       # unparsable string
+    ("embedding_dim", "4.5"),
+    ("embedding_dim", 4.5),         # non-integral number
+    ("iterations", True),           # bool in an int field
+    ("iterations", None),
+    ("min_score", "high"),
+    ("pretrain_lr", "nan"),         # passes every range check
+    ("min_score", False),
+    ("ep_coefficients", [4, 2.5, 2]),
+    ("ep_coefficients", 4),
+])
+def test_bad_values_name_their_key(tmp_path, key, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+    if isinstance(value, str):
+        with pytest.raises(ConfigError, match=key):
+            load_config(None, {key: value})
+
+
+def test_numbers_coerce_without_loss():
+    cfg = load_config(None, {"embedding_dim": 6.0, "iterations": "7",
+                             "min_score": 0, "ep_coefficients": "4, 2 3"})
+    assert (cfg.embedding_dim, cfg.iterations) == (6, 7)
+    assert type(cfg.embedding_dim) is int
+    assert cfg.min_score == 0.0 and type(cfg.min_score) is float
+    assert cfg.ep_coefficients == (4, 2, 3)

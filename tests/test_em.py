@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from selprover import em
-from selprover.autodiff import ParameterStore, Tape, clip_gradients
+from selprover.autodiff import ParameterStore, clip_gradients
 from selprover.config import RunConfig
 from selprover.em import (TrainState, build_goal_batches, em_iteration,
                           initialize, load_checkpoint, run_training,
                           save_checkpoint, select_kbs, storage_capacities,
                           write_metrics_csv)
-from selprover.generator import RelationStorage, is_generator_param
+from selprover.generator import RelationStorage
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import HighQualityBuffer, kernel_tables, training_loss
+
+from oracles import tape_generator_step
 
 X, Y = mkvar(0), mkvar(1)
 
@@ -353,26 +355,29 @@ def test_zero_batches_is_a_quiet_iteration(ready):
 
 
 def test_mstep_clip_norm_counts_generator_gradients_only(ready, monkeypatch):
-    """The generator tape also reaches the predicate rows, which the m-step
-    never updates; a grad_clip between the generator-only norm and the norm
-    with those rows must leave the m-step unscaled."""
+    """The GRU also reads the predicate rows, which the m-step never
+    updates; a grad_clip between the generator-only norm and the norm with
+    those rows (taken from the tape reference) must leave the m-step
+    unscaled."""
     state = fresh_state(ready)
     batches = build_goal_batches(ready.splits.train, ready.cfg,
                                  np.random.default_rng(1))
     em_iteration(state, ready.kb, batches, ready.cfg,
                  np.random.default_rng(2), ready.known)
     assert state.storage.total() > 0
-    norms = []   # per m-step: (every tape gradient, generator only)
-    gradients = Tape.gradients
+    norms = []   # per m-step: (with the predicate rows, generator only)
+    step = em.train_generator_step
 
-    def recorded(tape):
-        g = gradients(tape)
-        gen = {k: v for k, v in g.items() if is_generator_param(k)}
-        norms.append((clip_gradients(g, math.inf),
-                      clip_gradients(gen, math.inf)))
-        return g
+    def recorded(storage, goals, store, rng, samples):
+        every, _ = tape_generator_step(storage, goals, store,
+                                       copy.deepcopy(rng), samples)
+        grads, loss = step(storage, goals, store, rng, samples)
+        assert all(k.startswith("gen.") for k in grads)
+        norms.append((clip_gradients(every, math.inf),
+                      clip_gradients(grads, math.inf)))
+        return grads, loss
 
-    monkeypatch.setattr(Tape, "gradients", recorded)
+    monkeypatch.setattr(em, "train_generator_step", recorded)
 
     def mstep_only(grad_clip):
         # no goal batches: the iteration runs the m-step alone
@@ -383,6 +388,7 @@ def test_mstep_clip_norm_counts_generator_gradients_only(ready, monkeypatch):
                             np.random.default_rng(3), ready.known).store
 
     free = mstep_only(1e9)
+    np.testing.assert_array_equal(free[PRED_EMB], state.store[PRED_EMB])
     with_pred = max(n for n, _ in norms)
     gen_only = max(n for _, n in norms)
     assert gen_only < with_pred

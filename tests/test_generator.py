@@ -1,22 +1,29 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from selprover import autodiff as ad
-from selprover.autodiff import ParameterStore, Tape, adam_step, finite_difference_check
+from selprover.autodiff import ParameterStore, adam_step
 from selprover.generator import (RelationStorage, StorageEntry,
                                  generate_predicates, gru_step, init_generator,
-                                 init_hidden, is_generator_param,
-                                 item_embeddings, nearest_real_predicate,
-                                 nns_complete, parse_storage_lines,
-                                 train_generator_step,
+                                 init_hidden, item_embeddings,
+                                 nearest_real_predicate, nns_complete,
+                                 parse_storage_lines, train_generator_step,
                                  update_relation_storage)
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import HighQualityBuffer
 
-from oracles import nns_oracle
+from oracles import nns_oracle, tape_generate_predicates, tape_generator_step
 
 X, Y = mkvar(0), mkvar(1)
+
+# the order train_generator_step returns gradients in, which is the order
+# clip_gradients sums the norm in
+GEN_ORDER = ["gen.f.W", "gen.f.b", "gen.g.W", "gen.g.b",
+             "gen.gru.Wz", "gen.gru.Uz", "gen.gru.bz",
+             "gen.gru.Wr", "gen.gru.Ur", "gen.gru.br",
+             "gen.gru.Wh", "gen.gru.Uh", "gen.gru.bh",
+             "gen.out.W", "gen.out.b"]
 
 
 def gen_store(n_preds, dim, seed=0, n_consts=3):
@@ -43,42 +50,64 @@ def fact_kb(n_preds, n_consts, facts, rules=()):
 
 def test_initial_hidden_is_goal_embedding():
     store = gen_store(4, 6, seed=1)
-    tape = Tape(store)
-    h0 = init_hidden(tape, 2)
+    h0 = init_hidden(store, [2])
     assert h0.shape == (1, 6)
     # identity-initialized map with zero offset passes the row through
-    np.testing.assert_allclose(h0.data[0], store[PRED_EMB][2], atol=0)
+    np.testing.assert_allclose(h0[0], store[PRED_EMB][2], atol=0)
 
 
 def test_step_distribution_contract():
     store = gen_store(5, 4, seed=2)
-    tape = Tape(store)
-    h, dist = gru_step(tape, init_hidden(tape, 0), 0, 3)
+    h, dist = gru_step(store, init_hidden(store, [0]), [0], [3])
     assert h.shape == (1, 4)
     assert dist.shape == (1, 5)
-    assert np.all(dist.data > 0)
-    assert abs(dist.data.sum() - 1.0) < 1e-9
+    assert np.all(dist > 0)
+    assert abs(dist.sum() - 1.0) < 1e-9
 
 
 def test_saturated_update_gate_keeps_state():
     store = gen_store(4, 4, seed=3)
     store["gen.gru.bz"][:] = -60.0
-    tape = Tape(store)
-    h0 = init_hidden(tape, 1)
-    h1, _ = gru_step(tape, h0, 1, 2)
-    np.testing.assert_allclose(h1.data, h0.data, atol=1e-12)
+    h0 = init_hidden(store, [1])
+    h1, _ = gru_step(store, h0, [1], [2])
+    np.testing.assert_allclose(h1, h0, atol=1e-12)
+
+
+def fd_worst(store, evaluate, grads, rng, picks, eps=1e-5):
+    """Largest relative gap between ``grads`` and central differences of
+    ``evaluate()`` over ``picks`` sampled coordinates per parameter."""
+    worst = 0.0
+    for name, grad in grads.items():
+        flat = store.params[name].reshape(-1)
+        g = grad.reshape(-1)
+        for c in rng.choice(flat.size, size=min(picks, flat.size),
+                            replace=False):
+            keep = flat[c]
+            flat[c] = keep + eps
+            up = evaluate()
+            flat[c] = keep - eps
+            dn = evaluate()
+            flat[c] = keep
+            fd = (up - dn) / (2 * eps)
+            worst = max(worst, abs(fd - g[c]) / max(abs(fd), abs(g[c]), 1e-8))
+    return worst
 
 
 def test_gru_step_finite_differences():
+    # one teacher-forced step toward predicate 2: -log of its probability
     store = gen_store(4, 4, seed=4)
-    onehot = np.zeros((1, 4))
-    onehot[0, 2] = 1.0
+    st = seeded_storage(0, [2])
 
-    def loss(st, tape):
-        h, dist = gru_step(tape, init_hidden(tape, 0), 0, 1)
-        return ad.mul(ad.log(ad.vsum(ad.mul(dist, onehot))), -1.0)
+    def evaluate():
+        return train_generator_step(st, [0], store, np.random.default_rng(0),
+                                    samples=1)
 
-    err = finite_difference_check(loss, store, rng=np.random.default_rng(5))
+    grads, loss = evaluate()
+    _, dist = gru_step(store, init_hidden(store, [0]), [0], [0])
+    assert loss == pytest.approx(-np.log(dist[0, 2]), abs=1e-12)
+    assert list(grads) == GEN_ORDER
+    err = fd_worst(store, lambda: evaluate()[1], grads,
+                   np.random.default_rng(5), picks=3)
     assert err < 1e-4
 
 
@@ -94,13 +123,61 @@ def test_width_covering_vocab_emits_everything():
 
 def test_minimal_beam_is_goal_plus_argmax():
     store = gen_store(6, 4, seed=7)
-    tape = Tape(store)
-    _, dist = gru_step(tape, init_hidden(tape, 2), 2, 2)
-    best = int(np.argmax(dist.data[0]))
+    _, dist = gru_step(store, init_hidden(store, [2]), [2], [2])
+    best = int(np.argmax(dist[0]))
     out = generate_predicates(2, store, width=1, depth=1)
     assert set(out) == {2, best}
     if best != 2:
-        assert out[best] == pytest.approx(float(dist.data[0, best]), abs=0)
+        assert out[best] == pytest.approx(float(dist[0, best]), abs=0)
+
+
+def test_equal_probabilities_pick_lowest_ids():
+    store = gen_store(7, 4, seed=10)
+    store["gen.out.W"][:] = 0.0
+    store["gen.out.b"][:] = 0.0
+    out = generate_predicates(2, store, width=3, depth=2)
+    # every step is uniform: each beam emits predicates 0, 1 and 2, and the
+    # goal keeps its score of 1
+    assert list(out.items()) == [(2, 1.0), (0, 1.0 / 7.0), (1, 1.0 / 7.0)]
+
+
+def routing_store(successors: dict[int, tuple[int, int]], n: int = 24):
+    """A generator whose next-step distribution depends on the current
+    predicate alone: 1/2 on each of its two successors, exactly 0 elsewhere.
+
+    The update gate is saturated open, so the hidden state is
+    tanh(3 e_cur); the output layer routes that one-hot row to logits of
+    +-1000 tanh(3).
+    """
+    store = ParameterStore()
+    store.add(PRED_EMB, 3.0 * np.eye(n))
+    init_generator(store, n, n, np.random.default_rng(0))
+    for name in store.names():
+        if name.startswith("gen.") and name != "gen.f.W":
+            store[name][:] = 0.0
+    store["gen.g.W"][n:] = np.eye(n)
+    store["gen.gru.bz"][:] = 60.0
+    store["gen.gru.Wh"][:] = np.eye(n)
+    store["gen.out.W"][:] = -1000.0
+    for cur, nxt in successors.items():
+        store["gen.out.W"][cur, list(nxt)] = 1000.0
+    return store
+
+
+def test_equal_cumulative_probabilities_order_by_predicate():
+    store = routing_store({0: (1, 2), 1: (5, 6), 2: (3, 4), 3: (7, 8),
+                           4: (9, 10), 5: (7, 11), 6: (12, 13),
+                           7: (14, 15), 8: (16, 17), 9: (18, 19),
+                           10: (20, 21), 11: (22, 23), 12: (20, 22),
+                           13: (21, 23)})
+    out = generate_predicates(0, store, width=2, depth=4)
+    # step 2 grows beams 1->5, 1->6, 2->3, 2->4 at 1/4 each; sorted by
+    # predicate, step 3 walks 3, 4, 5, 6 in that order and inserts 7..13.
+    # Its eight beams tie at 1/8: the cap of 4 keeps 3->7, 5->7, 3->8,
+    # 4->9 (stable on equal predicates), so step 4 adds only 14..19.
+    assert list(out) == [0, 1, 2, 5, 6, 3, 4, 7, 8, 9, 10, 11, 12, 13,
+                         14, 15, 16, 17, 18, 19]
+    assert all(v == 0.5 for p, v in out.items() if p != 0)
 
 
 def test_emitted_set_size_bound():
@@ -147,7 +224,7 @@ def test_storage_allows_duplicates():
     st = RelationStorage((4, 4))
     st.add(2, StorageEntry(1, 0.8, 0, "unify"))
     st.add(2, StorageEntry(1, 0.8, 0, "unify"))
-    assert len(st.entries_for_goal(2, 0)) == 2
+    assert len(st.entries_by_goal(2)[0]) == 2
 
 
 def test_storage_rejects_bad_levels_and_caps():
@@ -328,10 +405,10 @@ def test_zero_output_head_gives_uniform_loss():
     store["gen.out.W"][:] = 0.0
     store["gen.out.b"][:] = 0.0
     st = seeded_storage(0, [1, 2, 3])
-    tape, loss = train_generator_step(st, [0], store,
-                                      np.random.default_rng(0), samples=2)
-    assert loss.item() == pytest.approx(np.log(7.0), abs=1e-12)
-    assert tape is not None
+    grads, loss = train_generator_step(st, [0], store,
+                                       np.random.default_rng(0), samples=2)
+    assert loss == pytest.approx(np.log(7.0), abs=1e-12)
+    assert grads is not None
 
 
 def test_training_matches_manual_teacher_forcing():
@@ -340,15 +417,14 @@ def test_training_matches_manual_teacher_forcing():
     st = seeded_storage(2, targets)
     _, loss = train_generator_step(st, [2], store,
                                    np.random.default_rng(1), samples=1)
-    tape = Tape(store)
-    h = init_hidden(tape, 2)
+    h = init_hidden(store, [2])
     prev, cur = 2, 2
     steps = []
     for t in targets:
-        h, dist = gru_step(tape, h, prev, cur)
-        steps.append(-np.log(dist.data[0, t]))
+        h, dist = gru_step(store, h, [prev], [cur])
+        steps.append(-np.log(dist[0, t]))
         prev, cur = cur, t
-    assert loss.item() == pytest.approx(np.mean(steps), abs=1e-12)
+    assert loss == pytest.approx(np.mean(steps), abs=1e-12)
 
 
 def test_training_stops_at_first_empty_layer():
@@ -357,20 +433,19 @@ def test_training_stops_at_first_empty_layer():
     st.add(3, StorageEntry(5, 0.9, 2, "unify"))  # layer 2 stays empty
     _, loss = train_generator_step(st, [2], store,
                                    np.random.default_rng(2), samples=1)
-    tape = Tape(store)
-    _, dist = gru_step(tape, init_hidden(tape, 2), 2, 2)
-    assert loss.item() == pytest.approx(-np.log(dist.data[0, 3]), abs=1e-12)
+    _, dist = gru_step(store, init_hidden(store, [2]), [2], [2])
+    assert loss == pytest.approx(-np.log(dist[0, 3]), abs=1e-12)
 
 
 def test_training_skips_goals_without_entries():
     store = gen_store(5, 4, seed=17)
     st = seeded_storage(1, [2, 3])
-    tape, loss = train_generator_step(st, [0, 4], store,
-                                      np.random.default_rng(3))
-    assert tape is None and loss is None
-    tape, loss = train_generator_step(RelationStorage((2, 2)), [1], store,
-                                      np.random.default_rng(3))
-    assert tape is None and loss is None
+    grads, loss = train_generator_step(st, [0, 4], store,
+                                       np.random.default_rng(3))
+    assert grads is None and loss is None
+    grads, loss = train_generator_step(RelationStorage((2, 2)), [1], store,
+                                       np.random.default_rng(3))
+    assert grads is None and loss is None
 
 
 def test_slot_targets_train_toward_nearest_real():
@@ -385,7 +460,7 @@ def test_slot_targets_train_toward_nearest_real():
                                 np.random.default_rng(4), samples=1)
     _, b = train_generator_step(real_st, [1], store,
                                 np.random.default_rng(4), samples=1)
-    assert a.item() == b.item()
+    assert a == b
 
 
 def test_train_step_finite_differences():
@@ -397,29 +472,14 @@ def test_train_step_finite_differences():
         # fresh rng per call so every rebuild samples the same sequences
         _, loss = train_generator_step(st, [0], store,
                                        np.random.default_rng(21), samples=3)
-        return loss.item()
+        return loss
 
-    tape, loss = train_generator_step(st, [0], store,
-                                      np.random.default_rng(21), samples=3)
-    tape.backward(loss)
-    assert loss.item() == evaluate()
-    rng = np.random.default_rng(22)
-    eps = 1e-5
-    worst = 0.0
-    for name, leaf in tape.leaves.items():
-        flat = store.params[name].reshape(-1)
-        grad = leaf.grad.reshape(-1)
-        coords = rng.choice(flat.size, size=min(6, flat.size), replace=False)
-        for c in coords:
-            keep = flat[c]
-            flat[c] = keep + eps
-            up = evaluate()
-            flat[c] = keep - eps
-            dn = evaluate()
-            flat[c] = keep
-            fd = (up - dn) / (2 * eps)
-            denom = max(abs(fd), abs(grad[c]), 1e-8)
-            worst = max(worst, abs(fd - grad[c]) / denom)
+    grads, loss = train_generator_step(st, [0], store,
+                                       np.random.default_rng(21), samples=3)
+    assert loss == evaluate()
+    assert list(grads) == GEN_ORDER
+    worst = fd_worst(store, evaluate, grads, np.random.default_rng(22),
+                     picks=6)
     assert worst < 1e-4
 
 
@@ -432,11 +492,9 @@ def test_optimizer_loop_reduces_loss_and_moves_only_generator():
     rng = np.random.default_rng(23)
     losses = []
     for _ in range(50):
-        tape, loss = train_generator_step(st, [0, 5], store, rng)
-        tape.backward(loss)
-        adam_step(store, {k: g for k, g in tape.gradients().items()
-                          if is_generator_param(k)}, lr=0.01)
-        losses.append(loss.item())
+        grads, loss = train_generator_step(st, [0, 5], store, rng)
+        adam_step(store, grads, lr=0.01)
+        losses.append(loss)
     assert losses[-1] < losses[0] * 0.8
     np.testing.assert_array_equal(store[PRED_EMB], emb_before)
 
@@ -447,17 +505,121 @@ def test_overfit_storage_recovers_sequence_in_beam():
     st = seeded_storage(0, targets)
     rng = np.random.default_rng(25)
     for _ in range(300):
-        tape, loss = train_generator_step(st, [0], store, rng, samples=1)
-        tape.backward(loss)
-        adam_step(store, {k: g for k, g in tape.gradients().items()
-                          if is_generator_param(k)}, lr=0.05)
+        grads, _ = train_generator_step(st, [0], store, rng, samples=1)
+        adam_step(store, grads, lr=0.05)
     out = generate_predicates(0, store, width=1, depth=3)
     assert set(out) == {0, 1, 2, 3}
 
 
 def test_generator_param_filter_and_reinit():
     store = gen_store(3, 2, seed=26)
-    assert is_generator_param("gen.gru.Wz")
-    assert not is_generator_param(PRED_EMB)
+    grads, _ = train_generator_step(seeded_storage(1, [0, 2]), [1], store,
+                                    np.random.default_rng(0))
+    # the m-step differentiates the generator alone, never the predicate
+    # rows it reads, and covers every generator parameter in the store
+    assert list(grads) == GEN_ORDER
+    assert sorted(GEN_ORDER) == sorted(n for n in store.names()
+                                       if n.startswith("gen."))
+    for name, g in grads.items():
+        assert g.shape == store[name].shape
     with pytest.raises(ValueError, match="exists"):
         init_generator(store, 3, 2, np.random.default_rng(0))
+
+
+# --- closed form against the tape reference --------------------------------
+
+
+@st.composite
+def generator_cases(draw):
+    """A random generator store, possibly with template slots, and a
+    storage of 1-3 layers whose goals may stop at any layer or hold no
+    entry at all."""
+    n_preds = draw(st.integers(2, 6))
+    dim = draw(st.integers(1, 4))
+    n_slots = draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    store = gen_store(n_preds, dim, seed=int(rng.integers(1 << 30)))
+    if n_slots:
+        store.add(SLOT_EMB, rng.normal(0.0, 0.5, size=(n_slots, dim)))
+    # move every generator parameter off its initial identity/zero values
+    for name in store.names():
+        if name.startswith("gen."):
+            store[name][...] += rng.normal(0.0, 0.3, size=store[name].shape)
+    caps = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    storage = RelationStorage(caps)
+    for level, pred, goal, score in draw(st.lists(st.tuples(
+            st.integers(1, len(caps)), st.integers(0, n_preds + n_slots - 1),
+            st.integers(0, n_preds - 1), st.floats(0.0, 1.0)),
+            max_size=16)):
+        storage.add(level, StorageEntry(pred, score, goal, "unify"))
+    goals = draw(st.lists(st.integers(0, n_preds - 1), min_size=1,
+                          max_size=n_preds, unique=True))
+    return store, storage, goals, draw(st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_cases(), st.integers(0, 2**31 - 1))
+def test_mstep_matches_tape_reference(case, seed):
+    store, storage, goals, samples = case
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    grads, loss = train_generator_step(storage, goals, store, rng, samples)
+    every, want_loss = tape_generator_step(storage, goals, store, ref_rng,
+                                           samples)
+    # the same sequences, drawn with the same calls
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if every is None:
+        assert grads is None and loss is None
+        return
+    assert list(every)[0] == PRED_EMB
+    want = {k: g for k, g in every.items() if k.startswith("gen.")}
+    assert list(grads) == list(want) == GEN_ORDER
+    for name, g in want.items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-10, atol=1e-12,
+                                   err_msg=name)
+    np.testing.assert_allclose(loss, want_loss, rtol=1e-10, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_cases(), st.integers(1, 4), st.integers(0, 3))
+def test_beam_matches_tape_reference(case, width, depth):
+    store, _, goals, _ = case
+    for goal in goals:
+        got = generate_predicates(goal, store, width, depth)
+        want = tape_generate_predicates(goal, store, width, depth)
+        assert list(got) == list(want)
+        for p, score in want.items():
+            assert abs(got[p] - score) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(generator_cases())
+def test_mstep_finite_differences_every_parameter(case):
+    """Every coordinate of every generator parameter, against central
+    differences of the m-step's own loss run in long double."""
+    store, storage, goals, samples = case
+    # the best score in its layer, so no capacity evicts it
+    storage.add(1, StorageEntry(0, 2.0, goals[0], "unify"))
+    for name in store.names():
+        store.params[name] = store[name].astype(np.longdouble)
+
+    def run():
+        return train_generator_step(storage, goals, store,
+                                    np.random.default_rng(0), samples)
+
+    grads, loss = run()
+    assert loss.dtype == np.longdouble
+    assert list(grads) == GEN_ORDER
+    eps = 1e-6
+    worst = 0.0
+    for name, grad in grads.items():
+        flat = store.params[name].reshape(-1)
+        for i, g in enumerate(grad.reshape(-1)):
+            keep = flat[i]
+            flat[i] = keep + eps
+            up = run()[1]
+            flat[i] = keep - eps
+            dn = run()[1]
+            flat[i] = keep
+            fd = float((up - dn) / (2 * eps))
+            worst = max(worst, abs(fd - g) / max(abs(fd), abs(g), 1e-8))
+    assert worst < 1e-4
