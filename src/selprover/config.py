@@ -179,16 +179,18 @@ def _coerce(name: str, value):
     if f.type in ("float", float):
         return _number(name, value, float)
     if f.type in ("bool", bool):
+        # a bool, the integers 0/1 or one of the strings below; nothing else
         if isinstance(value, bool):
             return value
+        if type(value) is int and value in (0, 1):
+            return value == 1
         if isinstance(value, str):
             low = value.strip().lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
-            raise ConfigError(f"cannot parse boolean {name}={value!r}")
-        return bool(value)
+        raise ConfigError(f"{name} must be a boolean, got {value!r}")
     return str(value)
 
 

@@ -15,7 +15,7 @@ Representation choices, fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -104,9 +104,6 @@ class Vocabulary:
 
     def predicate_names(self) -> list[str]:
         return list(self._pred_names)
-
-    def constant_names(self) -> list[str]:
-        return list(self._const_names)
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,7 +196,9 @@ class KnowledgeBase:
 
     Items live in one id space: fact item ids are 0..n_facts-1 in insertion
     order, rule item ids follow. ``rule_std[j]`` is ``standardize(rules[j])``,
-    computed once here for the prover.
+    computed once here for the prover, and ``rule_open[j]`` says whether its
+    head's two arguments are distinct variables: such a head unifies with any
+    goal, at ``min(state score, Kp[head, goal])``.
     """
 
     def __init__(self, vocab: Vocabulary, facts: Sequence[Atom],
@@ -227,6 +226,9 @@ class KnowledgeBase:
                                           np.int64, len(self.rules))
         self.rule_std: tuple[tuple[Atom, tuple[Atom, ...], int], ...] = tuple(
             standardize(r) for r in self.rules)
+        self.rule_open: tuple[bool, ...] = tuple(
+            is_var(h.args[0]) and is_var(h.args[1]) and h.args[0] != h.args[1]
+            for h, _, _ in self.rule_std)
 
     @property
     def n_facts(self) -> int:
@@ -331,15 +333,6 @@ def parse_triples(text: str, vocab: Vocabulary | None = None
             seen.add(t)
             facts.append(atom)
     return facts, vocab, skipped
-
-
-def serialize_triples(facts: Iterable[Atom], vocab: Vocabulary) -> str:
-    lines = []
-    for f in facts:
-        s, o = f.args
-        lines.append(f"{vocab.constant_name(s)}\t{vocab.predicate_name(f.pred)}"
-                     f"\t{vocab.constant_name(o)}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 _SPLIT_REDRAWS = 30

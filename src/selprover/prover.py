@@ -21,11 +21,15 @@ Rule heads are screened with one gather from the predicate kernel table: a
 head's score is ``min(state score, Kp[head, goal], constant factors)``, so a
 rule whose ``Kp[head, goal]`` is below the threshold can never unify, and
 only the others take the scalar renaming/unification path. The screened
-rules still count as traversed. Under a positive beam, the step keeps the
-stable top-``beam`` of its states, and fact states come first, so a fact
-outside the stable top-``beam`` of the facts alone cannot make the cut.
-Every live fact is counted and buffered, in stream order, but states are
-built for those top facts only. Without a beam, fact states stay lazy, one
+rules still count as traversed. At depth 0 a body never runs, so a rule
+with a body that passes the screen there is only counted and harvested, and
+no state is built for it. Its head score is read from the screen's gather
+when the head's arguments are two distinct variables, as on every template
+rule, with no renaming or unification. Under a positive beam, the step
+keeps the stable top-``beam`` of its states, and fact states come first, so
+a fact outside the stable top-``beam`` of the facts alone cannot make the
+cut. Every live fact is counted and buffered, in stream order, but states
+are built for those top facts only. Without a beam, fact states stay lazy, one
 at a time, because the buffer's insertion order follows the interleaving of
 facts with their consumers' deeper steps.
 
@@ -332,15 +336,27 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
     # cannot unify: one gather screens every rule (a NaN kernel passes)
     kp = ctx.Kp[view.rule_head, goal.pred]
     parent = view.parent
+    leaf = depth <= 0
     for k in np.flatnonzero(~(kp < cfg.min_score)).tolist():
         rid = view.rule_ids[k]
         head, body, n_vars = parent.rule_std[rid]
+        if leaf and body and parent.rule_open[rid]:
+            # and_step yields nothing for a body at depth 0, so only the
+            # head's count and harvest are seen, and an open head unifies
+            # at min(state score, Kp[head, goal]) as _unify_rule_head does
+            kv = kp[k]
+            score = kv if kv < state.score else state.score
+            if not score < cfg.min_score:
+                ctx.counters.established += 1
+                if ctx.hq is not None:
+                    ctx.hq.add(parent.n_facts + rid, score, level, ctx.goal_rel)
+            continue
         # standardize apart by offset: fresh variables next_var .. + n_vars-1
         base = ctx.next_var
         ctx.next_var += n_vars
         st2 = _unify_rule_head(_rename(head, base), goal, state, ctx,
                                parent.n_facts + rid, level)
-        if st2 is None:
+        if st2 is None or (body and leaf):
             continue
         if not body:
             yield st2

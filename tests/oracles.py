@@ -14,6 +14,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def constant_names(vocab) -> list[str]:
+    """Every constant name of a ``kb.Vocabulary``, in id order."""
+    return [vocab.constant_name(c) for c in range(vocab.n_constants)]
+
+
+def serialize_triples(facts, vocab) -> str:
+    """Facts as ``subject<TAB>predicate<TAB>object`` lines, the input format
+    ``kb.parse_triples`` reads."""
+    lines = [f"{vocab.constant_name(f.args[0])}\t{vocab.predicate_name(f.pred)}"
+             f"\t{vocab.constant_name(f.args[1])}" for f in facts]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
 def complex_score(h: int, r: int, t: int, store):
     """Re(<e_h, w_r, conj(e_t)>) for one triple of symbol ids.
 

@@ -61,6 +61,13 @@ def test_every_field_is_read():
     ("min_score", False),
     ("ep_coefficients", [4, 2.5, 2]),
     ("ep_coefficients", 4),
+    ("baseline_full_kb", 2),        # numbers other than 0/1 in a bool field
+    ("baseline_full_kb", 0.5),
+    ("baseline_full_kb", 1.0),
+    ("baseline_full_kb", -1),
+    ("baseline_full_kb", None),
+    ("baseline_full_kb", "maybe"),
+    ("baseline_full_kb", [True]),
 ])
 def test_bad_values_name_their_key(tmp_path, key, value):
     path = tmp_path / "c.json"
@@ -79,3 +86,13 @@ def test_numbers_coerce_without_loss():
     assert type(cfg.embedding_dim) is int
     assert cfg.min_score == 0.0 and type(cfg.min_score) is float
     assert cfg.ep_coefficients == (4, 2, 3)
+
+
+@pytest.mark.parametrize("value, want", [
+    (True, True), (False, False), (1, True), (0, False),
+    ("true", True), ("Yes", True), (" on ", True), ("1", True),
+    ("false", False), ("NO", False), ("off", False), ("0", False),
+])
+def test_bool_values(value, want):
+    cfg = load_config(None, {"baseline_full_kb": value})
+    assert cfg.baseline_full_kb is want

@@ -4,7 +4,8 @@ import pytest
 
 from selprover import datasets
 from selprover.datasets import Dataset, DatasetError, load_dataset, synthesize_family
-from selprover.kb import serialize_triples
+
+from oracles import serialize_triples
 
 
 def triples(facts, vocab):

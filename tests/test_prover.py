@@ -446,6 +446,98 @@ def test_screened_rules_are_never_unified(monkeypatch):
     assert calls == [kb.n_facts + j for j in (0, 2, 4)]
 
 
+# --- leaf or-steps ---------------------------------------------------------
+
+
+def test_leaf_open_heads_are_counted_without_unification(monkeypatch):
+    unified, renamed = [], []
+    real_unify, real_rename = prover._unify_rule_head, prover._rename
+
+    def counting_unify(*args):
+        unified.append((args[4], args[5]))  # item id, level
+        return real_unify(*args)
+
+    def counting_rename(atom, base):
+        renamed.append(atom)
+        return real_rename(atom, base)
+
+    monkeypatch.setattr(prover, "_unify_rule_head", counting_unify)
+    monkeypatch.setattr(prover, "_rename", counting_rename)
+    # g, h, p all close, so every head passes the screen at every depth
+    Ep = place([0.0, 0.0], [0.3, 0.0], [0.0, 0.3])
+    Ec = place([0.0, 0.0], [1.0, 0.0])  # a, b
+    facts = [(2, 0, 1)]
+    rules = [((1, X, Y), [(2, X, Y)]),       # open head
+             ((1, X, X), [(2, X, 1)]),       # repeated variable
+             ((1, 0, Y), [(2, Y, Y)])]       # constant
+    kb, store = make_package(facts, rules, Ep, Ec)
+    assert kb.rule_open == (True, False, False)
+    goal = (0, 0, 1)
+    open_id = kb.n_facts
+    for depth in (0, 1, 2):
+        unified.clear()
+        renamed.clear()
+        _, res, counters, best, stats = run_both(facts, rules, Ep, Ec, goal,
+                                                 0.1, depth=depth)
+        leaf = depth + 1
+        # the open head never unifies in a leaf step, yet is counted
+        assert (open_id, leaf) not in unified
+        assert stats.harvest[open_id][1] == 1  # harvested at every level
+        assert res.score == pytest.approx(best, abs=1e-9)
+        assert counters.established == stats.established
+        if depth == 0:
+            # the other two heads still unify, but no body is renamed
+            assert unified == [(open_id + 1, 1), (open_id + 2, 1)]
+            assert renamed == [kb.rule_std[1][0], kb.rule_std[2][0]]
+        else:
+            assert (open_id + 1, leaf) in unified
+
+
+def test_leaf_cut_matches_scalar_path(monkeypatch):
+    rng = np.random.default_rng(59)
+    leaf_harvests = 0
+
+    def run(kb, store, goal, depth, thr, beam, tables):
+        hq, counters = HighQualityBuffer(), Counters()
+        res = prove_goal(goal, kb.full_view(), store,
+                         ProverConfig(max_depth=depth, min_score=thr,
+                                      beam=beam),
+                         hq=hq, counters=counters, tables=tables)
+        return (res.score, res.state.entry if res.state is not None else None,
+                res.n_proofs, counters.traversed, counters.established,
+                [(i, e.score, e.level, e.goal_rel)
+                 for i, e in hq.items.items()])
+
+    for case in range(30):
+        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng, weird=True)
+        if case % 3 == 0:
+            # a bodiless open head yields its state at depth 0 as before
+            rules = rules + [((int(rng.integers(len(Ep))), X, Y), [])]
+        kb, store = make_package(facts, rules, Ep, Ec)
+        goal_atom = Atom(goal[0], (goal[1], goal[2]))
+        Kp, Kc = kernel_tables(store)
+        variants = [(Kp, Kc)]
+        if rules:
+            # a NaN head kernel passes the screen and keeps the state's score
+            nan = Kp.copy()
+            nan[rules[0][0][0]] = np.nan
+            variants.append((nan, Kc))
+        for tables in variants:
+            for depth in range(4):
+                for beam in range(4):
+                    if depth == 3 and beam == 0 and thr == 0.0:
+                        continue  # nothing prunes: the tree runs to millions
+                    got = run(kb, store, goal_atom, depth, thr, beam, tables)
+                    with monkeypatch.context() as m:
+                        m.setattr(kb, "rule_open", (False,) * kb.n_rules)
+                        want = run(kb, store, goal_atom, depth, thr, beam,
+                                   tables)
+                    assert got == want
+                    leaf_harvests += any(i >= kb.n_facts and lv == depth + 1
+                                         for i, _, lv, _ in got[5])
+    assert leaf_harvests >= 20  # the sample harvests rules in leaf steps
+
+
 # --- templates -------------------------------------------------------------
 
 
