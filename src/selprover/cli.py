@@ -151,13 +151,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _scorer_for(cfg: RunConfig, ds: Dataset, store: ParameterStore
                 ) -> BatchedEvaluator:
+    n_real = ds.vocab.n_predicates
     rules = template_rules(ds.vocab, cfg)
     background = list(ds.train)
     if cfg.eval_kb == "train+valid":
         background += ds.valid
     kb = KnowledgeBase(ds.vocab, background, rules)
-    n_slots = sum(len(r.slots) for r in rules)
-    if store[PRED_EMB].shape[0] != ds.vocab.n_predicates - n_slots \
+    n_slots = ds.vocab.n_predicates - n_real
+    if store[PRED_EMB].shape[0] != n_real \
             or SLOT_EMB not in store or store[SLOT_EMB].shape[0] != n_slots:
         raise ConfigError(
             "checkpoint does not match this dataset/template configuration; "

@@ -83,11 +83,6 @@ class RunConfig:
     def storage_max_size(self) -> int:
         return self.storage_scale * self.batch_goals * self.storage_layers
 
-    @property
-    def gen_depth(self) -> int:
-        # generation emits one predicate per storage layer
-        return self.storage_layers
-
     def validate(self) -> "RunConfig":
         if self.embedding_dim <= 0 or self.embedding_dim % 2 != 0:
             raise ConfigError(f"embedding_dim must be a positive even number, "
@@ -98,8 +93,10 @@ class RunConfig:
             raise ConfigError(f"proportion must be in (0, 1], got {self.proportion}")
         if not 0.0 <= self.min_score < 1.0:
             raise ConfigError(f"min_score must be in [0, 1), got {self.min_score}")
-        if self.max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {self.max_depth}")
+        # batched ranking, which validation and eval run through, has
+        # closed forms up to depth 2 only
+        if self.max_depth not in (1, 2):
+            raise ConfigError(f"max_depth must be 1 or 2, got {self.max_depth}")
         if len(self.ep_coefficients) != self.storage_layers:
             raise ConfigError(
                 f"ep_coefficients needs one entry per storage layer "

@@ -80,26 +80,19 @@ def select_kbs(kb: KnowledgeBase, logic_predicates: dict[int, float],
     if not logic_predicates:
         return KBView(kb, np.empty(0, dtype=np.int64), ())
     cap = math.ceil(proportion * kb.n_items)
-    n_real = store[PRED_EMB].shape[0]
-    to_real = nearest_real_predicate(store, n_real)
+    to_real = nearest_real_predicate(store)
     gen_score = np.full(to_real.shape[0], -1.0)
     for p, s in logic_predicates.items():
         gen_score[p] = s
-    fact_score = gen_score[to_real[kb.fact_pred]]
-    fact_ids = np.nonzero(fact_score >= 0.0)[0]
-    rule_ids = [j for j, rule in enumerate(kb.rules)
-                if gen_score[to_real[rule.head.pred]] >= 0.0]
-    if len(fact_ids) + len(rule_ids) > cap:
-        sim = tables[0][:, goal_rel]
-        ranked = sorted(
-            [(int(i), int(kb.fact_pred[i])) for i in fact_ids]
-            + [(kb.n_facts + j, kb.rules[j].head.pred) for j in rule_ids],
-            key=lambda ih: (-gen_score[to_real[ih[1]]], -sim[ih[1]], ih[0]))
-        keep = {i for i, _ in ranked[:cap]}
-        fact_ids = np.array(sorted(i for i in keep if i < kb.n_facts),
-                            dtype=np.int64)
-        rule_ids = sorted(i - kb.n_facts for i in keep if i >= kb.n_facts)
-    return KBView(kb, np.asarray(fact_ids, dtype=np.int64), tuple(rule_ids))
+    # one row per item id: facts, then rules
+    head = np.concatenate([kb.fact_pred, kb.rule_head_pred])
+    score = gen_score[to_real[head]]
+    ids = np.flatnonzero(score >= 0.0)
+    if len(ids) > cap:
+        sim = tables[0][head[ids], goal_rel]
+        ids = np.sort(ids[np.lexsort((ids, -sim, -score[ids]))[:cap]])
+    split = np.searchsorted(ids, kb.n_facts)
+    return KBView(kb, ids[:split], tuple((ids[split:] - kb.n_facts).tolist()))
 
 
 def build_goal_batches(facts: list[Atom], cfg: RunConfig,
@@ -142,7 +135,8 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
         if cfg.baseline_full_kb:
             view = kb.full_view()
         else:
-            lp = generate_predicates(rel, store, cfg.gen_width, cfg.gen_depth)
+            lp = generate_predicates(rel, store, cfg.gen_width,
+                                     cfg.storage_layers)
             view = select_kbs(kb, lp, cfg.proportion, store, rel, tables)
         loss, grads, stats = training_loss(goals, view, store, cfg, hq,
                                            counters, known, rng, tables)

@@ -309,8 +309,9 @@ def nns_complete(hq: HighQualityBuffer, kb: KnowledgeBase,
 # ---------------------------------------------------------------------------
 
 
-def nearest_real_predicate(store: ParameterStore, n_real: int) -> np.ndarray:
+def nearest_real_predicate(store: ParameterStore) -> np.ndarray:
     """Map every predicate id to a real one (slots to their closest)."""
+    n_real = store[PRED_EMB].shape[0]
     total = n_real + (store[SLOT_EMB].shape[0] if SLOT_EMB in store else 0)
     out = np.arange(total, dtype=np.int64)
     if total > n_real:
@@ -337,8 +338,7 @@ def train_generator_step(storage: RelationStorage, goals: list[int],
     the order ``gen.f``, ``gen.g``, the z, r and h gates (W, U, b each),
     ``gen.out``; ``clip_gradients`` sums its norm in that order.
     """
-    n_real = store[PRED_EMB].shape[0]
-    to_real = nearest_real_predicate(store, n_real)
+    to_real = nearest_real_predicate(store)
     layers = [storage.entries_by_goal(level)
               for level in range(1, storage.n_layers + 1)]
     rows: list[list[int]] = []   # goal, goal, then one target per layer

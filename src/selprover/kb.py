@@ -14,7 +14,7 @@ Representation choices, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -142,15 +142,13 @@ class Atom:
 class Rule:
     """Head atom with a body tuple; facts are the degenerate ground, bodyless case.
 
-    ``slots`` lists predicate ids that are trainable template slots; ``shape``
-    tags the structural family a parameterized rule belongs to (used by the
-    batched evaluator to pick a scoring plan).
+    A rule's structural shape is read off its atoms (``prover.classify_rule``)
+    wherever it matters, and its template slots are the predicate ids at or
+    past the vocabulary's real predicates, so the rule records neither.
     """
 
     head: Atom
     body: tuple[Atom, ...] = ()
-    slots: tuple[int, ...] = ()
-    shape: str | None = None
 
     def variables(self) -> tuple[int, ...]:
         seen: list[int] = []
@@ -241,9 +239,6 @@ class KnowledgeBase:
     @property
     def n_items(self) -> int:
         return self.n_facts + self.n_rules
-
-    def contains(self, atom: Atom) -> bool:
-        return atom.as_triple() in self.fact_set
 
     def fact_id(self, atom: Atom) -> int:
         """Item id of a stored fact equal to ``atom``, or -1."""

@@ -14,8 +14,11 @@ Corruptions come from ``_sample_negatives``. It draws a batch's (constant,
 side) pairs in one call and walks the rows against that one stream, in
 vectorized chunks, so it gets exactly what calling the scalar sampler
 ``_sample_negative`` row by row gets: the same negatives, the same dropped
-rows and the same generator state after. The scalar sampler stays for the
-prover's corruptions, one goal at a time.
+rows and the same generator state after. The prover's training loss draws
+its corruptions through ``_sample_negatives`` too. The scalar sampler is the
+reference that the batch sampler is checked against.
+
+``ComplExScorer`` ranks with the pretrained embeddings alone.
 """
 
 from __future__ import annotations
@@ -290,60 +293,30 @@ def pretrain_embeddings(train: list[Atom], vocab: Vocabulary, cfg: RunConfig,
     return store, losses
 
 
-def score_tail_candidates(store: ParameterStore, h: int, r: int) -> np.ndarray:
-    """Scores of (h, r, c) for every constant c, vectorized."""
-    eh = store[CONST_EMB][h]
-    wr = store[PRED_EMB][r]
-    E = store[CONST_EMB]
-    k = eh.shape[0] // 2
-    re_h, im_h = eh[:k], eh[k:]
-    re_r, im_r = wr[:k], wr[k:]
-    a = re_h * re_r - im_h * im_r
-    b = im_h * re_r + re_h * im_r
-    return E[:, :k] @ a + E[:, k:] @ b
+class ComplExScorer:
+    """The pretrained ComplEx scores of every candidate constant at once.
 
-
-def score_head_candidates(store: ParameterStore, r: int, t: int) -> np.ndarray:
-    """Scores of (c, r, t) for every constant c, vectorized."""
-    et = store[CONST_EMB][t]
-    wr = store[PRED_EMB][r]
-    E = store[CONST_EMB]
-    k = et.shape[0] // 2
-    re_t, im_t = et[:k], et[k:]
-    re_r, im_r = wr[:k], wr[k:]
-    a = re_r * re_t + im_r * im_t
-    b = re_r * im_t - im_r * re_t
-    return E[:, :k] @ a + E[:, k:] @ b
-
-
-def quick_filtered_mrr(store: ParameterStore, facts: list[Atom],
-                       filter_set: frozenset, n_constants: int) -> float:
-    """Filtered MRR of raw embedding ranking over both argument corruptions.
-
-    Mean-tie rank; used as a pretraining quality probe, not the prover's
-    evaluation protocol.
+    It has the ``score_tails``/``score_heads`` interface of
+    ``scoring.BatchedEvaluator``, so ``evaluate.evaluate_ranking`` ranks the
+    embeddings alone by the same filtered protocol as the prover.
     """
-    if not facts:
-        return 0.0
-    total = 0.0
-    count = 0
-    for f in facts:
-        p = f.pred
-        s, o = f.args
-        for scores, true_idx, make in (
-                (score_tail_candidates(store, s, p), o, lambda c: (p, s, c)),
-                (score_head_candidates(store, p, o), s, lambda c: (p, c, o))):
-            true_score = scores[true_idx]
-            above = 0
-            ties = 0
-            for c in range(n_constants):
-                if c == true_idx or make(c) in filter_set:
-                    continue
-                if scores[c] > true_score:
-                    above += 1
-                elif scores[c] == true_score:
-                    ties += 1
-            rank = 1 + above + ties // 2
-            total += 1.0 / rank
-            count += 1
-    return total / count
+
+    def __init__(self, store: ParameterStore) -> None:
+        E, W = store[CONST_EMB], store[PRED_EMB]
+        k = E.shape[1] // 2
+        self.E_re, self.E_im = E[:, :k], E[:, k:]
+        self.W_re, self.W_im = W[:, :k], W[:, k:]
+
+    def score_tails(self, rel: int, subj: int) -> np.ndarray:
+        """Scores of (rel, subj, y) for every constant y."""
+        re_h, im_h = self.E_re[subj], self.E_im[subj]
+        re_r, im_r = self.W_re[rel], self.W_im[rel]
+        return (self.E_re @ (re_h * re_r - im_h * im_r)
+                + self.E_im @ (im_h * re_r + re_h * im_r))
+
+    def score_heads(self, rel: int, obj: int) -> np.ndarray:
+        """Scores of (rel, x, obj) for every constant x."""
+        re_t, im_t = self.E_re[obj], self.E_im[obj]
+        re_r, im_r = self.W_re[rel], self.W_im[rel]
+        return (self.E_re @ (re_r * re_t + im_r * im_t)
+                + self.E_im @ (re_r * im_t - im_r * re_t))

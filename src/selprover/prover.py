@@ -58,7 +58,7 @@ from . import accel
 from .autodiff import ParameterStore
 from .config import RunConfig
 from .kb import Atom, KBView, Rule, Vocabulary, is_var, mkvar
-from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB, _sample_negative
+from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB, _sample_negatives
 
 ENTRY_PRED = 0
 ENTRY_CONST = 1
@@ -427,61 +427,45 @@ def build_templates(vocab: Vocabulary, store: ParameterStore, cfg: RunConfig,
 
     Three shapes: same-direction implication, argument-swapped implication,
     and a two-hop chain. Slot embeddings are appended to the store under
-    their own parameter, scaled to the pretrained predicate spread.
-    Either the store or the vocabulary already holding slots is an error,
-    raised before anything is added to the store.
+    their own parameter, one row per slot the vocabulary gained, scaled to
+    the pretrained predicate spread. Either the store or the vocabulary
+    already holding slots is an error, raised before anything is added to
+    the store.
     """
     if SLOT_EMB in store:
         raise ValueError("templates already built for this store")
+    n_real = vocab.n_predicates
     rules = template_rules(vocab, cfg)
-    n_slots = sum(len(r.slots) for r in rules)
     scale = float(np.std(store[PRED_EMB])) if store[PRED_EMB].size else 0.1
     store.add(SLOT_EMB, rng.normal(0.0, max(scale, 1e-3),
-                                   size=(n_slots, cfg.embedding_dim)))
+                                   size=(vocab.n_predicates - n_real,
+                                         cfg.embedding_dim)))
     return rules
 
 
 def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
     """Template skeletons alone, deterministic given the configured counts.
 
-    Interns the slot predicate names but touches no parameters; use it to
-    reconstruct the rule structure around a saved parameter store, whose
-    slot embeddings were laid out in this same order.
+    Interns one slot predicate ``#k`` per head and body atom, in rule order,
+    but touches no parameters; use it to reconstruct the rule structure
+    around a saved parameter store, whose slot embeddings were laid out in
+    this same order.
     """
-    X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
-    counts = ((SHAPE_IMPLIES, cfg.templates_implies),
-              (SHAPE_INVERSE, cfg.templates_inverse),
-              (SHAPE_CHAIN, cfg.templates_chain))
-    rules: list[Rule] = []
     if any(n.startswith("#") for n in vocab.predicate_names()):
         raise ValueError("vocabulary already contains template slots")
+    X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
     n_real = vocab.n_predicates
-    next_slot = 0
 
-    def slot() -> int:
-        nonlocal next_slot
-        pid = vocab.intern_predicate(f"#{next_slot}")
-        assert pid == n_real + next_slot
-        next_slot += 1
-        return pid
+    def slot(args: tuple[int, int]) -> Atom:
+        return Atom(vocab.intern_predicate(f"#{vocab.n_predicates - n_real}"),
+                    args)
 
-    for shape, count in counts:
-        for _ in range(count):
-            if shape == SHAPE_IMPLIES:
-                h, b = slot(), slot()
-                rules.append(Rule(head=Atom(h, (X, Y)),
-                                  body=(Atom(b, (X, Y)),),
-                                  slots=(h, b), shape=shape))
-            elif shape == SHAPE_INVERSE:
-                h, b = slot(), slot()
-                rules.append(Rule(head=Atom(h, (X, Y)),
-                                  body=(Atom(b, (Y, X)),),
-                                  slots=(h, b), shape=shape))
-            else:
-                h, b1, b2 = slot(), slot(), slot()
-                rules.append(Rule(head=Atom(h, (X, Y)),
-                                  body=(Atom(b1, (X, Z)), Atom(b2, (Z, Y))),
-                                  slots=(h, b1, b2), shape=shape))
+    rules = [Rule(slot((X, Y)), (slot((X, Y)),))
+             for _ in range(cfg.templates_implies)]
+    rules += [Rule(slot((X, Y)), (slot((Y, X)),))
+              for _ in range(cfg.templates_inverse)]
+    rules += [Rule(slot((X, Y)), (slot((X, Z)), slot((Z, Y))))
+              for _ in range(cfg.templates_chain)]
     return rules
 
 
@@ -535,17 +519,18 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
                   ) -> tuple[float, dict[str, np.ndarray], dict]:
     """Cross-entropy over proof scores of positives and sampled corruptions.
 
-    Each positive is masked out of the view for its own proof only. A
-    corruption draw that finds no unknown triple is dropped. Each score is
-    clamped to [c, 1 - c] (c = ``score_clamp``), and the loss sums -log s
-    over positives and -log clip(1 - s, c, 1) over negatives. Returns
-    (loss, gradients, stats). ``stats`` holds the mean proof score of the
-    positives and of the negatives, and how many of each were scored
-    (``goals_*``) and proved, that is scored above 0 (``proved_*``). The
-    gradients are dense arrays keyed by parameter name, in the order proofs
-    first touch them; the caller owns the clip/update sequence. Unifications
-    that clear the threshold go to ``hq``; with ``hq=None`` nothing is
-    harvested and ``counters`` still count them.
+    Each positive is masked out of the view for its own proof only, and is
+    followed by its ``prover_negatives`` corruptions, all drawn by one
+    ``pretrain._sample_negatives`` call; a draw that finds no unknown triple
+    is dropped. Each score is clamped to [c, 1 - c] (c = ``score_clamp``),
+    and the loss sums -log s over positives and -log clip(1 - s, c, 1) over
+    negatives. Returns (loss, gradients, stats). ``stats`` holds the mean
+    proof score of the positives and of the negatives, and how many of each
+    were scored (``goals_*``) and proved, that is scored above 0
+    (``proved_*``). The gradients are dense arrays keyed by parameter name,
+    in the order proofs first touch them; the caller owns the clip/update
+    sequence. Unifications that clear the threshold go to ``hq``; with
+    ``hq=None`` nothing is harvested and ``counters`` still count them.
 
     A proof's score is recomputed from its bottleneck entry's rows u, v as
     K = exp(-||u - v||^2), whose gradient in u is -2K(u - v) and in v its
@@ -596,17 +581,21 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
             gu[iu] += row
             gv[iv] -= row
 
-    for goal in positives:
+    # proving draws nothing from rng, so drawing every corruption up front
+    # gives each goal the draws it would take between its own proofs
+    k = cfg.prover_negatives
+    negs, kept = _sample_negatives(
+        rng, np.repeat([g.as_triple() for g in positives], k, axis=0),
+        n_const, known_facts)
+    for i, goal in enumerate(positives):
         res_p = prove_goal(goal, view, store, pconf, hq, counters, tables,
                            exclude_fact=base.fact_id(goal))
         pos_scores.append(res_p.score)
         add_term(res_p, negative=False)
-        for _ in range(cfg.prover_negatives):
-            cand = _sample_negative(rng, goal.as_triple(), n_const, known_facts)
-            if cand is None:
-                continue
-            neg = Atom(cand[0], (cand[1], cand[2]))
-            res_n = prove_goal(neg, view, store, pconf, hq, counters, tables)
+        own = slice(i * k, (i + 1) * k)
+        for rel, subj, obj in negs[own][kept[own]].tolist():
+            res_n = prove_goal(Atom(rel, (subj, obj)), view, store, pconf, hq,
+                               counters, tables)
             neg_scores.append(res_n.score)
             add_term(res_n, negative=True)
     stats = {

@@ -238,7 +238,7 @@ class BatchedEvaluator:
         self.n_constants = self.Kc.shape[0]
         imp, inv, chains = [], [], []
         for _, rule in view.iter_rules():
-            shape = rule.shape or classify_rule(rule)
+            shape = classify_rule(rule)
             if shape == SHAPE_IMPLIES:
                 imp.append((rule.head.pred, rule.body[0].pred))
             elif shape == SHAPE_INVERSE:

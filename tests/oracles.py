@@ -87,6 +87,108 @@ def pretrain_reference(train, vocab, cfg, rng):
     return store, losses
 
 
+def training_loss_reference(positives, view, store, cfg, hq, counters,
+                            known_facts, rng, tables=None):
+    """``prover.training_loss`` with each goal's corruptions drawn by the
+    scalar sampler ``pretrain._sample_negative``, one call at a time between
+    that goal's proofs, as the loss drew them before it sampled in batch.
+
+    Proofs, the bottleneck-entry gradient and the clamps come from the
+    package, through ``prover.prove_goal`` and ``prover._entry_rows``, so
+    how the corruptions are drawn is the one thing this loop does
+    differently. Returns (loss, gradients, stats).
+    """
+    from selprover import pretrain, prover
+    from selprover.kb import Atom
+
+    pconf = prover.ProverConfig.from_run(cfg)
+    if tables is None:
+        tables = prover.kernel_tables(store)
+    n_real = store["pred_emb"].shape[0]
+    n_const = store["const_emb"].shape[0]
+    c = cfg.score_clamp
+    terms, grads, pos_scores, neg_scores = [], {}, [], []
+
+    def add_term(result, negative):
+        K = result.score
+        entry = result.state.entry if result.state is not None else None
+        if entry is not None:
+            (nu, iu), (nv, iv) = prover._entry_rows(entry, n_real)
+            d = store[nu][iu] - store[nv][iv]
+            K = np.exp(-(d * d).sum())
+        s = np.clip(K, c, 1.0 - c)
+        if negative:
+            q = np.clip(1.0 - s, c, 1.0)
+            terms.append(-np.log(q))
+            dK = 1.0 / q
+        else:
+            terms.append(-np.log(s))
+            dK = -1.0 / s
+        if entry is None:
+            return
+        gu = grads.setdefault(nu, np.zeros_like(store[nu]))
+        gv = grads.setdefault(nv, np.zeros_like(store[nv]))
+        if c < K < 1.0 - c:
+            row = -2.0 * (dK * K * d)
+            gu[iu] += row
+            gv[iv] -= row
+
+    for goal in positives:
+        res = prover.prove_goal(goal, view, store, pconf, hq, counters, tables,
+                                exclude_fact=view.parent.fact_id(goal))
+        pos_scores.append(res.score)
+        add_term(res, negative=False)
+        for _ in range(cfg.prover_negatives):
+            cand = pretrain._sample_negative(rng, goal.as_triple(), n_const,
+                                             known_facts)
+            if cand is None:
+                continue
+            res = prover.prove_goal(Atom(cand[0], (cand[1], cand[2])), view,
+                                    store, pconf, hq, counters, tables)
+            neg_scores.append(res.score)
+            add_term(res, negative=True)
+    stats = {
+        "mean_pos": float(np.mean(pos_scores)) if pos_scores else 0.0,
+        "mean_neg": float(np.mean(neg_scores)) if neg_scores else 0.0,
+        "goals_pos": len(pos_scores),
+        "proved_pos": sum(1 for s in pos_scores if s > 0.0),
+        "goals_neg": len(neg_scores),
+        "proved_neg": sum(1 for s in neg_scores if s > 0.0),
+    }
+    return float(np.sum(terms)), grads, stats
+
+
+def select_kbs_reference(kb, logic_predicates, proportion, store, goal_rel,
+                         tables):
+    """``em.select_kbs`` by a tuple sort: every matching item as (item id,
+    head predicate), sorted by (-generation score of the head's real
+    predicate, -Kp[head, goal], item id), the first ``cap`` kept.
+
+    Returns (fact ids, rule ids) as sorted lists of ints.
+    """
+    import math
+
+    from selprover.generator import nearest_real_predicate
+
+    if not logic_predicates:
+        return [], []
+    cap = math.ceil(proportion * kb.n_items)
+    to_real = nearest_real_predicate(store)
+    gen_score = np.full(to_real.shape[0], -1.0)
+    for p, s in logic_predicates.items():
+        gen_score[p] = s
+    items = ([(i, int(kb.fact_pred[i])) for i in range(kb.n_facts)]
+             + [(kb.n_facts + j, r.head.pred) for j, r in enumerate(kb.rules)])
+    items = [(i, h) for i, h in items if gen_score[to_real[h]] >= 0.0]
+    if len(items) > cap:
+        sim = tables[0][:, goal_rel]
+        items = sorted(items, key=lambda ih: (-gen_score[to_real[ih[1]]],
+                                              -sim[ih[1]], ih[0]))[:cap]
+    keep = sorted(i for i, _ in items)
+    return ([i for i in keep if i < kb.n_facts],
+            [i - kb.n_facts for i in keep if i >= kb.n_facts])
+
+
 def composite_expression(a, b, c):
     """sum(sigmoid(h / 2) * h) with h = tanh(a @ b + c), in the rows' dtype.
 
@@ -373,8 +475,7 @@ def tape_generator_step(storage, goals, store, rng, samples=4):
     from selprover import autodiff as ad
     from selprover.generator import nearest_real_predicate
 
-    n_real = store["pred_emb"].shape[0]
-    to_real = nearest_real_predicate(store, n_real)
+    to_real = nearest_real_predicate(store)
     tape = ad.Tape(store)
     losses = []
     for goal in goals:

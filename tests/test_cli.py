@@ -50,6 +50,17 @@ class TestArgHandling:
         assert "embedding_dim must be an integer" in caplog.text
         assert not out_root.exists()
 
+    def test_depth_beyond_batched_ranking_is_usage_error(self, tmp_path,
+                                                          caplog):
+        # validation and eval rank in closed form, up to depth 2 only, so a
+        # deeper run stops before pretraining instead of after an iteration
+        out_root = tmp_path / "runs"
+        assert cli.run_command(["train", "--dataset", "family",
+                                "--output-root", str(out_root),
+                                "--set", "max_depth=3"]) == 2
+        assert "max_depth must be 1 or 2" in caplog.text
+        assert not out_root.exists()
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         assert cli.run_command(["train", "--dataset", "family",
                                 "--set", "no_such_key=1"]) == 2

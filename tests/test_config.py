@@ -68,6 +68,9 @@ def test_every_field_is_read():
     ("baseline_full_kb", None),
     ("baseline_full_kb", "maybe"),
     ("baseline_full_kb", [True]),
+    ("max_depth", 3),               # beyond the batched scorer's depth 2
+    ("max_depth", "3"),
+    ("max_depth", 0),
 ])
 def test_bad_values_name_their_key(tmp_path, key, value):
     path = tmp_path / "c.json"

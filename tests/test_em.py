@@ -14,12 +14,12 @@ from selprover.em import (TrainState, build_goal_batches, em_iteration,
                           initialize, load_checkpoint, run_training,
                           save_checkpoint, select_kbs, storage_capacities,
                           write_metrics_csv)
-from selprover.generator import RelationStorage
+from selprover.generator import RelationStorage, nearest_real_predicate
 from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import HighQualityBuffer, kernel_tables, training_loss
 
-from oracles import tape_generator_step
+from oracles import select_kbs_reference, tape_generator_step
 
 X, Y = mkvar(0), mkvar(1)
 
@@ -173,6 +173,57 @@ def test_select_cap_invariant_random():
         assert view.n_items <= math.ceil(prop * kb.n_items)
     with pytest.raises(ValueError, match="proportion"):
         select_kbs(kb, {0: 1.0}, 0.0, store, 0, tables)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_select_matches_tuple_sort_reference(seed):
+    # two distinct predicate rows, and slots copying real rows, so many
+    # heads tie exactly in Kp[head, goal]; generation scores take two values
+    rng = np.random.default_rng(seed)
+    n_real, n_slots, n_const = 4, 3, 5
+    vocab = Vocabulary()
+    for name in [f"p{p}" for p in range(n_real)] + [
+            f"#{k}" for k in range(n_slots)]:
+        vocab.intern_predicate(name)
+    for c in range(n_const):
+        vocab.intern_constant(f"c{c}")
+    facts = [Atom(int(rng.integers(n_real)), (int(rng.integers(n_const)),
+                                              int(rng.integers(n_const))))
+             for _ in range(40)]
+    rules = [Rule(Atom(n_real + int(rng.integers(n_slots)), (X, Y)),
+                  (Atom(int(rng.integers(n_real)), (Y, X)),))
+             for _ in range(8)]
+    kb = KnowledgeBase(vocab, facts, rules)
+    Ep = rng.normal(size=(2, 4))[rng.integers(2, size=n_real)]
+    store = flat_store(Ep, rng.normal(size=(n_const, 4)),
+                       slots=Ep[rng.integers(n_real, size=n_slots)])
+    tables = kernel_tables(store)
+    to_real = nearest_real_predicate(store)
+    heads = np.concatenate([kb.fact_pred, kb.rule_head_pred])
+    below = above = tie_cuts = 0
+    for _ in range(60):
+        lp = {int(p): float(rng.choice([0.25, 0.5])) for p in rng.choice(
+            n_real, size=int(rng.integers(1, n_real + 1)), replace=False)}
+        prop = float(rng.choice([0.05, 0.2, 0.5, 1.0]))
+        goal = int(rng.integers(n_real))
+        view = select_kbs(kb, lp, prop, store, goal, tables)
+        fact_ids, rule_ids = select_kbs_reference(kb, lp, prop, store, goal,
+                                                  tables)
+        assert view.fact_ids.tolist() == fact_ids
+        assert view.rule_ids == tuple(rule_ids)
+        assert all(type(j) is int for j in view.rule_ids)
+        # how the cap met the matching items, and whether it cut a tie
+        key = {i: (lp.get(int(to_real[h]), -1.0), tables[0][h, goal])
+               for i, h in enumerate(heads.tolist())}
+        matched = [i for i in key if key[i][0] >= 0.0]
+        kept = set(fact_ids) | {kb.n_facts + j for j in rule_ids}
+        if len(kept) < len(matched):
+            below += 1
+            last = min(key[i] for i in kept)
+            tie_cuts += any(key[i] == last for i in matched if i not in kept)
+        else:
+            above += 1
+    assert below and above and tie_cuts
 
 
 # --- goal batches ----------------------------------------------------------

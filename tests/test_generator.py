@@ -452,7 +452,7 @@ def test_slot_targets_train_toward_nearest_real():
     store = gen_store(4, 4, seed=18)
     slots = store[PRED_EMB][[2, 0]] + 1e-6
     store.add(SLOT_EMB, slots)
-    mapping = nearest_real_predicate(store, 4)
+    mapping = nearest_real_predicate(store)
     np.testing.assert_array_equal(mapping, [0, 1, 2, 3, 2, 0])
     slot_st = seeded_storage(1, [4, 5])   # slot ids 4 -> 2, 5 -> 0
     real_st = seeded_storage(1, [2, 0])

@@ -12,7 +12,7 @@ from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
                               build_templates, classify_rule, kernel_tables,
                               pred_matrix, prove_goal, training_loss)
 
-from oracles import oracle_prove, random_proof_case
+from oracles import oracle_prove, random_proof_case, training_loss_reference
 
 X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
 
@@ -560,21 +560,17 @@ def template_setup(dim=6, seed=3):
 def test_template_shapes_and_slots():
     vocab, store, cfg, rules = template_setup()
     assert len(rules) == 9
-    shapes = [r.shape for r in rules]
+    shapes = [classify_rule(r) for r in rules]
     assert shapes == ["implies"] * 3 + ["inverse"] * 2 + ["chain"] * 4
     n_slots = 3 * 2 + 2 * 2 + 4 * 3
     assert store[SLOT_EMB].shape == (n_slots, cfg.embedding_dim)
     assert vocab.n_predicates == 4 + n_slots
-    # slot ids are dense, appended after the real predicates, and every
-    # rule's declared slots match the predicates it actually uses
-    seen = []
-    for r in rules:
-        assert classify_rule(r) == r.shape
-        used = [r.head.pred] + [b.pred for b in r.body]
-        assert tuple(used) == r.slots
-        seen.extend(used)
+    # slot ids are dense, appended after the real predicates in rule order,
+    # head first, one per atom
+    seen = [a.pred for r in rules for a in (r.head, *r.body)]
     assert seen == list(range(4, 4 + n_slots))
-    assert vocab.predicate_name(4) == "#0"
+    assert [vocab.predicate_name(p) for p in seen] == [
+        f"#{k}" for k in range(n_slots)]
 
 
 def test_template_slot_scale_tracks_pretrained_spread():
@@ -826,6 +822,50 @@ def test_training_loss_drops_exhausted_corruptions():
                                "proved_neg")] == [1, 1, 0, 0]
     assert counters.traversed == kb.n_items  # the positive's proof alone
     assert loss == pytest.approx(-np.log(stats["mean_pos"]), abs=1e-9)
+
+
+def test_training_loss_matches_goal_by_goal_sampling(monkeypatch):
+    # p0 holds 8 of its 9 triples over three constants, so most draws are
+    # rejected, and a p0 goal without constant 2 in it has every corruption
+    # known, so its draws run out and are dropped
+    rng = np.random.default_rng(8)
+    Ep = rng.normal(0.0, 0.4, size=(3, 2))
+    Ec = rng.normal(0.0, 0.4, size=(3, 2))
+    facts = [(0, s, o) for s in range(3) for o in range(3) if (s, o) != (2, 2)]
+    facts += [(1, 0, 1), (1, 2, 0), (2, 1, 2)]
+    rules = [((2, X, Y), [(0, X, Z), (1, Z, Y)]), ((1, X, Y), [(0, Y, X)])]
+    kb, store = make_package(facts, rules, Ep, Ec)
+    positives = [Atom(p, (s, o)) for p, s, o in facts[::2]]
+    cfg = RunConfig(max_depth=2, min_score=0.1, prover_negatives=3,
+                    embedding_dim=2)
+    proved = []
+    prove = prover.prove_goal
+
+    def spy(goal, *args, **kwargs):
+        proved.append((goal, kwargs.get("exclude_fact", -1)))
+        return prove(goal, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "prove_goal", spy)
+    runs = []
+    for loss_fn in (training_loss, training_loss_reference):
+        proved = []
+        hq, counters, draws = HighQualityBuffer(), Counters(), \
+            np.random.default_rng(5)
+        out = loss_fn(positives, kb.full_view(), store, cfg, hq, counters,
+                      kb.fact_set, draws)
+        runs.append((out, proved, hq.items, counters,
+                     draws.bit_generator.state))
+    (loss, grads, stats), proved, hq, counters, state = runs[0]
+    (loss_r, grads_r, stats_r), proved_r, hq_r, counters_r, state_r = runs[1]
+    assert 0 < stats["goals_neg"] < 3 * len(positives)  # some rows dropped
+    assert stats["proved_neg"] > 0
+    assert proved == proved_r
+    assert loss == loss_r
+    assert list(grads) == list(grads_r)
+    for name in grads:
+        np.testing.assert_array_equal(grads[name], grads_r[name])
+    assert stats == stats_r
+    assert (hq, counters, state) == (hq_r, counters_r, state_r)
 
 
 def test_training_loss_no_mask_when_goal_not_a_fact():
