@@ -106,8 +106,8 @@ def strict_group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
 
     out[x, z] = max over facts f with grp_idx[f] == z of
     min(psim[f], Kc[x, soft_idx[f]]).  Rows x range over candidate constants
-    substituted into the soft position; columns z over the constants a free
-    variable binds to.  Missing groups stay at 0.0.
+    put in the soft position; columns z over the constants a free variable
+    binds to.  Missing groups stay at 0.0.
     """
     psim = _f64(psim)
     Kc = _f64(Kc)

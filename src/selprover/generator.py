@@ -248,19 +248,22 @@ def update_relation_storage(storage: RelationStorage, hq: HighQualityBuffer,
 
 
 def item_embeddings(kb: KnowledgeBase, store: ParameterStore) -> np.ndarray:
-    """Mean symbol embedding per knowledge item (facts, then rules)."""
+    """Mean symbol embedding per knowledge item (facts, then rules).
+
+    A template rule holds no constants, so its mean is over its head and
+    body predicates, read from ``kb.rule_plan``.
+    """
     pe = pred_matrix(store)
     ce = store[CONST_EMB]
     out = np.zeros((kb.n_items, pe.shape[1]))
     if kb.n_facts:
         out[:kb.n_facts] = (pe[kb.fact_pred] + ce[kb.fact_subj]
                             + ce[kb.fact_obj]) / 3.0
-    for j, rule in enumerate(kb.rules):
-        preds = [rule.head.pred] + [b.pred for b in rule.body]
-        consts = [a for atom in (rule.head, *rule.body) for a in atom.args
-                  if a >= 0]
-        rows = [pe[p] for p in preds] + [ce[c] for c in consts]
-        out[kb.n_facts + j] = np.mean(rows, axis=0)
+    b1 = np.array([p[1] for p in kb.rule_plan], dtype=np.int64)
+    b2 = np.array([p[2] for p in kb.rule_plan], dtype=np.int64)
+    two = pe[kb.rule_head_pred] + pe[b1]
+    out[kb.n_facts:] = np.where((b2 >= 0)[:, None], (two + pe[b2]) / 3.0,
+                                two / 2.0)
     return out
 
 

@@ -7,15 +7,17 @@ Representation choices, fixed here and relied on everywhere else:
   (variable v is ``-(v + 1)``); they never appear in stored facts.
 * All predicates are binary. Input lines with two tokens are unary atoms
   (dropped with a count); anything other than 2 or 3 tokens is malformed.
-* A fact is a ground atom; rules carry a head atom and a body tuple. The
-  knowledge base stores facts and rules in one item-id space, facts first,
-  which is the canonical enumeration order for proof search.
+* A fact is a ground atom. A rule is template-shaped: a head over two
+  distinct variables and a body of one or two atoms in one of the three
+  shapes ``classify_rule`` names. There are no bodiless rules. The knowledge
+  base stores facts and rules in one item-id space, facts first, which is
+  the canonical enumeration order for proof search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,9 +127,6 @@ class Atom:
     def is_ground(self) -> bool:
         return self.args[0] >= 0 and self.args[1] >= 0
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(a for a in self.args if is_var(a))
-
     def as_triple(self) -> tuple[int, int, int]:
         return (self.pred, self.args[0], self.args[1])
 
@@ -138,25 +137,24 @@ class Atom:
         return f"{vocab.predicate_name(self.pred)}({arg(self.args[0])}, {arg(self.args[1])})"
 
 
+SHAPE_IMPLIES = "implies"
+SHAPE_INVERSE = "inverse"
+SHAPE_CHAIN = "chain"
+
+
 @dataclass(frozen=True, slots=True)
 class Rule:
-    """Head atom with a body tuple; facts are the degenerate ground, bodyless case.
+    """Head atom with a body of one or two atoms, in a template shape.
 
-    A rule's structural shape is read off its atoms (``prover.classify_rule``)
-    wherever it matters, and its template slots are the predicate ids at or
-    past the vocabulary's real predicates, so the rule records neither.
+    ``KnowledgeBase`` accepts only rules ``classify_rule`` names: implies
+    ``h(X,Y) :- b(X,Y)``, inverse ``h(X,Y) :- b(Y,X)`` and chain
+    ``h(X,Y) :- b1(X,Z), b2(Z,Y)``, over any distinct variable codes. Their
+    template slots are the predicate ids at or past the vocabulary's real
+    predicates, so the rule records neither shape nor slots.
     """
 
     head: Atom
-    body: tuple[Atom, ...] = ()
-
-    def variables(self) -> tuple[int, ...]:
-        seen: list[int] = []
-        for atom in (self.head, *self.body):
-            for v in atom.variables():
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
+    body: tuple[Atom, ...]
 
     def render(self, vocab: Vocabulary) -> str:
         head = self.head.render(vocab)
@@ -165,38 +163,37 @@ class Rule:
         return f"{head} :- " + ", ".join(a.render(vocab) for a in self.body)
 
 
-def standardize(rule: Rule) -> tuple[Atom, tuple[Atom, ...], int]:
-    """Head, body and variable count ``n`` of a rule whose variables are
-    renumbered ``mkvar(0..n-1)`` in ``rule.variables()`` order.
-
-    Adding the same offset to every code (``mkvar(k) - base ==
-    mkvar(base + k)``) then standardizes a rule apart with ``n`` fresh
-    variables and no mapping. A rule already in this form, as every template
-    rule is, comes back with its own head and body.
-    """
-    variables = rule.variables()
-    if variables == tuple(mkvar(k) for k in range(len(variables))):
-        # no equal copies: atoms allocated here outlive the run's
-        # temporaries, and on family-large they raised peak RSS by ~1 MB
-        return rule.head, rule.body, len(variables)
-    codes = {v: mkvar(k) for k, v in enumerate(variables)}
-
-    def renumber(atom: Atom) -> Atom:
-        a0, a1 = atom.args
-        return Atom(atom.pred, (codes.get(a0, a0), codes.get(a1, a1)))
-
-    return (renumber(rule.head), tuple(renumber(b) for b in rule.body),
-            len(codes))
+def classify_rule(rule: Rule) -> str | None:
+    """Structural shape of a rule, or None if it fits no template family."""
+    h = rule.head
+    if not (is_var(h.args[0]) and is_var(h.args[1]) and h.args[0] != h.args[1]):
+        return None
+    X, Y = h.args
+    if len(rule.body) == 1:
+        b = rule.body[0]
+        if b.args == (X, Y):
+            return SHAPE_IMPLIES
+        if b.args == (Y, X):
+            return SHAPE_INVERSE
+        return None
+    if len(rule.body) == 2:
+        b1, b2 = rule.body
+        z1 = b1.args[1]
+        if (b1.args[0] == X and is_var(z1) and z1 not in (X, Y)
+                and b2.args == (z1, Y)):
+            return SHAPE_CHAIN
+        return None
+    return None
 
 
 class KnowledgeBase:
     """Immutable store of deduplicated ground facts plus rules.
 
     Items live in one id space: fact item ids are 0..n_facts-1 in insertion
-    order, rule item ids follow. ``rule_std[j]`` is ``standardize(rules[j])``,
-    computed once here for the prover, and ``rule_open[j]`` says whether its
-    head's two arguments are distinct variables: such a head unifies with any
-    goal, at ``min(state score, Kp[head, goal])``.
+    order, rule item ids follow. ``rule_plan[j]`` is ``(shape, body1 predicate,
+    body2 predicate or -1)`` of ``rules[j]``, classified once here; it is all
+    proof search reads of a rule besides its head predicate. A rule that is
+    not template-shaped raises ``ValueError``.
     """
 
     def __init__(self, vocab: Vocabulary, facts: Sequence[Atom],
@@ -222,11 +219,15 @@ class KnowledgeBase:
         self.fact_obj = np.fromiter((f.args[1] for f in kept), np.int64, n)
         self.rule_head_pred = np.fromiter((r.head.pred for r in self.rules),
                                           np.int64, len(self.rules))
-        self.rule_std: tuple[tuple[Atom, tuple[Atom, ...], int], ...] = tuple(
-            standardize(r) for r in self.rules)
-        self.rule_open: tuple[bool, ...] = tuple(
-            is_var(h.args[0]) and is_var(h.args[1]) and h.args[0] != h.args[1]
-            for h, _, _ in self.rule_std)
+        plans = []
+        for j, r in enumerate(self.rules):
+            shape = classify_rule(r)
+            if shape is None:
+                raise ValueError(f"rule {j} is not template-shaped: "
+                                 f"{r.render(vocab)}")
+            plans.append((shape, r.body[0].pred,
+                          r.body[1].pred if shape == SHAPE_CHAIN else -1))
+        self.rule_plan: tuple[tuple[str, int, int], ...] = tuple(plans)
 
     @property
     def n_facts(self) -> int:
@@ -285,10 +286,6 @@ class KBView:
     @property
     def n_items(self) -> int:
         return self.n_facts + self.n_rules
-
-    def iter_rules(self) -> Iterator[tuple[int, Rule]]:
-        for rid in self.rule_ids:
-            yield self.parent.n_facts + rid, self.parent.rules[rid]
 
     def local_fact_index(self, parent_fact_id: int) -> int:
         """Position of a parent fact id inside this view, or -1."""

@@ -1,11 +1,11 @@
 """Differentiable backward chaining over a knowledge-base view.
 
-The search is the classic or/and recursion: ``or_step`` unifies a goal
-against every fact and rule head in the view, ``and_step`` threads the
-resulting states through rule bodies at depth-1. Scores follow soft
-unification: every concrete symbol pair contributes a Gaussian-kernel
-similarity, a branch's score is the running minimum of its contributions,
-and a goal's score is the maximum over completed branches.
+The search is the classic or/and recursion over template rules:
+``or_step`` unifies a goal against every fact and rule head in the view,
+and a rule that unifies proves its body one depth further down. Scores
+follow soft unification: every concrete symbol pair contributes a
+Gaussian-kernel similarity, a branch's score is the running minimum of its
+contributions, and a goal's score is the maximum over completed branches.
 
 Two things distinguish this prover from the plain formulation. First,
 unification carries a score threshold: a branch whose running minimum falls
@@ -15,28 +15,27 @@ sweep only the view they are handed, which is how learned knowledge
 selection plugs in; utilization counters track how many swept items actually
 established a unification.
 
-An or-step builds a ``ProofState`` only where one can survive, and both cuts
-are exact: search results, counters and the buffer come out as without them.
-Rule heads are screened with one gather from the predicate kernel table: a
-head's score is ``min(state score, Kp[head, goal], constant factors)``, so a
-rule whose ``Kp[head, goal]`` is below the threshold can never unify, and
-only the others take the scalar renaming/unification path. The screened
-rules still count as traversed. At depth 0 a body never runs, so a rule
-with a body that passes the screen there is only counted and harvested, and
-no state is built for it. Its head score is read from the screen's gather
-when the head's arguments are two distinct variables, as on every template
-rule, with no renaming or unification. Under a positive beam, the step
-keeps the stable top-``beam`` of its states, and fact states come first, so
-a fact outside the stable top-``beam`` of the facts alone cannot make the
-cut. Every live fact is counted and buffered, in stream order, but states
-are built for those top facts only. Without a beam, fact states stay lazy, one
-at a time, because the buffer's insertion order follows the interleaving of
-facts with their consumers' deeper steps.
+Every rule is template-shaped (``kb.classify_rule``): its head holds two
+distinct variables and its body one or two atoms over them. So unifying a
+head with a goal binds both head variables and fails nowhere: the head's
+score is ``min(state score, Kp[head, goal])``, and one gather of the
+predicate kernel table over the view's rule heads is the whole head
+unification. Rules below the threshold there are only counted as traversed.
+The body is read off ``KnowledgeBase.rule_plan``: implies proves
+``b1(a0, a1)``, inverse ``b1(a1, a0)``, and chain ``b1(a0, Z)`` and then
+``b2(z, a1)`` for each constant ``z`` its first body binds. Top goals are
+ground and proofs stop at depth 2, so every subgoal has at most one free
+argument, ``FREE``, and a ``ProofState`` carries the constant bound to it:
+no rule variable is renamed and no binding map is kept. At depth 0 a body
+never runs, so a rule there is only counted and harvested.
 
-Rules are standardized apart once per knowledge base: ``KnowledgeBase``
-keeps each rule with its variables renumbered ``mkvar(0..n-1)``. A rule
-that passes the screen is renamed by offset, adding the index of the next
-fresh variable to every variable code, which needs no mapping.
+An or-step builds a ``ProofState`` only where one can survive. Under a
+positive beam, the step keeps the stable top-``beam`` of its states, and
+fact states come first, so a fact outside the stable top-``beam`` of the
+facts alone cannot make the cut. Every live fact is counted and buffered,
+in stream order, but states are built for those top facts only. Without a
+beam, fact states stay lazy, one at a time, because the buffer's insertion
+order follows the interleaving of facts with their consumers' deeper steps.
 
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
@@ -57,15 +56,14 @@ import numpy as np
 from . import accel
 from .autodiff import ParameterStore
 from .config import RunConfig
-from .kb import Atom, KBView, Rule, Vocabulary, is_var, mkvar
+from .kb import (SHAPE_CHAIN, SHAPE_IMPLIES, Atom, KBView, Rule, Vocabulary,
+                 mkvar)
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB, _sample_negatives
 
 ENTRY_PRED = 0
 ENTRY_CONST = 1
-
-SHAPE_IMPLIES = "implies"
-SHAPE_INVERSE = "inverse"
-SHAPE_CHAIN = "chain"
+# a subgoal argument no constant is bound to yet
+FREE = -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,11 +80,12 @@ class ProverConfig:
 
 @dataclass(frozen=True, slots=True)
 class ProofState:
-    """Substitutions plus running score; ``entry`` is the score bottleneck."""
+    """Running score, its bottleneck ``entry``, and the constant bound to the
+    goal's free argument (``FREE`` when the goal is ground)."""
 
-    subst: dict
     score: float
     entry: tuple[int, int, int] | None
+    bound: int
 
 
 @dataclass(slots=True)
@@ -151,35 +150,11 @@ def kernel_tables(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
                                                           store[CONST_EMB])
 
 
-# ---------------------------------------------------------------------------
-# substitutions
-# ---------------------------------------------------------------------------
-
-
-def resolve(code: int, subst: dict) -> int:
-    while is_var(code):
-        nxt = subst.get(code)
-        if nxt is None:
-            return code
-        code = nxt
-    return code
-
-
-def substitute(atom: Atom, subst: dict) -> Atom:
-    if not subst:
-        return atom
-    a0 = resolve(atom.args[0], subst)
-    a1 = resolve(atom.args[1], subst)
-    if (a0, a1) == atom.args:
-        return atom
-    return Atom(atom.pred, (a0, a1))
-
-
 class _Ctx:
     """Per-proof search context: view, kernel tables, config, accounting."""
 
     __slots__ = ("view", "Kp", "Kc", "config", "hq", "counters", "goal_rel",
-                 "exclude", "next_var")
+                 "exclude")
 
     def __init__(self, view: KBView, Kp: np.ndarray, Kc: np.ndarray,
                  config: ProverConfig, hq: HighQualityBuffer | None,
@@ -192,79 +167,22 @@ class _Ctx:
         self.counters = counters
         self.goal_rel = goal_rel
         self.exclude = exclude
-        # index of the next fresh variable, mkvar(next_var)
-        self.next_var = 1000
 
 
-def _rename(atom: Atom, base: int) -> Atom:
-    """A standardized atom with every variable mkvar(k) made mkvar(base + k)."""
-    a0, a1 = atom.args
-    return Atom(atom.pred, (a0 - base if a0 < 0 else a0,
-                            a1 - base if a1 < 0 else a1))
+def or_step(pred: int, a0: int, a1: int, depth: int, state: ProofState,
+            ctx: _Ctx) -> Iterator[ProofState]:
+    """Unify goal ``pred(a0, a1)`` against every item in the view; recurse
+    into bodies.
 
-
-def _unify_rule_head(head: Atom, goal: Atom, state: ProofState, ctx: _Ctx,
-                     item_id: int, level: int) -> ProofState | None:
-    """Soft-unify a standardized-apart rule head with a goal atom.
-
-    The goal's bound variables were substituted away by the caller, so its
-    arguments are constants or unbound variables. Head variables are fresh.
-    Within this one unification, re-binding an already-bound variable to a
-    different constant is a hard failure; distinct constants meeting at the
-    same position compare through the constant kernel.
-    """
-    score = state.score
-    entry = state.entry
-    kv = ctx.Kp[head.pred, goal.pred]
-    if kv < score:
-        score = kv
-        entry = (ENTRY_PRED, head.pred, goal.pred)
-    new_bind: dict = {}
-
-    for h_raw, g_raw in zip(head.args, goal.args):
-        h = resolve(h_raw, new_bind)
-        g = resolve(g_raw, new_bind)
-        if is_var(h):
-            if h != g:
-                new_bind[h] = g
-            continue
-        if is_var(g):
-            new_bind[g] = h
-            continue
-        if h == g:
-            continue
-        # both ground and different: a variable position got here by being
-        # bound earlier in this unification, and re-binding it to another
-        # constant is a hard failure; plain constant pairs compare softly
-        if is_var(h_raw) or is_var(g_raw):
-            return None
-        kv = ctx.Kc[h, g]
-        if kv < score:
-            score = kv
-            entry = (ENTRY_CONST, h, g)
-    if score < ctx.config.min_score:
-        return None
-    ctx.counters.established += 1
-    if ctx.hq is not None:
-        ctx.hq.add(item_id, score, level, ctx.goal_rel)
-    subst = state.subst
-    if new_bind:
-        subst = {**subst, **new_bind}
-    return ProofState(subst, score, entry)
-
-
-def or_step(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
-            ) -> Iterator[ProofState]:
-    """Unify the goal against every item in the view; recurse into bodies.
-
-    Facts are swept in one vectorized pass; rules go through the scalar
-    path. Enumeration order is the view's item order, which makes tie
-    handling deterministic. A positive beam materializes and keeps only the
-    highest-scoring states of this invocation (stable on ties).
+    At most one argument is ``FREE``. Facts are swept in one vectorized
+    pass; rules follow, each through its plan. Enumeration order is the
+    view's item order, which makes tie handling deterministic. A positive
+    beam materializes and keeps only the highest-scoring states of this
+    invocation (stable on ties).
     """
     view = ctx.view
     ctx.counters.traversed += view.n_items
-    it = _or_states(goal, depth, state, ctx)
+    it = _or_states(pred, a0, a1, depth, state, ctx)
     beam = ctx.config.beam
     if beam > 0:
         states = list(it)
@@ -273,24 +191,18 @@ def or_step(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
     yield from it
 
 
-def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
-               ) -> Iterator[ProofState]:
+def _or_states(pred: int, a0: int, a1: int, depth: int, state: ProofState,
+               ctx: _Ctx) -> Iterator[ProofState]:
     view = ctx.view
     cfg = ctx.config
     level = cfg.max_depth - depth + 1
-    a0, a1 = goal.args
     if view.n_facts:
-        psim = ctx.Kp[goal.pred][view.pred]
-        a1sim = ctx.Kc[a0][view.subj] if not is_var(a0) else None
-        a2sim = ctx.Kc[a1][view.obj] if not is_var(a1) else None
+        psim = ctx.Kp[pred][view.pred]
+        a1sim = ctx.Kc[a0][view.subj] if a0 != FREE else None
+        a2sim = ctx.Kc[a1][view.obj] if a1 != FREE else None
         scores, which = accel.sweep_scores(state.score, psim, a1sim, a2sim,
                                            cfg.min_score, ctx.exclude)
-        alive = scores >= 0.0
-        repeated = is_var(a0) and a0 == a1
-        if repeated:
-            # same variable in both positions only matches loop facts
-            alive &= view.subj == view.obj
-        live = np.flatnonzero(alive)
+        live = np.flatnonzero(scores >= 0.0)
         precut = 0 < cfg.beam < len(live)
         if precut:
             # or_step keeps the stable top-beam of this step and fact states
@@ -304,8 +216,6 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
                     ctx.hq.add(fid, sc, level, ctx.goal_rel)
             top = np.argsort(-scores[live], kind="stable")[:cfg.beam]
             live = np.sort(live[top])
-        bind0 = is_var(a0)
-        bind1 = is_var(a1) and not repeated
         # one list per column: plain ints and floats, no numpy scalars
         for sc, w, p, s, o, fid in zip(
                 scores[live].tolist(), which[live].tolist(),
@@ -314,68 +224,45 @@ def _or_states(goal: Atom, depth: int, state: ProofState, ctx: _Ctx
             if w == 0:
                 entry = state.entry
             elif w == 1:
-                entry = (ENTRY_PRED, goal.pred, p)
+                entry = (ENTRY_PRED, pred, p)
             elif w == 2:
                 entry = (ENTRY_CONST, a0, s)
             else:
                 entry = (ENTRY_CONST, a1, o)
-            subst = state.subst
-            bind: dict = {}
-            if bind0:
-                bind[a0] = s
-            if bind1:
-                bind[a1] = o
-            if bind:
-                subst = {**subst, **bind}
             if not precut:
                 ctx.counters.established += 1
                 if ctx.hq is not None:
                     ctx.hq.add(fid, sc, level, ctx.goal_rel)
-            yield ProofState(subst, sc, entry)
-    # a head scores at most Kp[head, goal], so a rule below min_score there
-    # cannot unify: one gather screens every rule (a NaN kernel passes)
-    kp = ctx.Kp[view.rule_head, goal.pred]
+            yield ProofState(sc, entry, s if a0 == FREE
+                             else o if a1 == FREE else FREE)
+    # a head scores min(state score, Kp[head, goal]), so one gather unifies
+    # every rule head; a rule below min_score is only traversed (a NaN
+    # kernel passes and leaves the state's score)
+    kp = ctx.Kp[view.rule_head, pred]
     parent = view.parent
-    leaf = depth <= 0
     for k in np.flatnonzero(~(kp < cfg.min_score)).tolist():
         rid = view.rule_ids[k]
-        head, body, n_vars = parent.rule_std[rid]
-        if leaf and body and parent.rule_open[rid]:
-            # and_step yields nothing for a body at depth 0, so only the
-            # head's count and harvest are seen, and an open head unifies
-            # at min(state score, Kp[head, goal]) as _unify_rule_head does
-            kv = kp[k]
-            score = kv if kv < state.score else state.score
-            if not score < cfg.min_score:
-                ctx.counters.established += 1
-                if ctx.hq is not None:
-                    ctx.hq.add(parent.n_facts + rid, score, level, ctx.goal_rel)
-            continue
-        # standardize apart by offset: fresh variables next_var .. + n_vars-1
-        base = ctx.next_var
-        ctx.next_var += n_vars
-        st2 = _unify_rule_head(_rename(head, base), goal, state, ctx,
-                               parent.n_facts + rid, level)
-        if st2 is None or (body and leaf):
-            continue
-        if not body:
-            yield st2
+        kv = kp[k]
+        if kv < state.score:
+            st = ProofState(kv, (ENTRY_PRED, int(view.rule_head[k]), pred),
+                            FREE)
         else:
-            yield from and_step(tuple(_rename(b, base) for b in body), depth,
-                                st2, ctx)
-
-
-def and_step(body: tuple[Atom, ...], depth: int, state: ProofState, ctx: _Ctx
-             ) -> Iterator[ProofState]:
-    if not body:
-        yield state
-        return
-    if depth <= 0:
-        return
-    first = substitute(body[0], state.subst)
-    rest = body[1:]
-    for s2 in or_step(first, depth - 1, state, ctx):
-        yield from and_step(rest, depth, s2, ctx)
+            st = state
+        if st.score < cfg.min_score:
+            continue
+        ctx.counters.established += 1
+        if ctx.hq is not None:
+            ctx.hq.add(parent.n_facts + rid, st.score, level, ctx.goal_rel)
+        if depth <= 0:
+            continue
+        shape, b1, b2 = parent.rule_plan[rid]
+        if shape == SHAPE_IMPLIES:
+            yield from or_step(b1, a0, a1, depth - 1, st, ctx)
+        elif shape == SHAPE_CHAIN:
+            for mid in or_step(b1, a0, FREE, depth - 1, st, ctx):
+                yield from or_step(b2, mid.bound, a1, depth - 1, mid, ctx)
+        else:
+            yield from or_step(b1, a1, a0, depth - 1, st, ctx)
 
 
 @dataclass(slots=True)
@@ -398,6 +285,10 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
     """
     if not goal.is_ground:
         raise ValueError(f"prove_goal needs a ground goal, got {goal}")
+    if config.max_depth > 2:
+        # deeper goals can have two free arguments, which no state carries
+        raise ValueError(
+            f"prove_goal supports depth <= 2, got {config.max_depth}")
     if tables is None:
         tables = kernel_tables(store)
     Kp, Kc = tables
@@ -408,7 +299,8 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
     best = 0.0
     best_state: ProofState | None = None
     n = 0
-    for st in or_step(goal, config.max_depth, ProofState({}, 1.0, None), ctx):
+    for st in or_step(goal.pred, *goal.args, config.max_depth,
+                      ProofState(1.0, None, FREE), ctx):
         n += 1
         if st.score > best:
             best = st.score
@@ -467,29 +359,6 @@ def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
     rules += [Rule(slot((X, Y)), (slot((X, Z)), slot((Z, Y))))
               for _ in range(cfg.templates_chain)]
     return rules
-
-
-def classify_rule(rule: Rule) -> str | None:
-    """Structural shape of a rule, or None if it fits no template family."""
-    h = rule.head
-    if not (is_var(h.args[0]) and is_var(h.args[1]) and h.args[0] != h.args[1]):
-        return None
-    X, Y = h.args
-    if len(rule.body) == 1:
-        b = rule.body[0]
-        if b.args == (X, Y):
-            return SHAPE_IMPLIES
-        if b.args == (Y, X):
-            return SHAPE_INVERSE
-        return None
-    if len(rule.body) == 2:
-        b1, b2 = rule.body
-        z1 = b1.args[1]
-        if (b1.args[0] == X and is_var(z1) and z1 not in (X, Y)
-                and b2.args == (z1, Y)):
-            return SHAPE_CHAIN
-        return None
-    return None
 
 
 # ---------------------------------------------------------------------------

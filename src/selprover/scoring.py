@@ -54,9 +54,8 @@ import numpy as np
 
 from . import accel
 from .autodiff import ParameterStore
-from .kb import KBView
-from .prover import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, classify_rule,
-                     kernel_tables)
+from .kb import SHAPE_CHAIN, SHAPE_IMPLIES, KBView
+from .prover import kernel_tables
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +222,9 @@ def _build_pass(Kp: np.ndarray, Kc: np.ndarray, p_idx, s_idx, o_idx,
 class BatchedEvaluator:
     """Exact per-candidate proof scores for ranking, without the stream.
 
-    Requires every rule in the view to classify as a template shape and a
-    proof depth of at most 2; anything else raises, because only those
-    search spaces have the closed forms above.
+    Reads each rule's template shape from ``KnowledgeBase.rule_plan`` and
+    requires a proof depth of at most 2; a deeper one raises, because only
+    those search spaces have the closed forms above.
     """
 
     def __init__(self, view: KBView, store: ParameterStore,
@@ -237,19 +236,15 @@ class BatchedEvaluator:
         self.min_score = float(min_score)
         self.n_constants = self.Kc.shape[0]
         imp, inv, chains = [], [], []
-        for _, rule in view.iter_rules():
-            shape = classify_rule(rule)
+        for rid in view.rule_ids:
+            shape, b1, b2 = view.parent.rule_plan[rid]
+            hd = view.parent.rules[rid].head.pred
             if shape == SHAPE_IMPLIES:
-                imp.append((rule.head.pred, rule.body[0].pred))
-            elif shape == SHAPE_INVERSE:
-                inv.append((rule.head.pred, rule.body[0].pred))
+                imp.append((hd, b1))
             elif shape == SHAPE_CHAIN:
-                chains.append((rule.head.pred, rule.body[0].pred,
-                               rule.body[1].pred))
+                chains.append((hd, b1, b2))
             else:
-                raise ValueError(
-                    "batched scoring needs template-shaped rules, got "
-                    f"{rule.render(view.parent.vocab)}")
+                inv.append((hd, b1))
         imp_h = np.array([h for h, _ in imp], dtype=np.int64)
         imp_b = np.array([b for _, b in imp], dtype=np.int64)
         inv_h = np.array([h for h, _ in inv], dtype=np.int64)

@@ -312,14 +312,11 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
     return best, stats
 
 
-def random_proof_case(rng: np.random.Generator, max_facts=12, max_rules=3,
-                      weird=True):
+def random_proof_case(rng: np.random.Generator, max_facts=12, max_rules=3):
     """Random tiny knowledge base + goal for engine/oracle comparison.
 
-    Rules are mostly the three template shapes over shared predicate space;
-    with ``weird`` enabled a fraction get repeated variables, free body
-    variables, or constants in heads, which stresses the hard-failure and
-    binding paths.
+    Rules are the three template shapes (implies, inverse, chain) over a
+    shared predicate space, the only rules a ``KnowledgeBase`` accepts.
     """
     n_pred = int(rng.integers(2, 5))
     n_const = int(rng.integers(2, 7))
@@ -341,22 +338,14 @@ def random_proof_case(rng: np.random.Generator, max_facts=12, max_rules=3,
     for _ in range(int(rng.integers(0, max_rules + 1))):
         h = int(rng.integers(n_pred))
         b = int(rng.integers(n_pred))
-        shape = rng.integers(4 if weird else 3)
+        shape = rng.integers(3)
         if shape == 0:
             rules.append(((h, X, Y), [(b, X, Y)]))
         elif shape == 1:
             rules.append(((h, X, Y), [(b, Y, X)]))
-        elif shape == 2:
+        else:
             b2 = int(rng.integers(n_pred))
             rules.append(((h, X, Y), [(b, X, Z), (b2, Z, Y)]))
-        else:
-            kind = rng.integers(3)
-            if kind == 0:
-                rules.append(((h, X, Y), [(b, Z, Z)]))
-            elif kind == 1:
-                rules.append(((h, X, X), [(b, X, int(rng.integers(n_const)))]))
-            else:
-                rules.append(((h, int(rng.integers(n_const)), Y), [(b, Y, Y)]))
     goal = (int(rng.integers(n_pred)), int(rng.integers(n_const)),
             int(rng.integers(n_const)))
     threshold = float(rng.choice([0.0, 0.05, 0.2, 0.5]))

@@ -240,7 +240,7 @@ def test_prover_matches_enumeration_oracle():
     proofs = 0
     for _ in range(200):
         facts, rules, Ep, Ec, goal, thr = random_proof_case(
-            rng, max_facts=12, max_rules=3, weird=False)
+            rng, max_facts=12, max_rules=3)
         kb, store = build_package(facts, rules, Ep, Ec)
         res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
                          store, ProverConfig(max_depth=2, min_score=thr))
@@ -257,7 +257,7 @@ def test_zero_threshold_matches_unrestricted_formulation():
     worst = 0.0
     for _ in range(120):
         facts, rules, Ep, Ec, goal, _ = random_proof_case(
-            rng, max_facts=10, max_rules=3, weird=False)
+            rng, max_facts=10, max_rules=3)
         kb, store = build_package(facts, rules, Ep, Ec)
         res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
                          store, ProverConfig(max_depth=2, min_score=0.0))
@@ -568,7 +568,7 @@ _mono_runs = [0]
 def test_proof_score_monotone_in_kb_growth(seed):
     rng = np.random.default_rng(seed)
     facts, rules, Ep, Ec, goal, thr = random_proof_case(
-        rng, max_facts=8, max_rules=2, weird=False)
+        rng, max_facts=8, max_rules=2)
     kb, store = build_package(facts, rules, Ep, Ec)
     cfg = ProverConfig(max_depth=2, min_score=thr)
     goal_atom = Atom(goal[0], (goal[1], goal[2]))

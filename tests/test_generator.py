@@ -378,16 +378,20 @@ def test_nns_matches_sorting_oracle():
 
 
 def test_rule_embedding_averages_symbols():
-    rule = Rule(head=Atom(1, (X, Y)), body=(Atom(0, (X, 0)),))
-    kb = fact_kb(2, 2, [(0, 0, 1)], [rule])
+    Z = mkvar(2)
+    implies = Rule(head=Atom(1, (X, Y)), body=(Atom(0, (X, Y)),))
+    chain = Rule(head=Atom(2, (X, Y)), body=(Atom(0, (X, Z)), Atom(1, (Z, Y))))
+    kb = fact_kb(3, 2, [(0, 0, 1)], [implies, chain])
     store = ParameterStore()
-    store.add(PRED_EMB, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    store.add(PRED_EMB, np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 4.0]]))
     store.add(CONST_EMB, np.array([[6.0, 6.0], [0.0, 0.0]]))
     emb = item_embeddings(kb, store)
     # fact p0(c0, c1): mean of pred 0, const 0, const 1
     np.testing.assert_allclose(emb[0], np.array([7.0, 6.0]) / 3.0, atol=1e-12)
-    # rule p1(X,Y) :- p0(X,c0): mean of preds 1, 0 and const 0 (vars skipped)
-    np.testing.assert_allclose(emb[1], np.array([7.0, 8.0]) / 3.0, atol=1e-12)
+    # p1(X,Y) :- p0(X,Y): mean of preds 1 and 0
+    np.testing.assert_allclose(emb[1], np.array([1.0, 2.0]) / 2.0, atol=1e-12)
+    # p2(X,Y) :- p0(X,Z), p1(Z,Y): mean of preds 2, 0 and 1
+    np.testing.assert_allclose(emb[2], np.array([6.0, 6.0]) / 3.0, atol=1e-12)
 
 
 # --- generator training ----------------------------------------------------

@@ -212,23 +212,45 @@ class TestKnowledgeBase:
         kb2 = kb.KnowledgeBase(base.vocab, base.facts, [rule])
         assert kb2.item_head_pred(kb2.n_facts) == q
 
-    def test_rules_standardized_in_first_appearance_order(self):
+    def test_rejects_non_template_rules(self):
+        base = build_kb([("a", "p", "b")])
+        vocab = base.vocab
+        p = vocab.predicate_id("p")
+        q, r, t = (vocab.intern_predicate(n) for n in ("q", "r", "t"))
+        X, Y, Z = kb.mkvar(0), kb.mkvar(1), kb.mkvar(2)
+        a = vocab.constant_id("a")
+        A = kb.Atom
+        bad = [
+            kb.Rule(A(p, (X, X)), (A(q, (X, Y)),)),
+            kb.Rule(A(p, (X, Y)), (A(q, (X, Z)), A(r, (Y, Z)))),
+            kb.Rule(A(p, (X, Y)), (A(q, (X, Y)), A(r, (X, Y)),
+                                   A(t, (X, Y)))),
+            kb.Rule(A(p, (a, Y)), (A(q, (Y, Y)),)),
+            kb.Rule(A(p, (X, Y)), ()),
+        ]
+        for rule in bad:
+            with pytest.raises(ValueError, match="template") as err:
+                kb.KnowledgeBase(vocab, base.facts, [rule])
+            assert rule.render(vocab) in str(err.value)
+
+    def test_alpha_variant_rules_get_equal_plans(self):
         base = build_kb([("a", "p", "b")])
         p = base.vocab.predicate_id("p")
-        a = base.vocab.constant_id("a")
+        q = base.vocab.intern_predicate("q")
         v = kb.mkvar
-        # head (Y, X) with non-contiguous and large codes, a constant kept
-        rule = kb.Rule(head=kb.Atom(p, (v(1), v(0))),
-                       body=(kb.Atom(p, (v(0), v(1200))),
-                             kb.Atom(p, (v(1200), v(5))),
-                             kb.Atom(p, (a, v(1)))))
-        kb2 = kb.KnowledgeBase(base.vocab, base.facts, [rule])
-        head, body, n = kb2.rule_std[0]
-        assert n == 4
-        assert head == kb.Atom(p, (v(0), v(1)))
-        assert body == (kb.Atom(p, (v(1), v(2))), kb.Atom(p, (v(2), v(3))),
-                        kb.Atom(p, (a, v(0))))
-        assert kb2.rules == (rule,)  # the stored rule itself is untouched
+        A = kb.Atom
+
+        def rules(X, Y, Z):
+            return [kb.Rule(A(q, (X, Y)), (A(p, (X, Y)),)),
+                    kb.Rule(A(q, (X, Y)), (A(p, (Y, X)),)),
+                    kb.Rule(A(q, (X, Y)), (A(p, (X, Z)), A(q, (Z, Y))))]
+
+        plans = {kb.KnowledgeBase(base.vocab, base.facts,
+                                  rules(*codes)).rule_plan
+                 for codes in [(v(0), v(1), v(2)), (v(1), v(0), v(2)),
+                               (v(5), v(2), v(0)), (v(1200), v(1000), v(1001))]}
+        assert plans == {(("implies", p, -1), ("inverse", p, -1),
+                          ("chain", p, q))}
 
     def test_view_exclusion_lookup(self):
         base = build_kb([("a", "p", "b"), ("c", "p", "d"), ("e", "q", "f")])

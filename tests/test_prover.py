@@ -5,12 +5,13 @@ import pytest
 
 from selprover.autodiff import ParameterStore
 from selprover.config import RunConfig
-from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
+from selprover.kb import (Atom, KnowledgeBase, Rule, Vocabulary, classify_rule,
+                          mkvar)
 from selprover import prover
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
-                              build_templates, classify_rule, kernel_tables,
-                              pred_matrix, prove_goal, training_loss)
+                              build_templates, kernel_tables, pred_matrix,
+                              prove_goal, training_loss)
 
 from oracles import oracle_prove, random_proof_case, training_loss_reference
 
@@ -155,30 +156,6 @@ def test_exclusion_matches_oracle():
         assert res.score == pytest.approx(best, abs=1e-9)
 
 
-def test_repeated_variable_body_only_matches_loops():
-    # q(X,Y) :- p(Z,Z); only the loop fact p(a,a) can discharge the body
-    Ep = place([0.0, 0.0], [0.3, 0.0])
-    Ec = place([0.0, 0.0], [2.0, 0.0])
-    rules = [((1, X, Y), [(0, Z, Z)])]
-    goal = Atom(1, (0, 1))
-    with_loop = [(0, 0, 0), (0, 0, 1)]
-    kb, store = make_package(with_loop, rules, Ep, Ec)
-    res = prove_goal(goal, kb.full_view(), store,
-                     ProverConfig(max_depth=2, min_score=0.0))
-    # rule head matches the goal predicate exactly and p(a,a) closes the body
-    assert res.score == pytest.approx(1.0, abs=1e-12)
-    assert res.score == pytest.approx(
-        oracle_prove((1, 0, 1), with_loop, rules, Ep, Ec, 2, 0.0)[0], abs=1e-12)
-    no_loop = [(0, 0, 1)]
-    kb2, store2 = make_package(no_loop, rules, Ep, Ec)
-    res2 = prove_goal(goal, kb2.full_view(), store2,
-                      ProverConfig(max_depth=2, min_score=0.0))
-    # body is undischargeable, so only the soft direct fact match remains
-    assert res2.score == pytest.approx(np.exp(-0.09), abs=1e-12)
-    assert res2.score == pytest.approx(
-        oracle_prove((1, 0, 1), no_loop, rules, Ep, Ec, 2, 0.0)[0], abs=1e-12)
-
-
 def test_depth_zero_kills_nonempty_bodies():
     Ep = place([0.0, 0.0], [0.0, 0.1])
     Ec = place([0.0, 0.0], [1.0, 0.0])
@@ -280,7 +257,7 @@ def test_beam_matches_oracle_with_harvest():
     rng = np.random.default_rng(57)
     cut = 0
     for _ in range(40):
-        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng, weird=True)
+        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng)
         kb, store = make_package(facts, rules, Ep, Ec)
         goal_atom = Atom(goal[0], (goal[1], goal[2]))
         searches = set()
@@ -308,10 +285,10 @@ def test_beam_matches_oracle_with_harvest():
     assert cut >= 10  # the sample has searches a narrow beam truncates
 
 
-# --- standardizing apart ---------------------------------------------------
+# --- alpha-variant rules ---------------------------------------------------
 
 # alpha-variants of the X/Y/Z (mkvar 0/1/2) rules random_proof_case draws:
-# out of order, non-contiguous, and at or past the first fresh variable code
+# out of order, non-contiguous, and with large codes
 RENUMBERINGS = (
     {X: Y, Y: X, Z: Z},
     {X: mkvar(5), Y: mkvar(2), Z: mkvar(0)},
@@ -327,17 +304,17 @@ def renumber(rules, codes):
 
 def test_renumbered_rules_prove_alike():
     rng = np.random.default_rng(58)
-    deep = 0
+    ruled = 0
     for case in range(40):
         facts, rules, Ep, Ec, goal, thr = random_proof_case(rng)
-        depth, beam = 2 + case % 2, (0, 0, 2)[case % 3]
+        beam = (0, 0, 2)[case % 3]
 
         def run(rl):
             kb, store = make_package(facts, rl, Ep, Ec)
             hq, counters = HighQualityBuffer(), Counters()
             res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
-                             store, ProverConfig(max_depth=depth,
-                                                 min_score=thr, beam=beam),
+                             store, ProverConfig(max_depth=2, min_score=thr,
+                                                 beam=beam),
                              hq=hq, counters=counters)
             return (res.score, res.n_proofs,
                     res.state.entry if res.state is not None else None,
@@ -346,7 +323,7 @@ def test_renumbered_rules_prove_alike():
                      for i, e in hq.items.items()])
 
         want = run(rules)
-        best, stats = oracle_prove(goal, facts, rules, Ep, Ec, depth, thr,
+        best, stats = oracle_prove(goal, facts, rules, Ep, Ec, 2, thr,
                                    beam=beam)
         assert want[0] == pytest.approx(best, abs=1e-9)
         assert want[1] == len(stats.scores)
@@ -354,37 +331,12 @@ def test_renumbered_rules_prove_alike():
         for codes in RENUMBERINGS:
             renamed = renumber(rules, codes)
             assert run(renamed) == want
-            best2, stats2 = oracle_prove(goal, facts, renamed, Ep, Ec, depth,
-                                         thr, beam=beam)
+            best2, stats2 = oracle_prove(goal, facts, renamed, Ep, Ec, 2, thr,
+                                         beam=beam)
             assert (best2, stats2.scores, stats2.harvest) == \
                    (best, stats.scores, stats.harvest)
-        deep += depth == 3 and want[1] > 0
-    assert deep >= 5  # depth-3 proofs nest rule renamings inside each other
-
-
-def test_fresh_variables_follow_standardized_order():
-    # the chain rule of test_chain_rule_completes_with_exact_embeddings with
-    # head (mkvar(7), mkvar(3)) and mkvar(0) in the middle: standardizing
-    # makes them X, Y, Z, and the one renaming gives mkvar(1000 + k)
-    Ep = place([0.0, 0.0], [4.0, 0.0])
-    Ec = place([0.0, 0.0], [0.0, 3.0], [3.0, 0.0])  # a, m, b
-    V0, V3, V7 = mkvar(0), mkvar(3), mkvar(7)
-    rules = [((1, V7, V3), [(0, V7, V0), (0, V0, V3)])]
-    kb, store = make_package([(0, 0, 1), (0, 1, 2)], rules, Ep, Ec)
-    res = prove_goal(Atom(1, (0, 2)), kb.full_view(), store,
-                     ProverConfig(max_depth=2, min_score=0.1))
-    assert res.n_proofs == 1
-    assert res.state.subst == {mkvar(1000): 0, mkvar(1001): 2, mkvar(1002): 1}
-
-
-def test_standardize_is_identity_on_templates():
-    vocab, store, cfg, rules = template_setup()
-    kb = KnowledgeBase(vocab, [], rules)
-    assert kb.rule_std == tuple((r.head, r.body, len(r.variables()))
-                                for r in rules)
-    # the template's own atoms, not equal copies
-    assert all(h is r.head and b is r.body
-               for (h, b, _), r in zip(kb.rule_std, rules))
+        ruled += want[1] > 0 and any(i >= len(facts) for i, *_ in want[5])
+    assert ruled >= 10  # depth-2 searches that prove and unify rule heads
 
 
 # --- rule-head screen ------------------------------------------------------
@@ -418,124 +370,73 @@ def test_screen_keeps_a_rule_exactly_at_min_score():
     assert len(hq) == 0
 
 
-def test_screened_rules_are_never_unified(monkeypatch):
-    calls = []
-    real = prover._unify_rule_head
-
-    def counting(*args):
-        calls.append(args[4])
-        return real(*args)
-
-    monkeypatch.setattr(prover, "_unify_rule_head", counting)
+def test_screened_rules_are_never_unified():
     # six rules whose heads sit far from the goal predicate
     Ep = place([0.0, 0.0], [4.0, 0.0], [0.0, 4.0])
     Ec = place([0.0, 0.0], [1.0, 0.0])
     facts = [(0, 0, 1), (1, 1, 0)]
     rules = [((h, X, Y), [(0, X, Y)]) for h in (1, 2)] * 3
     kb, store = make_package(facts, rules, Ep, Ec)
-    counters = Counters()
+    hq, counters = HighQualityBuffer(), Counters()
     res = prove_goal(Atom(0, (1, 0)), kb.full_view(), store,
-                     ProverConfig(max_depth=2, min_score=0.1),
+                     ProverConfig(max_depth=2, min_score=0.1), hq=hq,
                      counters=counters)
-    assert calls == []
     assert counters.traversed == kb.n_items == 8  # one or-step, every item
+    assert counters.established == 1  # the soft match of fact 0 alone
+    assert list(hq.items) == [0]
     assert res.score == pytest.approx(np.exp(-1.0), abs=1e-12)
-    # a near head goes through the scalar path, which the counter sees
+    # the near heads are established and harvested, the far ones are not
+    hq = HighQualityBuffer()
     prove_goal(Atom(1, (1, 0)), kb.full_view(), store,
-               ProverConfig(max_depth=2, min_score=0.1))
-    assert calls == [kb.n_facts + j for j in (0, 2, 4)]
+               ProverConfig(max_depth=2, min_score=0.1), hq=hq)
+    rules_hit = [i - kb.n_facts for i in hq.items if i >= kb.n_facts]
+    assert sorted(rules_hit) == [0, 2, 4]
 
 
-# --- leaf or-steps ---------------------------------------------------------
-
-
-def test_leaf_open_heads_are_counted_without_unification(monkeypatch):
-    unified, renamed = [], []
-    real_unify, real_rename = prover._unify_rule_head, prover._rename
-
-    def counting_unify(*args):
-        unified.append((args[4], args[5]))  # item id, level
-        return real_unify(*args)
-
-    def counting_rename(atom, base):
-        renamed.append(atom)
-        return real_rename(atom, base)
-
-    monkeypatch.setattr(prover, "_unify_rule_head", counting_unify)
-    monkeypatch.setattr(prover, "_rename", counting_rename)
-    # g, h, p all close, so every head passes the screen at every depth
-    Ep = place([0.0, 0.0], [0.3, 0.0], [0.0, 0.3])
-    Ec = place([0.0, 0.0], [1.0, 0.0])  # a, b
-    facts = [(2, 0, 1)]
-    rules = [((1, X, Y), [(2, X, Y)]),       # open head
-             ((1, X, X), [(2, X, 1)]),       # repeated variable
-             ((1, 0, Y), [(2, Y, Y)])]       # constant
-    kb, store = make_package(facts, rules, Ep, Ec)
-    assert kb.rule_open == (True, False, False)
-    goal = (0, 0, 1)
-    open_id = kb.n_facts
-    for depth in (0, 1, 2):
-        unified.clear()
-        renamed.clear()
-        _, res, counters, best, stats = run_both(facts, rules, Ep, Ec, goal,
-                                                 0.1, depth=depth)
-        leaf = depth + 1
-        # the open head never unifies in a leaf step, yet is counted
-        assert (open_id, leaf) not in unified
-        assert stats.harvest[open_id][1] == 1  # harvested at every level
-        assert res.score == pytest.approx(best, abs=1e-9)
-        assert counters.established == stats.established
-        if depth == 0:
-            # the other two heads still unify, but no body is renamed
-            assert unified == [(open_id + 1, 1), (open_id + 2, 1)]
-            assert renamed == [kb.rule_std[1][0], kb.rule_std[2][0]]
-        else:
-            assert (open_id + 1, leaf) in unified
-
-
-def test_leaf_cut_matches_scalar_path(monkeypatch):
+def test_nan_head_kernel_acts_like_one():
+    # heads get predicates of their own, so a head's Kp row is read only by
+    # the rule-head gather, never by a fact sweep
     rng = np.random.default_rng(59)
-    leaf_harvests = 0
-
-    def run(kb, store, goal, depth, thr, beam, tables):
-        hq, counters = HighQualityBuffer(), Counters()
-        res = prove_goal(goal, kb.full_view(), store,
-                         ProverConfig(max_depth=depth, min_score=thr,
-                                      beam=beam),
-                         hq=hq, counters=counters, tables=tables)
-        return (res.score, res.state.entry if res.state is not None else None,
-                res.n_proofs, counters.traversed, counters.established,
-                [(i, e.score, e.level, e.goal_rel)
-                 for i, e in hq.items.items()])
-
-    for case in range(30):
-        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng, weird=True)
-        if case % 3 == 0:
-            # a bodiless open head yields its state at depth 0 as before
-            rules = rules + [((int(rng.integers(len(Ep))), X, Y), [])]
+    changed = 0
+    for _ in range(30):
+        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng)
+        if not rules:
+            continue
+        n_pred = len(Ep)
+        rules = [((n_pred + j, X, Y), body)
+                 for j, (_, body) in enumerate(rules)]
+        Ep = np.vstack([Ep, rng.normal(0.0, 0.9, (len(rules), Ep.shape[1]))])
         kb, store = make_package(facts, rules, Ep, Ec)
-        goal_atom = Atom(goal[0], (goal[1], goal[2]))
         Kp, Kc = kernel_tables(store)
-        variants = [(Kp, Kc)]
-        if rules:
-            # a NaN head kernel passes the screen and keeps the state's score
-            nan = Kp.copy()
-            nan[rules[0][0][0]] = np.nan
-            variants.append((nan, Kc))
-        for tables in variants:
-            for depth in range(4):
-                for beam in range(4):
-                    if depth == 3 and beam == 0 and thr == 0.0:
-                        continue  # nothing prunes: the tree runs to millions
-                    got = run(kb, store, goal_atom, depth, thr, beam, tables)
-                    with monkeypatch.context() as m:
-                        m.setattr(kb, "rule_open", (False,) * kb.n_rules)
-                        want = run(kb, store, goal_atom, depth, thr, beam,
-                                   tables)
-                    assert got == want
-                    leaf_harvests += any(i >= kb.n_facts and lv == depth + 1
-                                         for i, _, lv, _ in got[5])
-    assert leaf_harvests >= 20  # the sample harvests rules in leaf steps
+        goal_atom = Atom(goal[0], (goal[1], goal[2]))
+        for depth in (1, 2):
+            for beam in (0, 2):
+                runs = []
+                for fill in (np.nan, 1.0, None):
+                    K = Kp.copy()
+                    if fill is not None:
+                        K[n_pred] = fill
+                    hq, counters = HighQualityBuffer(), Counters()
+                    res = prove_goal(goal_atom, kb.full_view(), store,
+                                     ProverConfig(max_depth=depth,
+                                                  min_score=thr, beam=beam),
+                                     hq=hq, counters=counters, tables=(K, Kc))
+                    runs.append((res.score,
+                                 res.state.entry if res.state else None,
+                                 res.n_proofs, counters.traversed,
+                                 counters.established,
+                                 [(i, e.score, e.level, e.goal_rel)
+                                  for i, e in hq.items.items()]))
+                assert runs[0] == runs[1]
+                changed += runs[0] != runs[2]
+    assert changed >= 40  # searches the NaN head takes part in
+
+
+def test_prove_goal_rejects_depth_three():
+    kb, store = make_package([(0, 0, 1)], [], place([0.0]), place([0.0], [1.0]))
+    with pytest.raises(ValueError, match="depth"):
+        prove_goal(Atom(0, (0, 1)), kb.full_view(), store,
+                   ProverConfig(max_depth=3))
 
 
 # --- templates -------------------------------------------------------------

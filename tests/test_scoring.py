@@ -237,15 +237,6 @@ def test_threshold_equal_to_a_score_keeps_it():
     assert cut.score_tails(0, 0)[3] == threshold
 
 
-def test_rejects_non_template_rules():
-    Ep = np.zeros((3, 2))
-    Ec = np.zeros((2, 2))
-    bad = Rule(head=Atom(0, (X, Y)), body=(Atom(1, (X, Z)), Atom(2, (Y, Z))))
-    kb, store = build_kb([(0, 0, 1)], [bad], Ep, Ec)
-    with pytest.raises(ValueError, match="template"):
-        BatchedEvaluator(kb.full_view(), store)
-
-
 def test_rejects_depth_three():
     Ep = np.zeros((2, 2))
     Ec = np.zeros((2, 2))
