@@ -264,7 +264,8 @@ def run_training(cfg: RunConfig, splits, out_dir, valid_eval=None) -> TrainState
 
     ``splits`` carries ``vocab`` and the ``train``/``valid``/``test`` fact
     lists. Metrics land in ``out_dir/metrics.csv`` after every iteration;
-    the best and final states land under ``out_dir/checkpoints/``. An
+    the best and final states land under ``out_dir/checkpoints/``, and best
+    is the final state when no iteration recorded a validation MRR. An
     explicit ``valid_eval`` (store -> MRR) overrides the built-in probe.
     """
     cfg.validate()
@@ -297,4 +298,6 @@ def run_training(cfg: RunConfig, splits, out_dir, valid_eval=None) -> TrainState
                     break
     write_metrics_csv(out / "metrics.csv", state.metrics_log)
     save_checkpoint(state, kb, out / "checkpoints" / "final")
+    if best_mrr == -math.inf:
+        save_checkpoint(state, kb, out / "checkpoints" / "best")
     return state

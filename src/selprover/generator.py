@@ -250,8 +250,8 @@ def update_relation_storage(storage: RelationStorage, hq: HighQualityBuffer,
 def item_embeddings(kb: KnowledgeBase, store: ParameterStore) -> np.ndarray:
     """Mean symbol embedding per knowledge item (facts, then rules).
 
-    A template rule holds no constants, so its mean is over its head and
-    body predicates, read from ``kb.rule_plan``.
+    A rule holds no constants, so its mean is over its head and body
+    predicates.
     """
     pe = pred_matrix(store)
     ce = store[CONST_EMB]
@@ -259,8 +259,8 @@ def item_embeddings(kb: KnowledgeBase, store: ParameterStore) -> np.ndarray:
     if kb.n_facts:
         out[:kb.n_facts] = (pe[kb.fact_pred] + ce[kb.fact_subj]
                             + ce[kb.fact_obj]) / 3.0
-    b1 = np.array([p[1] for p in kb.rule_plan], dtype=np.int64)
-    b2 = np.array([p[2] for p in kb.rule_plan], dtype=np.int64)
+    b1 = np.array([r.body1 for r in kb.rules], dtype=np.int64)
+    b2 = np.array([r.body2 for r in kb.rules], dtype=np.int64)
     two = pe[kb.rule_head_pred] + pe[b1]
     out[kb.n_facts:] = np.where((b2 >= 0)[:, None], (two + pe[b2]) / 3.0,
                                 two / 2.0)

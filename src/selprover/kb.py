@@ -3,42 +3,25 @@
 Representation choices, fixed here and relied on everywhere else:
 
 * Predicates and constants are interned into dense nonnegative ids, one id
-  space per kind. Variables are rule-local and encoded as negative ints
-  (variable v is ``-(v + 1)``); they never appear in stored facts.
+  space per kind. A negative argument is no constant, so an atom holding
+  one is not ground; stored facts and proved goals are ground.
 * All predicates are binary. Input lines with two tokens are unary atoms
   (dropped with a count); anything other than 2 or 3 tokens is malformed.
-* A fact is a ground atom. A rule is template-shaped: a head over two
-  distinct variables and a body of one or two atoms in one of the three
-  shapes ``classify_rule`` names. There are no bodiless rules. The knowledge
-  base stores facts and rules in one item-id space, facts first, which is
-  the canonical enumeration order for proof search.
+* A fact is a ground atom. A rule is its template shape and its head and
+  body predicates, ``Rule(shape, head, body1, body2)``; nothing else about
+  a rule is stored. The knowledge base stores facts and rules in one
+  item-id space, facts first, which is the canonical enumeration order for
+  proof search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import ConfigError
-
-
-def mkvar(index: int) -> int:
-    """Encode variable number ``index`` (0-based) as a negative symbol code."""
-    if index < 0:
-        raise ValueError(f"variable index must be >= 0, got {index}")
-    return -(index + 1)
-
-
-def is_var(code: int) -> bool:
-    return code < 0
-
-
-def var_index(code: int) -> int:
-    if code >= 0:
-        raise ValueError(f"{code} is not a variable code")
-    return -code - 1
 
 
 class ParseError(ValueError):
@@ -119,9 +102,7 @@ class Atom:
         if len(self.args) != 2:
             raise ValueError(f"atoms are binary, got {len(self.args)} args")
         if self.pred < 0:
-            # goal predicates are always concrete symbols; only argument
-            # positions may hold variables
-            raise ValueError("predicate position cannot be a variable")
+            raise ValueError(f"predicate ids are nonnegative, got {self.pred}")
 
     @property
     def is_ground(self) -> bool:
@@ -130,104 +111,61 @@ class Atom:
     def as_triple(self) -> tuple[int, int, int]:
         return (self.pred, self.args[0], self.args[1])
 
-    def render(self, vocab: Vocabulary) -> str:
-        def arg(a: int) -> str:
-            return f"X{var_index(a)}" if is_var(a) else vocab.constant_name(a)
-
-        return f"{vocab.predicate_name(self.pred)}({arg(self.args[0])}, {arg(self.args[1])})"
-
 
 SHAPE_IMPLIES = "implies"
 SHAPE_INVERSE = "inverse"
 SHAPE_CHAIN = "chain"
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
-    """Head atom with a body of one or two atoms, in a template shape.
+class Rule(NamedTuple):
+    """A template rule, written as its shape and predicate ids.
 
-    ``KnowledgeBase`` accepts only rules ``classify_rule`` names: implies
-    ``h(X,Y) :- b(X,Y)``, inverse ``h(X,Y) :- b(Y,X)`` and chain
-    ``h(X,Y) :- b1(X,Z), b2(Z,Y)``, over any distinct variable codes. Their
-    template slots are the predicate ids at or past the vocabulary's real
-    predicates, so the rule records neither shape nor slots.
+    Implies is ``head(X,Y) :- body1(X,Y)``, inverse ``head(X,Y) :-
+    body1(Y,X)`` and chain ``head(X,Y) :- body1(X,Z), body2(Z,Y)``. A rule is
+    a chain exactly when ``body2 >= 0``. Template slots are the predicate ids
+    at or past the vocabulary's real predicates.
     """
 
-    head: Atom
-    body: tuple[Atom, ...]
-
-    def render(self, vocab: Vocabulary) -> str:
-        head = self.head.render(vocab)
-        if not self.body:
-            return head
-        return f"{head} :- " + ", ".join(a.render(vocab) for a in self.body)
-
-
-def classify_rule(rule: Rule) -> str | None:
-    """Structural shape of a rule, or None if it fits no template family."""
-    h = rule.head
-    if not (is_var(h.args[0]) and is_var(h.args[1]) and h.args[0] != h.args[1]):
-        return None
-    X, Y = h.args
-    if len(rule.body) == 1:
-        b = rule.body[0]
-        if b.args == (X, Y):
-            return SHAPE_IMPLIES
-        if b.args == (Y, X):
-            return SHAPE_INVERSE
-        return None
-    if len(rule.body) == 2:
-        b1, b2 = rule.body
-        z1 = b1.args[1]
-        if (b1.args[0] == X and is_var(z1) and z1 not in (X, Y)
-                and b2.args == (z1, Y)):
-            return SHAPE_CHAIN
-        return None
-    return None
+    shape: str
+    head: int
+    body1: int
+    body2: int = -1
 
 
 class KnowledgeBase:
     """Immutable store of deduplicated ground facts plus rules.
 
     Items live in one id space: fact item ids are 0..n_facts-1 in insertion
-    order, rule item ids follow. ``rule_plan[j]`` is ``(shape, body1 predicate,
-    body2 predicate or -1)`` of ``rules[j]``, classified once here; it is all
-    proof search reads of a rule besides its head predicate. A rule that is
-    not template-shaped raises ``ValueError``.
+    order, rule item ids follow. A rule whose shape is none of the three
+    templates, whose head or ``body1`` is negative, or whose ``body2``
+    disagrees with its shape, raises ``ValueError``.
     """
 
     def __init__(self, vocab: Vocabulary, facts: Sequence[Atom],
                  rules: Sequence[Rule] = ()) -> None:
         self.vocab = vocab
-        seen: set[tuple[int, int, int]] = set()
+        self._fact_id: dict[tuple[int, int, int], int] = {}
         kept: list[Atom] = []
         for f in facts:
             if not f.is_ground:
                 raise ValueError(f"stored facts must be ground, got {f}")
             t = f.as_triple()
-            if t not in seen:
-                seen.add(t)
+            if t not in self._fact_id:
+                self._fact_id[t] = len(kept)
                 kept.append(f)
         self.facts: tuple[Atom, ...] = tuple(kept)
         self.rules: tuple[Rule, ...] = tuple(rules)
-        self.fact_set: frozenset[tuple[int, int, int]] = frozenset(seen)
-        self._fact_id: dict[tuple[int, int, int], int] = {
-            f.as_triple(): i for i, f in enumerate(kept)}
         n = len(kept)
         self.fact_pred = np.fromiter((f.pred for f in kept), np.int64, n)
         self.fact_subj = np.fromiter((f.args[0] for f in kept), np.int64, n)
         self.fact_obj = np.fromiter((f.args[1] for f in kept), np.int64, n)
-        self.rule_head_pred = np.fromiter((r.head.pred for r in self.rules),
-                                          np.int64, len(self.rules))
-        plans = []
         for j, r in enumerate(self.rules):
-            shape = classify_rule(r)
-            if shape is None:
-                raise ValueError(f"rule {j} is not template-shaped: "
-                                 f"{r.render(vocab)}")
-            plans.append((shape, r.body[0].pred,
-                          r.body[1].pred if shape == SHAPE_CHAIN else -1))
-        self.rule_plan: tuple[tuple[str, int, int], ...] = tuple(plans)
+            if (r.shape not in (SHAPE_IMPLIES, SHAPE_INVERSE, SHAPE_CHAIN)
+                    or min(r.head, r.body1) < 0
+                    or (r.body2 >= 0) != (r.shape == SHAPE_CHAIN)):
+                raise ValueError(f"rule {j} is not template-shaped: {r}")
+        self.rule_head_pred = np.fromiter((r.head for r in self.rules),
+                                          np.int64, len(self.rules))
 
     @property
     def n_facts(self) -> int:
@@ -252,7 +190,7 @@ class KnowledgeBase:
     def item_head_pred(self, item_id: int) -> int:
         if item_id < self.n_facts:
             return int(self.fact_pred[item_id])
-        return self.rules[item_id - self.n_facts].head.pred
+        return self.rules[item_id - self.n_facts].head
 
 
 class KBView:

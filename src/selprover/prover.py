@@ -15,18 +15,17 @@ sweep only the view they are handed, which is how learned knowledge
 selection plugs in; utilization counters track how many swept items actually
 established a unification.
 
-Every rule is template-shaped (``kb.classify_rule``): its head holds two
-distinct variables and its body one or two atoms over them. So unifying a
-head with a goal binds both head variables and fails nowhere: the head's
-score is ``min(state score, Kp[head, goal])``, and one gather of the
-predicate kernel table over the view's rule heads is the whole head
-unification. Rules below the threshold there are only counted as traversed.
-The body is read off ``KnowledgeBase.rule_plan``: implies proves
-``b1(a0, a1)``, inverse ``b1(a1, a0)``, and chain ``b1(a0, Z)`` and then
-``b2(z, a1)`` for each constant ``z`` its first body binds. Top goals are
-ground and proofs stop at depth 2, so every subgoal has at most one free
-argument, ``FREE``, and a ``ProofState`` carries the constant bound to it:
-no rule variable is renamed and no binding map is kept. At depth 0 a body
+Every rule is a ``kb.Rule``: a template shape over predicate ids, whose
+head ``h(X, Y)`` takes both goal arguments. So unifying a head with a goal
+binds both and fails nowhere: the head's score is ``min(state score,
+Kp[head, goal])``, and one gather of the predicate kernel table over the
+view's rule heads is the whole head unification. Rules below the threshold
+there are only counted as traversed. For a goal ``g(a0, a1)``, implies
+proves ``body1(a0, a1)``, inverse ``body1(a1, a0)``, and chain
+``body1(a0, Z)`` and then ``body2(z, a1)`` for each constant ``z`` its first
+body binds. Top goals are ground and proofs stop at depth 2, so every
+subgoal has at most one free argument, ``FREE``, and a ``ProofState``
+carries the constant bound to it: no binding map is kept. At depth 0 a body
 never runs, so a rule there is only counted and harvested.
 
 An or-step builds a ``ProofState`` only where one can survive. Under a
@@ -56,8 +55,8 @@ import numpy as np
 from . import accel
 from .autodiff import ParameterStore
 from .config import RunConfig
-from .kb import (SHAPE_CHAIN, SHAPE_IMPLIES, Atom, KBView, Rule, Vocabulary,
-                 mkvar)
+from .kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom, KBView,
+                 Rule, Vocabulary)
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB, _sample_negatives
 
 ENTRY_PRED = 0
@@ -175,7 +174,7 @@ def or_step(pred: int, a0: int, a1: int, depth: int, state: ProofState,
     into bodies.
 
     At most one argument is ``FREE``. Facts are swept in one vectorized
-    pass; rules follow, each through its plan. Enumeration order is the
+    pass; rules follow, each through its shape. Enumeration order is the
     view's item order, which makes tie handling deterministic. A positive
     beam materializes and keeps only the highest-scoring states of this
     invocation (stable on ties).
@@ -255,7 +254,7 @@ def _or_states(pred: int, a0: int, a1: int, depth: int, state: ProofState,
             ctx.hq.add(parent.n_facts + rid, st.score, level, ctx.goal_rel)
         if depth <= 0:
             continue
-        shape, b1, b2 = parent.rule_plan[rid]
+        shape, _, b1, b2 = parent.rules[rid]
         if shape == SHAPE_IMPLIES:
             yield from or_step(b1, a0, a1, depth - 1, st, ctx)
         elif shape == SHAPE_CHAIN:
@@ -338,25 +337,24 @@ def build_templates(vocab: Vocabulary, store: ParameterStore, cfg: RunConfig,
 def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
     """Template skeletons alone, deterministic given the configured counts.
 
-    Interns one slot predicate ``#k`` per head and body atom, in rule order,
-    but touches no parameters; use it to reconstruct the rule structure
-    around a saved parameter store, whose slot embeddings were laid out in
-    this same order.
+    Interns one slot predicate ``#k`` per head and body predicate, in rule
+    order, but touches no parameters; use it to reconstruct the rule
+    structure around a saved parameter store, whose slot embeddings were
+    laid out in this same order.
     """
     if any(n.startswith("#") for n in vocab.predicate_names()):
         raise ValueError("vocabulary already contains template slots")
-    X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
     n_real = vocab.n_predicates
 
-    def slot(args: tuple[int, int]) -> Atom:
-        return Atom(vocab.intern_predicate(f"#{vocab.n_predicates - n_real}"),
-                    args)
+    def slot() -> int:
+        return vocab.intern_predicate(f"#{vocab.n_predicates - n_real}")
 
-    rules = [Rule(slot((X, Y)), (slot((X, Y)),))
+    # arguments evaluate left to right: head, then body1, then body2
+    rules = [Rule(SHAPE_IMPLIES, slot(), slot())
              for _ in range(cfg.templates_implies)]
-    rules += [Rule(slot((X, Y)), (slot((Y, X)),))
+    rules += [Rule(SHAPE_INVERSE, slot(), slot())
               for _ in range(cfg.templates_inverse)]
-    rules += [Rule(slot((X, Y)), (slot((X, Z)), slot((Z, Y))))
+    rules += [Rule(SHAPE_CHAIN, slot(), slot(), slot())
               for _ in range(cfg.templates_chain)]
     return rules
 

@@ -8,14 +8,14 @@ every rule in the view is one of the three template shapes (same-direction
 implication, argument-swapped implication, two-hop chain) and the proof
 depth is at most 2.
 
-Exactness rests on two facts about the search. First, template rule heads
-and bodies hold only variables, so applying a rule binds goal constants
-strictly and contributes exactly one predicate-kernel factor per rule link;
-constants meet constant kernels only at the final fact unifications of each
-branch. Second, min distributes over finite max, so grouping fact sweeps by
-the actual stored constant that a variable binds to (never by a kernel
-relay) turns nested enumeration into max-min matrix products over tables
-indexed by real symbols.
+Exactness rests on two facts about the search. First, a rule names only
+predicates and its head takes both goal arguments, so applying a rule binds
+goal constants strictly and contributes exactly one predicate-kernel factor
+per rule link; constants meet constant kernels only at the final fact
+unifications of each branch. Second, min distributes over finite max, so
+grouping fact sweeps by the actual stored constant that a variable binds to
+(never by a kernel relay) turns nested enumeration into max-min matrix
+products over tables indexed by real symbols.
 
 Proof families at depth 2, each an exact closed form here:
 
@@ -222,9 +222,9 @@ def _build_pass(Kp: np.ndarray, Kc: np.ndarray, p_idx, s_idx, o_idx,
 class BatchedEvaluator:
     """Exact per-candidate proof scores for ranking, without the stream.
 
-    Reads each rule's template shape from ``KnowledgeBase.rule_plan`` and
-    requires a proof depth of at most 2; a deeper one raises, because only
-    those search spaces have the closed forms above.
+    Reads each ``kb.Rule``'s template shape and predicates, and requires a
+    proof depth of at most 2; a deeper one raises, because only those search
+    spaces have the closed forms above.
     """
 
     def __init__(self, view: KBView, store: ParameterStore,
@@ -237,8 +237,7 @@ class BatchedEvaluator:
         self.n_constants = self.Kc.shape[0]
         imp, inv, chains = [], [], []
         for rid in view.rule_ids:
-            shape, b1, b2 = view.parent.rule_plan[rid]
-            hd = view.parent.rules[rid].head.pred
+            shape, hd, b1, b2 = view.parent.rules[rid]
             if shape == SHAPE_IMPLIES:
                 imp.append((hd, b1))
             elif shape == SHAPE_CHAIN:

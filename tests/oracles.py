@@ -2,9 +2,10 @@
 
 Everything here trades speed for obviousness: explicit recursion returning
 full result lists, kernels computed straight from embedding rows, no shared
-code with the package internals. Knowledge is plain tuples: facts are
-``(pred, subj, obj)`` ints, rules are ``(head, body)`` with variables as
-negative ints.
+code with the package internals. The enumeration oracle reads plain tuples:
+facts are ``(pred, subj, obj)`` ints, rules are ``(head, body)`` atoms with
+variables as negative ints, which ``rule_atoms`` writes for a package
+``kb.Rule``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from selprover.kb import SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Rule
 
 
 def constant_names(vocab) -> list[str]:
@@ -178,7 +181,7 @@ def select_kbs_reference(kb, logic_predicates, proportion, store, goal_rel,
     for p, s in logic_predicates.items():
         gen_score[p] = s
     items = ([(i, int(kb.fact_pred[i])) for i in range(kb.n_facts)]
-             + [(kb.n_facts + j, r.head.pred) for j, r in enumerate(kb.rules)])
+             + [(kb.n_facts + j, r.head) for j, r in enumerate(kb.rules)])
     items = [(i, h) for i, h in items if gen_score[to_real[h]] >= 0.0]
     if len(items) > cap:
         sim = tables[0][:, goal_rel]
@@ -312,11 +315,29 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
     return best, stats
 
 
+def known_triples(kb) -> frozenset:
+    """Every stored fact of a ``kb.KnowledgeBase`` as a (pred, subj, obj)
+    triple: the known set corruptions are filtered against."""
+    return frozenset(f.as_triple() for f in kb.facts)
+
+
+def rule_atoms(rule):
+    """A package ``kb.Rule`` as the ``(head, body)`` atoms ``oracle_prove``
+    reads, over the variables X, Y, Z = -1, -2, -3."""
+    X, Y, Z = -1, -2, -3
+    head = (rule.head, X, Y)
+    if rule.shape == SHAPE_IMPLIES:
+        return head, [(rule.body1, X, Y)]
+    if rule.shape == SHAPE_INVERSE:
+        return head, [(rule.body1, Y, X)]
+    return head, [(rule.body1, X, Z), (rule.body2, Z, Y)]
+
+
 def random_proof_case(rng: np.random.Generator, max_facts=12, max_rules=3):
     """Random tiny knowledge base + goal for engine/oracle comparison.
 
-    Rules are the three template shapes (implies, inverse, chain) over a
-    shared predicate space, the only rules a ``KnowledgeBase`` accepts.
+    Rules are package ``kb.Rule``s of the three template shapes over a
+    shared predicate space; ``rule_atoms`` writes them for the oracle.
     """
     n_pred = int(rng.integers(2, 5))
     n_const = int(rng.integers(2, 7))
@@ -333,19 +354,17 @@ def random_proof_case(rng: np.random.Generator, max_facts=12, max_rules=3):
         if t not in seen:
             seen.add(t)
             facts.append(t)
-    X, Y, Z = -1, -2, -3
     rules = []
     for _ in range(int(rng.integers(0, max_rules + 1))):
         h = int(rng.integers(n_pred))
         b = int(rng.integers(n_pred))
         shape = rng.integers(3)
         if shape == 0:
-            rules.append(((h, X, Y), [(b, X, Y)]))
+            rules.append(Rule(SHAPE_IMPLIES, h, b))
         elif shape == 1:
-            rules.append(((h, X, Y), [(b, Y, X)]))
+            rules.append(Rule(SHAPE_INVERSE, h, b))
         else:
-            b2 = int(rng.integers(n_pred))
-            rules.append(((h, X, Y), [(b, X, Z), (b2, Z, Y)]))
+            rules.append(Rule(SHAPE_CHAIN, h, b, int(rng.integers(n_pred))))
     goal = (int(rng.integers(n_pred)), int(rng.integers(n_const)),
             int(rng.integers(n_const)))
     threshold = float(rng.choice([0.0, 0.05, 0.2, 0.5]))

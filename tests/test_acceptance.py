@@ -28,17 +28,16 @@ from selprover.evaluate import (EfficiencyRecord, compute_auc_pr,
 from selprover.generator import (RelationStorage, StorageEntry,
                                  init_generator, item_embeddings,
                                  nns_complete, train_generator_step)
-from selprover.kb import (Atom, KnowledgeBase, KBView, Rule, Vocabulary,
-                          mkvar, split_dataset)
+from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, Atom, KnowledgeBase,
+                          KBView, Rule, Vocabulary, split_dataset)
 from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
                               kernel_tables, prove_goal, template_rules,
                               training_loss)
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.scoring import BatchedEvaluator
 
-from oracles import auc_pr_bruteforce, nns_oracle, oracle_prove, random_proof_case
-
-X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
+from oracles import (auc_pr_bruteforce, known_triples, nns_oracle,
+                     oracle_prove, random_proof_case, rule_atoms)
 
 
 def conclude(cid: str, ok: bool, detail: str = "") -> None:
@@ -71,10 +70,7 @@ def build_package(facts, rules, Ep, Ec):
     for c in range(Ec.shape[0]):
         vocab.intern_constant(f"c{c}")
     atoms = [Atom(p, (s, o)) for p, s, o in facts]
-    rl = [Rule(head=Atom(h[0], (h[1], h[2])),
-               body=tuple(Atom(b[0], (b[1], b[2])) for b in body))
-          for h, body in rules]
-    kb = KnowledgeBase(vocab, atoms, rl)
+    kb = KnowledgeBase(vocab, atoms, rules)
     store = ParameterStore()
     store.add(PRED_EMB, Ep.copy())
     store.add(CONST_EMB, Ec.copy())
@@ -244,7 +240,9 @@ def test_prover_matches_enumeration_oracle():
         kb, store = build_package(facts, rules, Ep, Ec)
         res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
                          store, ProverConfig(max_depth=2, min_score=thr))
-        best, stats = oracle_prove(goal, facts, rules, Ep, Ec, 2, thr)
+        best, stats = oracle_prove(goal, facts,
+                                   [rule_atoms(r) for r in rules], Ep, Ec, 2,
+                                   thr)
         worst = max(worst, abs(res.score - best))
         proofs += len(stats.scores)
     conclude(cid, worst < 1e-9 and proofs > 0,
@@ -261,7 +259,8 @@ def test_zero_threshold_matches_unrestricted_formulation():
         kb, store = build_package(facts, rules, Ep, Ec)
         res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
                          store, ProverConfig(max_depth=2, min_score=0.0))
-        best, _ = oracle_prove(goal, facts, rules, Ep, Ec, 2, 0.0)
+        best, _ = oracle_prove(goal, facts, [rule_atoms(r) for r in rules],
+                               Ep, Ec, 2, 0.0)
         worst = max(worst, abs(res.score - best))
     conclude(cid, worst < 1e-9, f"120 KBs at threshold 0, max|Δ|={worst:.2e}")
 
@@ -346,8 +345,8 @@ def _fd_gaussian_kernel() -> float:
 
     def raw():
         return training_loss([goal], kb.full_view(), store, cfg,
-                             HighQualityBuffer(), Counters(), kb.fact_set,
-                             np.random.default_rng(0))
+                             HighQualityBuffer(), Counters(),
+                             known_triples(kb), np.random.default_rng(0))
 
     _, grads, _ = raw()
     return _sweep_manual_fd(store, lambda: raw()[0], grads, picks=12)
@@ -383,7 +382,7 @@ def _grad_case():
     Ep[4] = (-4.0, 3.0)
     Ec = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
     facts = [(0, 0, 1), (1, 1, 2)]
-    rules = [((4, X, Y), [(2, X, Z), (3, Z, Y)])]
+    rules = [Rule(SHAPE_CHAIN, 4, 2, 3)]
     kb, store = build_package(facts, rules, Ep, Ec)
     return kb, store, Atom(4, (0, 2))
 
@@ -395,8 +394,8 @@ def _fd_prove_goal() -> float:
     cfg = RunConfig(max_depth=2, min_score=0.3, prover_negatives=0,
                     embedding_dim=2)
     _, grads, _ = training_loss([goal], kb.full_view(), store, cfg,
-                                HighQualityBuffer(), Counters(), kb.fact_set,
-                                np.random.default_rng(3))
+                                HighQualityBuffer(), Counters(),
+                                known_triples(kb), np.random.default_rng(3))
 
     def neg_log_score():
         res = prove_goal(goal, kb.full_view(), store,
@@ -432,8 +431,8 @@ def _fd_training_loss() -> float:
 
     def raw():
         return training_loss([goal], kb.full_view(), store, cfg,
-                             HighQualityBuffer(), Counters(), kb.fact_set,
-                             np.random.default_rng(17))
+                             HighQualityBuffer(), Counters(),
+                             known_triples(kb), np.random.default_rng(17))
 
     _, grads, _ = raw()
     return _sweep_manual_fd(store, lambda: raw()[0], grads)
@@ -545,8 +544,8 @@ def test_selected_kb_cap(n_facts, n_rules, prop_pct, seed):
         if f not in seen:
             seen.add(f)
             facts.append(f)
-    rules = [((int(rng.integers(n_preds)), X, Y),
-              [(int(rng.integers(n_preds)), X, Y)]) for _ in range(n_rules)]
+    rules = [Rule(SHAPE_IMPLIES, int(rng.integers(n_preds)),
+                  int(rng.integers(n_preds))) for _ in range(n_rules)]
     Ep = rng.normal(0.0, 0.5, size=(n_preds, 3))
     Ec = rng.normal(0.0, 0.5, size=(n_consts, 3))
     kb, store = build_package(facts, rules, Ep, Ec)

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from selprover import cli
@@ -170,6 +171,27 @@ class TestPipelines:
         assert cli.run_command(["inspect-storage", "--checkpoint",
                                 str(run / "checkpoints" / "final")]) == 0
         assert "entries (per layer" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", [
+        {"split_ratios": "0.5,0.0,0.5"},  # no validation facts
+        {"iterations": 0},                # no iteration at all
+    ])
+    def test_eval_after_train_without_valid_mrr(self, tmp_path, extra):
+        # with no validation MRR, best is the final state, so eval finds it
+        argv = flags(tmp_path, **extra)
+        assert cli.run_command(["train", *argv]) == 0
+        assert cli.run_command(["eval", *argv]) == 0
+        run = next((tmp_path / "runs").iterdir())
+        assert (run / "eval.csv").is_file()
+        best, final = (run / "checkpoints" / "best",
+                       run / "checkpoints" / "final")
+        for name in ("storage.txt", "metrics.csv"):
+            assert (best / name).read_bytes() == (final / name).read_bytes()
+        with np.load(best / "store.npz") as b, \
+                np.load(final / "store.npz") as f:
+            assert b.files == f.files
+            for key in b.files:
+                np.testing.assert_array_equal(b[key], f[key])
 
     def test_eval_without_checkpoint_usage_error(self, tmp_path):
         assert cli.run_command(["eval", *flags(tmp_path, seed=99)]) == 2

@@ -15,13 +15,12 @@ from selprover.em import (TrainState, build_goal_batches, em_iteration,
                           save_checkpoint, select_kbs, storage_capacities,
                           write_metrics_csv)
 from selprover.generator import RelationStorage, nearest_real_predicate
-from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
+from selprover.kb import (SHAPE_IMPLIES, SHAPE_INVERSE, Atom, KnowledgeBase,
+                          Rule, Vocabulary)
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import HighQualityBuffer, kernel_tables, training_loss
 
 from oracles import select_kbs_reference, tape_generator_step
-
-X, Y = mkvar(0), mkvar(1)
 
 
 def tiny_cfg(**over):
@@ -145,7 +144,7 @@ def test_select_maps_template_heads_to_nearest_real():
         vocab.intern_predicate(name)
     for c in ("a", "b"):
         vocab.intern_constant(c)
-    rule = Rule(head=Atom(2, (X, Y)), body=(Atom(0, (X, Y)),))
+    rule = Rule(SHAPE_IMPLIES, 2, 0)
     kb = KnowledgeBase(vocab, [Atom(0, (0, 1)), Atom(1, (1, 0))], [rule])
     store = flat_store([[0.0, 0.0], [4.0, 4.0]], np.zeros((2, 2)),
                        slots=[[3.9, 4.0]])   # slot nearest p1
@@ -190,8 +189,8 @@ def test_select_matches_tuple_sort_reference(seed):
     facts = [Atom(int(rng.integers(n_real)), (int(rng.integers(n_const)),
                                               int(rng.integers(n_const))))
              for _ in range(40)]
-    rules = [Rule(Atom(n_real + int(rng.integers(n_slots)), (X, Y)),
-                  (Atom(int(rng.integers(n_real)), (Y, X)),))
+    rules = [Rule(SHAPE_INVERSE, n_real + int(rng.integers(n_slots)),
+                  int(rng.integers(n_real)))
              for _ in range(8)]
     kb = KnowledgeBase(vocab, facts, rules)
     Ep = rng.normal(size=(2, 4))[rng.integers(2, size=n_real)]

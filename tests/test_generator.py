@@ -9,13 +9,13 @@ from selprover.generator import (RelationStorage, StorageEntry,
                                  nearest_real_predicate, nns_complete,
                                  parse_storage_lines, train_generator_step,
                                  update_relation_storage)
-from selprover.kb import Atom, KnowledgeBase, Rule, Vocabulary, mkvar
+from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, Atom, KnowledgeBase,
+                          Rule, Vocabulary)
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import HighQualityBuffer
 
 from oracles import nns_oracle, tape_generate_predicates, tape_generator_step
 
-X, Y = mkvar(0), mkvar(1)
 
 # the order train_generator_step returns gradients in, which is the order
 # clip_gradients sums the norm in
@@ -273,7 +273,7 @@ def test_storage_parser_keeps_raw_fields():
 
 
 def test_update_from_buffer_places_by_level():
-    rule = Rule(head=Atom(3, (X, Y)), body=(Atom(0, (X, Y)),))
+    rule = Rule(SHAPE_IMPLIES, 3, 0)
     kb = fact_kb(4, 3, [(0, 0, 1), (1, 1, 2)], [rule])
     hq = HighQualityBuffer()
     hq.add(0, 0.9, 1, goal_rel=2)                  # fact p0(c0,c1)
@@ -378,9 +378,8 @@ def test_nns_matches_sorting_oracle():
 
 
 def test_rule_embedding_averages_symbols():
-    Z = mkvar(2)
-    implies = Rule(head=Atom(1, (X, Y)), body=(Atom(0, (X, Y)),))
-    chain = Rule(head=Atom(2, (X, Y)), body=(Atom(0, (X, Z)), Atom(1, (Z, Y))))
+    implies = Rule(SHAPE_IMPLIES, 1, 0)
+    chain = Rule(SHAPE_CHAIN, 2, 0, 1)
     kb = fact_kb(3, 2, [(0, 0, 1)], [implies, chain])
     store = ParameterStore()
     store.add(PRED_EMB, np.array([[1.0, 0.0], [0.0, 2.0], [5.0, 4.0]]))

@@ -8,7 +8,7 @@ from selprover import kb
 from selprover.config import ConfigError
 from selprover.pretrain import _sample_negative
 
-from oracles import constant_names, serialize_triples
+from oracles import constant_names, known_triples, serialize_triples
 
 
 def build_kb(triples, rules=()):
@@ -157,7 +157,7 @@ class TestCorruptions:
         fact = base.facts[0]
         rng = np.random.default_rng(0)
         out = {_sample_negative(rng, fact.as_triple(), base.vocab.n_constants,
-                                base.fact_set) for _ in range(200)}
+                                known_triples(base)) for _ in range(200)}
         vocab = base.vocab
         got = {(vocab.predicate_name(p), vocab.constant_name(s),
                 vocab.constant_name(o)) for p, s, o in out}
@@ -172,7 +172,7 @@ class TestCorruptions:
         for _ in range(20):
             assert _sample_negative(rng, base.facts[0].as_triple(),
                                     base.vocab.n_constants,
-                                    base.fact_set) is None
+                                    known_triples(base)) is None
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2**31 - 1))
@@ -189,10 +189,11 @@ class TestCorruptions:
                                      int(rng.integers(n_const)))))
         base = kb.KnowledgeBase(vocab, facts)
         fact = base.facts[int(rng.integers(base.n_facts))].as_triple()
-        got = _sample_negative(rng, fact, n_const, base.fact_set)
+        known = known_triples(base)
+        got = _sample_negative(rng, fact, n_const, known)
         if got is None:
             return
-        assert got not in base.fact_set
+        assert got not in known
         assert got[0] == fact[0]
         assert (got[1] != fact[1]) + (got[2] != fact[2]) == 1
 
@@ -207,8 +208,7 @@ class TestKnowledgeBase:
         base = build_kb([("a", "p", "b")])
         p = base.vocab.predicate_id("p")
         q = base.vocab.intern_predicate("q")
-        rule = kb.Rule(head=kb.Atom(q, (kb.mkvar(0), kb.mkvar(1))),
-                       body=(kb.Atom(p, (kb.mkvar(0), kb.mkvar(1))),))
+        rule = kb.Rule(kb.SHAPE_IMPLIES, q, p)
         kb2 = kb.KnowledgeBase(base.vocab, base.facts, [rule])
         assert kb2.item_head_pred(kb2.n_facts) == q
 
@@ -216,41 +216,20 @@ class TestKnowledgeBase:
         base = build_kb([("a", "p", "b")])
         vocab = base.vocab
         p = vocab.predicate_id("p")
-        q, r, t = (vocab.intern_predicate(n) for n in ("q", "r", "t"))
-        X, Y, Z = kb.mkvar(0), kb.mkvar(1), kb.mkvar(2)
-        a = vocab.constant_id("a")
-        A = kb.Atom
+        q = vocab.intern_predicate("q")
         bad = [
-            kb.Rule(A(p, (X, X)), (A(q, (X, Y)),)),
-            kb.Rule(A(p, (X, Y)), (A(q, (X, Z)), A(r, (Y, Z)))),
-            kb.Rule(A(p, (X, Y)), (A(q, (X, Y)), A(r, (X, Y)),
-                                   A(t, (X, Y)))),
-            kb.Rule(A(p, (a, Y)), (A(q, (Y, Y)),)),
-            kb.Rule(A(p, (X, Y)), ()),
+            kb.Rule("swap", p, q),               # no such template
+            kb.Rule(kb.SHAPE_IMPLIES, p, q, q),  # body2 on a one-body shape
+            kb.Rule(kb.SHAPE_INVERSE, p, q, p),
+            kb.Rule(kb.SHAPE_CHAIN, p, q),       # a chain without body2
+            kb.Rule(kb.SHAPE_IMPLIES, -1, q),    # predicate ids are >= 0
+            kb.Rule(kb.SHAPE_CHAIN, p, -1, q),
         ]
         for rule in bad:
             with pytest.raises(ValueError, match="template") as err:
-                kb.KnowledgeBase(vocab, base.facts, [rule])
-            assert rule.render(vocab) in str(err.value)
-
-    def test_alpha_variant_rules_get_equal_plans(self):
-        base = build_kb([("a", "p", "b")])
-        p = base.vocab.predicate_id("p")
-        q = base.vocab.intern_predicate("q")
-        v = kb.mkvar
-        A = kb.Atom
-
-        def rules(X, Y, Z):
-            return [kb.Rule(A(q, (X, Y)), (A(p, (X, Y)),)),
-                    kb.Rule(A(q, (X, Y)), (A(p, (Y, X)),)),
-                    kb.Rule(A(q, (X, Y)), (A(p, (X, Z)), A(q, (Z, Y))))]
-
-        plans = {kb.KnowledgeBase(base.vocab, base.facts,
-                                  rules(*codes)).rule_plan
-                 for codes in [(v(0), v(1), v(2)), (v(1), v(0), v(2)),
-                               (v(5), v(2), v(0)), (v(1200), v(1000), v(1001))]}
-        assert plans == {(("implies", p, -1), ("inverse", p, -1),
-                          ("chain", p, q))}
+                kb.KnowledgeBase(vocab, base.facts,
+                                 [kb.Rule(kb.SHAPE_CHAIN, q, p, p), rule])
+            assert f"rule 1 is not template-shaped: {rule}" in str(err.value)
 
     def test_view_exclusion_lookup(self):
         base = build_kb([("a", "p", "b"), ("c", "p", "d"), ("e", "q", "f")])
@@ -265,4 +244,4 @@ class TestKnowledgeBase:
         p = vocab.intern_predicate("p")
         vocab.intern_constant("a")
         with pytest.raises(ValueError):
-            kb.KnowledgeBase(vocab, [kb.Atom(p, (kb.mkvar(0), 0))])
+            kb.KnowledgeBase(vocab, [kb.Atom(p, (-1, 0))])

@@ -5,17 +5,16 @@ import pytest
 
 from selprover.autodiff import ParameterStore
 from selprover.config import RunConfig
-from selprover.kb import (Atom, KnowledgeBase, Rule, Vocabulary, classify_rule,
-                          mkvar)
+from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
+                          KnowledgeBase, Rule, Vocabulary)
 from selprover import prover
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
                               build_templates, kernel_tables, pred_matrix,
                               prove_goal, training_loss)
 
-from oracles import oracle_prove, random_proof_case, training_loss_reference
-
-X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
+from oracles import (known_triples, oracle_prove, random_proof_case,
+                     rule_atoms, training_loss_reference)
 
 
 def make_package(facts, rules, Ep, Ec):
@@ -25,10 +24,7 @@ def make_package(facts, rules, Ep, Ec):
     for c in range(Ec.shape[0]):
         vocab.intern_constant(f"c{c}")
     atoms = [Atom(p, (s, o)) for p, s, o in facts]
-    rl = [Rule(head=Atom(h[0], (h[1], h[2])),
-               body=tuple(Atom(b[0], (b[1], b[2])) for b in body))
-          for h, body in rules]
-    kb = KnowledgeBase(vocab, atoms, rl)
+    kb = KnowledgeBase(vocab, atoms, rules)
     store = ParameterStore()
     store.add(PRED_EMB, Ep.copy())
     store.add(CONST_EMB, Ec.copy())
@@ -69,7 +65,7 @@ def test_chain_rule_completes_with_exact_embeddings():
     Ep = place([0.0, 0.0], [4.0, 0.0])  # f, gp far apart
     Ec = place([0.0, 0.0], [0.0, 3.0], [3.0, 0.0])  # a, m, b
     facts = [(0, 0, 1), (0, 1, 2)]
-    rules = [((1, X, Y), [(0, X, Z), (0, Z, Y)])]
+    rules = [Rule(SHAPE_CHAIN, 1, 0, 0)]
     kb, store = make_package(facts, rules, Ep, Ec)
     res = prove_goal(Atom(1, (0, 2)), kb.full_view(), store,
                      ProverConfig(max_depth=2, min_score=0.1))
@@ -81,7 +77,7 @@ def test_goal_must_be_ground():
     Ec = place([0.0])
     kb, store = make_package([(0, 0, 0)], [], Ep, Ec)
     with pytest.raises(ValueError):
-        prove_goal(Atom(0, (X, 0)), kb.full_view(), store, ProverConfig())
+        prove_goal(Atom(0, (-1, 0)), kb.full_view(), store, ProverConfig())
 
 
 # --- oracle equivalence ----------------------------------------------------
@@ -94,8 +90,8 @@ def run_both(facts, rules, Ep, Ec, goal, threshold, depth=2, exclude=-1):
                      ProverConfig(max_depth=depth, min_score=threshold),
                      hq=HighQualityBuffer(), counters=counters,
                      exclude_fact=exclude)
-    best, stats = oracle_prove(goal, facts, rules, Ep, Ec, depth, threshold,
-                               exclude_fact=exclude)
+    best, stats = oracle_prove(goal, facts, [rule_atoms(r) for r in rules],
+                               Ep, Ec, depth, threshold, exclude_fact=exclude)
     return kb, res, counters, best, stats
 
 
@@ -160,7 +156,7 @@ def test_depth_zero_kills_nonempty_bodies():
     Ep = place([0.0, 0.0], [0.0, 0.1])
     Ec = place([0.0, 0.0], [1.0, 0.0])
     facts = [(0, 0, 1)]
-    rules = [((1, X, Y), [(0, X, Y)])]
+    rules = [Rule(SHAPE_IMPLIES, 1, 0)]
     kb, store = make_package(facts, rules, Ep, Ec)
     goal = Atom(1, (0, 1))
     deep = prove_goal(goal, kb.full_view(), store,
@@ -197,7 +193,7 @@ def test_buffer_levels_through_rule():
     Ep = place([0.0, 0.0], [3.0, 0.0])
     Ec = place([0.0, 0.0], [1.0, 0.0])
     facts = [(0, 0, 1)]
-    rules = [((1, X, Y), [(0, X, Y)])]
+    rules = [Rule(SHAPE_IMPLIES, 1, 0)]
     kb, store = make_package(facts, rules, Ep, Ec)
     hq = HighQualityBuffer()
     res = prove_goal(Atom(1, (0, 1)), kb.full_view(), store,
@@ -267,8 +263,9 @@ def test_beam_matches_oracle_with_harvest():
                              ProverConfig(max_depth=2, min_score=thr,
                                           beam=beam),
                              hq=hq, counters=counters)
-            best, stats = oracle_prove(goal, facts, rules, Ep, Ec, 2, thr,
-                                       beam=beam)
+            best, stats = oracle_prove(goal, facts,
+                                       [rule_atoms(r) for r in rules], Ep, Ec,
+                                       2, thr, beam=beam)
             assert res.score == pytest.approx(best, abs=1e-9)
             assert res.n_proofs == len(stats.scores)
             assert counters.established == stats.established
@@ -285,60 +282,6 @@ def test_beam_matches_oracle_with_harvest():
     assert cut >= 10  # the sample has searches a narrow beam truncates
 
 
-# --- alpha-variant rules ---------------------------------------------------
-
-# alpha-variants of the X/Y/Z (mkvar 0/1/2) rules random_proof_case draws:
-# out of order, non-contiguous, and with large codes
-RENUMBERINGS = (
-    {X: Y, Y: X, Z: Z},
-    {X: mkvar(5), Y: mkvar(2), Z: mkvar(0)},
-    {X: mkvar(1200), Y: mkvar(1000), Z: mkvar(1001)},
-)
-
-
-def renumber(rules, codes):
-    def atom(a):
-        return (a[0], codes.get(a[1], a[1]), codes.get(a[2], a[2]))
-    return [(atom(head), [atom(b) for b in body]) for head, body in rules]
-
-
-def test_renumbered_rules_prove_alike():
-    rng = np.random.default_rng(58)
-    ruled = 0
-    for case in range(40):
-        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng)
-        beam = (0, 0, 2)[case % 3]
-
-        def run(rl):
-            kb, store = make_package(facts, rl, Ep, Ec)
-            hq, counters = HighQualityBuffer(), Counters()
-            res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
-                             store, ProverConfig(max_depth=2, min_score=thr,
-                                                 beam=beam),
-                             hq=hq, counters=counters)
-            return (res.score, res.n_proofs,
-                    res.state.entry if res.state is not None else None,
-                    counters.traversed, counters.established,
-                    [(i, e.score, e.level, e.goal_rel)
-                     for i, e in hq.items.items()])
-
-        want = run(rules)
-        best, stats = oracle_prove(goal, facts, rules, Ep, Ec, 2, thr,
-                                   beam=beam)
-        assert want[0] == pytest.approx(best, abs=1e-9)
-        assert want[1] == len(stats.scores)
-        assert want[4] == stats.established
-        for codes in RENUMBERINGS:
-            renamed = renumber(rules, codes)
-            assert run(renamed) == want
-            best2, stats2 = oracle_prove(goal, facts, renamed, Ep, Ec, 2, thr,
-                                         beam=beam)
-            assert (best2, stats2.scores, stats2.harvest) == \
-                   (best, stats.scores, stats.harvest)
-        ruled += want[1] > 0 and any(i >= len(facts) for i, *_ in want[5])
-    assert ruled >= 10  # depth-2 searches that prove and unify rule heads
-
-
 # --- rule-head screen ------------------------------------------------------
 
 
@@ -347,7 +290,7 @@ def test_screen_keeps_a_rule_exactly_at_min_score():
     # p sits far from g, so the fact sweep of the goal itself finds nothing
     Ep = place([0.0, 0.0], [0.5, 0.0], [5.0, 0.0])  # g, h, p
     Ec = place([0.0, 0.0], [3.0, 0.0])  # a, b
-    kb, store = make_package([(2, 0, 1)], [((1, X, Y), [(2, X, Y)])], Ep, Ec)
+    kb, store = make_package([(2, 0, 1)], [Rule(SHAPE_IMPLIES, 1, 2)], Ep, Ec)
     v = float(kernel_tables(store)[0][1, 0])
     assert 0.7 < v < 0.8
     goal = Atom(0, (0, 1))
@@ -375,7 +318,7 @@ def test_screened_rules_are_never_unified():
     Ep = place([0.0, 0.0], [4.0, 0.0], [0.0, 4.0])
     Ec = place([0.0, 0.0], [1.0, 0.0])
     facts = [(0, 0, 1), (1, 1, 0)]
-    rules = [((h, X, Y), [(0, X, Y)]) for h in (1, 2)] * 3
+    rules = [Rule(SHAPE_IMPLIES, h, 0) for h in (1, 2)] * 3
     kb, store = make_package(facts, rules, Ep, Ec)
     hq, counters = HighQualityBuffer(), Counters()
     res = prove_goal(Atom(0, (1, 0)), kb.full_view(), store,
@@ -403,8 +346,7 @@ def test_nan_head_kernel_acts_like_one():
         if not rules:
             continue
         n_pred = len(Ep)
-        rules = [((n_pred + j, X, Y), body)
-                 for j, (_, body) in enumerate(rules)]
+        rules = [r._replace(head=n_pred + j) for j, r in enumerate(rules)]
         Ep = np.vstack([Ep, rng.normal(0.0, 0.9, (len(rules), Ep.shape[1]))])
         kb, store = make_package(facts, rules, Ep, Ec)
         Kp, Kc = kernel_tables(store)
@@ -461,14 +403,14 @@ def template_setup(dim=6, seed=3):
 def test_template_shapes_and_slots():
     vocab, store, cfg, rules = template_setup()
     assert len(rules) == 9
-    shapes = [classify_rule(r) for r in rules]
+    shapes = [r.shape for r in rules]
     assert shapes == ["implies"] * 3 + ["inverse"] * 2 + ["chain"] * 4
     n_slots = 3 * 2 + 2 * 2 + 4 * 3
     assert store[SLOT_EMB].shape == (n_slots, cfg.embedding_dim)
     assert vocab.n_predicates == 4 + n_slots
     # slot ids are dense, appended after the real predicates in rule order,
-    # head first, one per atom
-    seen = [a.pred for r in rules for a in (r.head, *r.body)]
+    # head, then body1, then body2
+    seen = [p for r in rules for p in r[1:] if p >= 0]
     assert seen == list(range(4, 4 + n_slots))
     assert [vocab.predicate_name(p) for p in seen] == [
         f"#{k}" for k in range(n_slots)]
@@ -496,16 +438,6 @@ def test_failed_template_build_leaves_store_untouched():
     assert SLOT_EMB not in store
 
 
-def test_classify_rejects_non_template_shapes():
-    assert classify_rule(Rule(head=Atom(0, (X, X)), body=(Atom(1, (X, Y)),))) is None
-    assert classify_rule(Rule(head=Atom(0, (X, Y)),
-                              body=(Atom(1, (X, Z)), Atom(2, (Y, Z))))) is None
-    assert classify_rule(Rule(head=Atom(0, (X, Y)),
-                              body=(Atom(1, (X, Y)), Atom(2, (X, Y)),
-                                    Atom(3, (X, Y))))) is None
-    assert classify_rule(Rule(head=Atom(0, (0, Y)), body=(Atom(1, (Y, Y)),))) is None
-
-
 def test_prove_through_template_matches_oracle():
     vocab, store, cfg, rules = template_setup(seed=21)
     facts = [(0, 0, 1), (1, 1, 2), (2, 2, 3), (0, 3, 4)]
@@ -513,8 +445,7 @@ def test_prove_through_template_matches_oracle():
     kb = KnowledgeBase(vocab, atoms, rules)
     Ep = pred_matrix(store)
     Ec = store[CONST_EMB]
-    rl = [((r.head.pred, *r.head.args), [(b.pred, *b.args) for b in r.body])
-          for r in rules]
+    rl = [rule_atoms(r) for r in rules]
     for goal in [(3, 0, 2), (2, 4, 0), (0, 0, 1)]:
         res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(),
                          store, ProverConfig(max_depth=2, min_score=0.0))
@@ -541,7 +472,7 @@ def chain_grad_setup():
     Ep[4] = (-4.0, 3.0)
     Ec = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
     facts = [(0, 0, 1), (1, 1, 2)]
-    rules = [((4, X, Y), [(2, X, Z), (3, Z, Y)])]
+    rules = [Rule(SHAPE_CHAIN, 4, 2, 3)]
     kb, store = make_package(facts, rules, Ep, Ec)
     return kb, store, Atom(4, (0, 2))
 
@@ -550,7 +481,8 @@ def loss_and_grads(kb, store, goal, cfg, known=None, seed=17):
     """training_loss of one goal with a fixed corruption stream."""
     loss, grads, _ = training_loss(
         [goal], kb.full_view(), store, cfg, HighQualityBuffer(), Counters(),
-        kb.fact_set if known is None else known, np.random.default_rng(seed))
+        known_triples(kb) if known is None else known,
+        np.random.default_rng(seed))
     return loss, grads
 
 
@@ -634,7 +566,7 @@ def slot_grad_setup():
         vocab.intern_predicate(name)
     for name in ("c0", "c1"):
         vocab.intern_constant(name)
-    rule = Rule(head=Atom(2, (X, Y)), body=(Atom(3, (X, Y)),))
+    rule = Rule(SHAPE_IMPLIES, 2, 3)
     kb = KnowledgeBase(vocab, [Atom(0, (0, 1))], [rule])
     store = ParameterStore()
     store.add(CONST_EMB, place([0.0, 0.0], [0.0, 2.0]))
@@ -694,7 +626,7 @@ def test_training_loss_value_and_masking():
     counters = Counters()
     goal = Atom(0, (0, 1))
     loss, grads, stats = training_loss([goal], kb.full_view(), store, cfg, hq,
-                                       counters, kb.fact_set,
+                                       counters, known_triples(kb),
                                        np.random.default_rng(3))
     # the positive is masked: no other path, so its score clamps to eps
     assert stats["mean_pos"] == 0.0
@@ -716,7 +648,7 @@ def test_training_loss_drops_exhausted_corruptions():
     counters = Counters()
     loss, grads, stats = training_loss([Atom(0, (0, 1))], kb.full_view(),
                                        store, cfg, HighQualityBuffer(),
-                                       counters, kb.fact_set,
+                                       counters, known_triples(kb),
                                        np.random.default_rng(3))
     assert stats["mean_neg"] == 0.0
     assert [stats[k] for k in ("goals_pos", "proved_pos", "goals_neg",
@@ -734,7 +666,7 @@ def test_training_loss_matches_goal_by_goal_sampling(monkeypatch):
     Ec = rng.normal(0.0, 0.4, size=(3, 2))
     facts = [(0, s, o) for s in range(3) for o in range(3) if (s, o) != (2, 2)]
     facts += [(1, 0, 1), (1, 2, 0), (2, 1, 2)]
-    rules = [((2, X, Y), [(0, X, Z), (1, Z, Y)]), ((1, X, Y), [(0, Y, X)])]
+    rules = [Rule(SHAPE_CHAIN, 2, 0, 1), Rule(SHAPE_INVERSE, 1, 0)]
     kb, store = make_package(facts, rules, Ep, Ec)
     positives = [Atom(p, (s, o)) for p, s, o in facts[::2]]
     cfg = RunConfig(max_depth=2, min_score=0.1, prover_negatives=3,
@@ -753,7 +685,7 @@ def test_training_loss_matches_goal_by_goal_sampling(monkeypatch):
         hq, counters, draws = HighQualityBuffer(), Counters(), \
             np.random.default_rng(5)
         out = loss_fn(positives, kb.full_view(), store, cfg, hq, counters,
-                      kb.fact_set, draws)
+                      known_triples(kb), draws)
         runs.append((out, proved, hq.items, counters,
                      draws.bit_generator.state))
     (loss, grads, stats), proved, hq, counters, state = runs[0]
@@ -778,7 +710,8 @@ def test_training_loss_no_mask_when_goal_not_a_fact():
     goal = Atom(1, (0, 1))  # derivable but not stored
     loss, grads, stats = training_loss([goal], kb.full_view(), store, cfg,
                                        HighQualityBuffer(), Counters(),
-                                       kb.fact_set, np.random.default_rng(3))
+                                       known_triples(kb),
+                                       np.random.default_rng(3))
     assert stats["mean_pos"] == pytest.approx(np.exp(-0.04), abs=1e-12)
     assert (stats["goals_pos"], stats["proved_pos"]) == (1, 1)
     assert loss == pytest.approx(-np.log(np.exp(-0.04)), abs=1e-9)

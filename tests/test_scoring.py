@@ -3,13 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selprover.autodiff import ParameterStore
-from selprover.kb import Atom, KBView, KnowledgeBase, Rule, Vocabulary, mkvar
+from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
+                          KBView, KnowledgeBase, Rule, Vocabulary)
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.prover import ProverConfig, build_templates, prove_goal
 from selprover.config import RunConfig
 from selprover.scoring import BatchedEvaluator
-
-X, Y, Z = mkvar(0), mkvar(1), mkvar(2)
 
 
 def build_kb(facts, rules, Ep, Ec):
@@ -26,15 +25,15 @@ def build_kb(facts, rules, Ep, Ec):
 
 
 def implies(h, b):
-    return Rule(head=Atom(h, (X, Y)), body=(Atom(b, (X, Y)),))
+    return Rule(SHAPE_IMPLIES, h, b)
 
 
 def inverse(h, b):
-    return Rule(head=Atom(h, (X, Y)), body=(Atom(b, (Y, X)),))
+    return Rule(SHAPE_INVERSE, h, b)
 
 
 def chain(h, b1, b2):
-    return Rule(head=Atom(h, (X, Y)), body=(Atom(b1, (X, Z)), Atom(b2, (Z, Y))))
+    return Rule(SHAPE_CHAIN, h, b1, b2)
 
 
 def random_template_case(rng):

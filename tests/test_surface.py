@@ -1,13 +1,17 @@
 """No dead public surface in ``src/selprover``.
 
-A public top-level function or class is used when another part of the
+The surface is every public top-level function and class and, in a public
+class, every public method or property and every public attribute its
+``__init__`` sets on ``self``. A name is used when some part of the
 package refers to it outside its own definition, or the benchmark in
 ``perfbench/`` does. A reference is an identifier, an attribute, or a string
-equal to the name, since ``perfbench`` patches entry points by name.
+equal to the name, since ``perfbench`` patches entry points by name; a
+member is matched by name alone, whatever object it is read from.
 ``ALLOWED`` holds the exceptions, each with the reason it stays.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,43 +34,64 @@ ALLOWED = {
                                      "no command reports yet",
     "pretrain.ComplExScorer": "ROADMAP item 1: eval's baselines.csv ranks "
                               "the pretrained embeddings through it",
+    "kb.Vocabulary.constant_id": "twin of predicate_id; tests look constants "
+                                 "up by name with it",
+    "kb.Vocabulary.constant_name": "twin of predicate_name; tests read parsed "
+                                   "facts back by name with it",
 }
 
 
-def _references(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
-    """Every name ``tree`` refers to, leaving out the subtree ``skip``."""
-    out: set[str] = set()
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+def _references(tree: ast.AST) -> Counter:
+    """How often ``tree`` refers to each name."""
+    out: Counter = Counter()
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-        stack.extend(ast.iter_child_nodes(node))
+            out[node.value] += 1
     return out
+
+
+def _surface(module: str, tree: ast.Module):
+    """(qualified name, name, defining node) of each public definition."""
+    for node in tree.body:
+        if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                or node.name.startswith("_")):
+            continue
+        yield f"{module}.{node.name}", node.name, node
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if not isinstance(item, ast.FunctionDef):
+                continue
+            if not item.name.startswith("_"):
+                yield f"{module}.{node.name}.{item.name}", item.name, item
+            elif item.name == "__init__":
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"
+                            and not sub.attr.startswith("_")):
+                        yield f"{module}.{node.name}.{sub.attr}", sub.attr, sub
 
 
 def _unreferenced() -> list[str]:
     modules = {path.stem: ast.parse(path.read_text())
                for path in sorted(SRC.glob("*.py"))}
-    bench: set[str] = set()
+    bench: Counter = Counter()
     for path in sorted(BENCH.glob("*.py")):
-        bench |= _references(ast.parse(path.read_text()))
+        bench += _references(ast.parse(path.read_text()))
+    package: Counter = Counter()
+    for tree in modules.values():
+        package += _references(tree)
     dead = []
-    for name, tree in modules.items():
-        for node in tree.body:
-            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    or node.name.startswith("_") or node.name in bench):
-                continue
-            if not any(node.name in _references(other, node if other is tree
-                                                else None)
-                       for other in modules.values()):
-                dead.append(f"{name}.{node.name}")
+    for module, tree in modules.items():
+        for qualified, name, node in _surface(module, tree):
+            if name not in bench and package[name] <= _references(node)[name]:
+                dead.append(qualified)
     return dead
 
 
