@@ -109,8 +109,9 @@ class RunConfig:
                      "storage_scale"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("iterations", "patience", "beam", "prover_negatives",
-                     "batches_per_iteration", "valid_subsample"):
+        for name in ("seed", "iterations", "patience", "beam",
+                     "prover_negatives", "batches_per_iteration",
+                     "valid_subsample", "pretrain_weight_decay"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("pretrain_lr", "prover_lr", "gen_lr", "grad_clip"):
@@ -165,7 +166,11 @@ def _number(name: str, value, kind: type):
 def _coerce(name: str, value):
     if name in _TUPLE_FIELDS:
         if isinstance(value, str):
-            value = [p for p in value.replace(",", " ").split() if p]
+            # "0.5,0.0,0.5", or the JSON-style list "[0.5, 0.0, 0.5]"
+            value = value.strip()
+            if value.startswith("[") and value.endswith("]"):
+                value = value[1:-1]
+            value = value.replace(",", " ").split()
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name} must be a list, got {value!r}")
         return tuple(_number(f"{name} entry", v, _TUPLE_FIELDS[name])

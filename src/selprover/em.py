@@ -119,10 +119,15 @@ def build_goal_batches(facts: list[Atom], cfg: RunConfig,
     return batches
 
 
-def _run_iteration(store: ParameterStore, storage: RelationStorage,
-                   kb: KnowledgeBase, batches: list[tuple[int, list[Atom]]],
-                   cfg: RunConfig, rng: np.random.Generator,
-                   known: frozenset) -> dict:
+def em_iteration(state: TrainState, kb: KnowledgeBase,
+                 batches: list[tuple[int, list[Atom]]], cfg: RunConfig,
+                 rng: np.random.Generator, known: frozenset,
+                 valid_eval=None) -> TrainState:
+    """One full iteration, trained in place on ``state.store``/``state.storage``.
+
+    Returns the state advanced by one iteration, its metrics row appended.
+    """
+    store, storage = state.store, state.storage
     # only the storage update reads the harvest, and full-KB runs skip it
     hq = None if cfg.baseline_full_kb else HighQualityBuffer()
     counters = Counters()
@@ -166,7 +171,7 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
             adam_step(store, grads, cfg.gen_lr)
             gen_losses.append(gloss)
 
-    return {
+    row = {
         "prover_loss": float(np.mean(prover_losses)) if prover_losses
                        else float("nan"),
         "generator_loss": float(np.mean(gen_losses)) if gen_losses
@@ -177,23 +182,11 @@ def _run_iteration(store: ParameterStore, storage: RelationStorage,
         "traversed": counters.traversed,
         "established": counters.established,
         **proofs,
+        "valid_mrr": (float(valid_eval(store)) if valid_eval is not None
+                      else float("nan")),
+        "iteration": state.iteration + 1,
     }
-
-
-def em_iteration(state: TrainState, kb: KnowledgeBase,
-                 batches: list[tuple[int, list[Atom]]], cfg: RunConfig,
-                 rng: np.random.Generator, known: frozenset,
-                 valid_eval=None) -> TrainState:
-    """One full iteration, trained in place on ``state.store``/``state.storage``.
-
-    Returns the state advanced by one iteration, its metrics row appended.
-    """
-    row = _run_iteration(state.store, state.storage, kb, batches, cfg, rng,
-                         known)
-    row["valid_mrr"] = (float(valid_eval(state.store))
-                        if valid_eval is not None else float("nan"))
-    row["iteration"] = state.iteration + 1
-    return TrainState(state.iteration + 1, state.store, state.storage,
+    return TrainState(state.iteration + 1, store, storage,
                       state.metrics_log + [row])
 
 

@@ -1,11 +1,13 @@
 """Differentiable backward chaining over a knowledge-base view.
 
-The search is the classic or/and recursion over template rules:
-``or_step`` unifies a goal against every fact and rule head in the view,
-and a rule that unifies proves its body one depth further down. Scores
-follow soft unification: every concrete symbol pair contributes a
-Gaussian-kernel similarity, a branch's score is the running minimum of its
-contributions, and a goal's score is the maximum over completed branches.
+The search is the classic or/and recursion over template rules, written as
+two closures inside ``prove_goal`` over the view, the kernel tables, the
+config and the accounting: an or-step unifies a goal against every fact and
+rule head in the view, and a rule that unifies proves its body one depth
+further down. Scores follow soft unification: every concrete symbol pair
+contributes a Gaussian-kernel similarity, a branch's score is the running
+minimum of its contributions, and a goal's score is the maximum over
+completed branches.
 
 Two things distinguish this prover from the plain formulation. First,
 unification carries a score threshold: a branch whose running minimum falls
@@ -28,13 +30,14 @@ subgoal has at most one free argument, ``FREE``, and a ``ProofState``
 carries the constant bound to it: no binding map is kept. At depth 0 a body
 never runs, so a rule there is only counted and harvested.
 
-An or-step builds a ``ProofState`` only where one can survive. Under a
-positive beam, the step keeps the stable top-``beam`` of its states, and
-fact states come first, so a fact outside the stable top-``beam`` of the
-facts alone cannot make the cut. Every live fact is counted and buffered,
-in stream order, but states are built for those top facts only. Without a
-beam, fact states stay lazy, one at a time, because the buffer's insertion
-order follows the interleaving of facts with their consumers' deeper steps.
+An or-step builds a ``ProofState`` only where one can survive. Without a
+beam, an or-step is one generator and its states stay lazy, one at a time,
+because the buffer's insertion order follows the interleaving of facts with
+their consumers' deeper steps. A positive beam cuts each or-step to the
+stable top-``beam`` list of its states. Fact states come first, so a fact
+outside the stable top-``beam`` of the facts alone cannot make the cut:
+every live fact is counted and buffered, in stream order, but states are
+built for those top facts only.
 
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
@@ -48,7 +51,7 @@ autodiff graph is recorded: the loss returns dense gradients by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -71,14 +74,8 @@ class ProverConfig:
     min_score: float = 0.1
     beam: int = 0
 
-    @classmethod
-    def from_run(cls, cfg: RunConfig) -> "ProverConfig":
-        return cls(max_depth=cfg.max_depth, min_score=cfg.min_score,
-                   beam=cfg.beam)
 
-
-@dataclass(frozen=True, slots=True)
-class ProofState:
+class ProofState(NamedTuple):
     """Running score, its bottleneck ``entry``, and the constant bound to the
     goal's free argument (``FREE`` when the goal is ground)."""
 
@@ -149,121 +146,6 @@ def kernel_tables(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
                                                           store[CONST_EMB])
 
 
-class _Ctx:
-    """Per-proof search context: view, kernel tables, config, accounting."""
-
-    __slots__ = ("view", "Kp", "Kc", "config", "hq", "counters", "goal_rel",
-                 "exclude")
-
-    def __init__(self, view: KBView, Kp: np.ndarray, Kc: np.ndarray,
-                 config: ProverConfig, hq: HighQualityBuffer | None,
-                 counters: Counters, goal_rel: int, exclude: int):
-        self.view = view
-        self.Kp = Kp
-        self.Kc = Kc
-        self.config = config
-        self.hq = hq
-        self.counters = counters
-        self.goal_rel = goal_rel
-        self.exclude = exclude
-
-
-def or_step(pred: int, a0: int, a1: int, depth: int, state: ProofState,
-            ctx: _Ctx) -> Iterator[ProofState]:
-    """Unify goal ``pred(a0, a1)`` against every item in the view; recurse
-    into bodies.
-
-    At most one argument is ``FREE``. Facts are swept in one vectorized
-    pass; rules follow, each through its shape. Enumeration order is the
-    view's item order, which makes tie handling deterministic. A positive
-    beam materializes and keeps only the highest-scoring states of this
-    invocation (stable on ties).
-    """
-    view = ctx.view
-    ctx.counters.traversed += view.n_items
-    it = _or_states(pred, a0, a1, depth, state, ctx)
-    beam = ctx.config.beam
-    if beam > 0:
-        states = list(it)
-        states.sort(key=lambda s: -s.score)  # stable: ties keep stream order
-        it = iter(states[:beam])
-    yield from it
-
-
-def _or_states(pred: int, a0: int, a1: int, depth: int, state: ProofState,
-               ctx: _Ctx) -> Iterator[ProofState]:
-    view = ctx.view
-    cfg = ctx.config
-    level = cfg.max_depth - depth + 1
-    if view.n_facts:
-        psim = ctx.Kp[pred][view.pred]
-        a1sim = ctx.Kc[a0][view.subj] if a0 != FREE else None
-        a2sim = ctx.Kc[a1][view.obj] if a1 != FREE else None
-        scores, which = accel.sweep_scores(state.score, psim, a1sim, a2sim,
-                                           cfg.min_score, ctx.exclude)
-        live = np.flatnonzero(scores >= 0.0)
-        precut = 0 < cfg.beam < len(live)
-        if precut:
-            # or_step keeps the stable top-beam of this step and fact states
-            # come first in it, so no fact outside the stable top-beam of the
-            # facts alone can make that cut. Every live fact is still
-            # accounted, in stream order and before any rule runs.
-            ctx.counters.established += len(live)
-            if ctx.hq is not None:
-                for fid, sc in zip(view.fact_ids[live].tolist(),
-                                   scores[live].tolist()):
-                    ctx.hq.add(fid, sc, level, ctx.goal_rel)
-            top = np.argsort(-scores[live], kind="stable")[:cfg.beam]
-            live = np.sort(live[top])
-        # one list per column: plain ints and floats, no numpy scalars
-        for sc, w, p, s, o, fid in zip(
-                scores[live].tolist(), which[live].tolist(),
-                view.pred[live].tolist(), view.subj[live].tolist(),
-                view.obj[live].tolist(), view.fact_ids[live].tolist()):
-            if w == 0:
-                entry = state.entry
-            elif w == 1:
-                entry = (ENTRY_PRED, pred, p)
-            elif w == 2:
-                entry = (ENTRY_CONST, a0, s)
-            else:
-                entry = (ENTRY_CONST, a1, o)
-            if not precut:
-                ctx.counters.established += 1
-                if ctx.hq is not None:
-                    ctx.hq.add(fid, sc, level, ctx.goal_rel)
-            yield ProofState(sc, entry, s if a0 == FREE
-                             else o if a1 == FREE else FREE)
-    # a head scores min(state score, Kp[head, goal]), so one gather unifies
-    # every rule head; a rule below min_score is only traversed (a NaN
-    # kernel passes and leaves the state's score)
-    kp = ctx.Kp[view.rule_head, pred]
-    parent = view.parent
-    for k in np.flatnonzero(~(kp < cfg.min_score)).tolist():
-        rid = view.rule_ids[k]
-        kv = kp[k]
-        if kv < state.score:
-            st = ProofState(kv, (ENTRY_PRED, int(view.rule_head[k]), pred),
-                            FREE)
-        else:
-            st = state
-        if st.score < cfg.min_score:
-            continue
-        ctx.counters.established += 1
-        if ctx.hq is not None:
-            ctx.hq.add(parent.n_facts + rid, st.score, level, ctx.goal_rel)
-        if depth <= 0:
-            continue
-        shape, _, b1, b2 = parent.rules[rid]
-        if shape == SHAPE_IMPLIES:
-            yield from or_step(b1, a0, a1, depth - 1, st, ctx)
-        elif shape == SHAPE_CHAIN:
-            for mid in or_step(b1, a0, FREE, depth - 1, st, ctx):
-                yield from or_step(b2, mid.bound, a1, depth - 1, mid, ctx)
-        else:
-            yield from or_step(b1, a1, a0, depth - 1, st, ctx)
-
-
 @dataclass(slots=True)
 class ProofResult:
     score: float
@@ -294,16 +176,107 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
     if counters is None:
         counters = Counters()
     exclude = view.local_fact_index(exclude_fact) if exclude_fact >= 0 else -1
-    ctx = _Ctx(view, Kp, Kc, config, hq, counters, goal.pred, exclude)
+    max_depth, min_score, beam = (config.max_depth, config.min_score,
+                                  config.beam)
+    goal_rel = goal.pred
+    parent = view.parent
+    n_items = view.n_items
+
+    def or_step(pred: int, a0: int, a1: int, depth: int, state: ProofState
+                ) -> Iterable[ProofState]:
+        """The states of goal ``pred(a0, a1)``, at most one argument
+        ``FREE``: the lazy stream, or its stable top-``beam`` list."""
+        counters.traversed += n_items
+        states = or_states(pred, a0, a1, depth, state)
+        if beam > 0:
+            return sorted(states, key=lambda s: -s.score)[:beam]
+        return states
+
+    def or_states(pred: int, a0: int, a1: int, depth: int, state: ProofState
+                  ) -> Iterator[ProofState]:
+        # facts in one vectorized sweep, then rules, each through its shape;
+        # view order makes tie handling deterministic
+        level = max_depth - depth + 1
+        if view.n_facts:
+            psim = Kp[pred][view.pred]
+            a1sim = Kc[a0][view.subj] if a0 != FREE else None
+            a2sim = Kc[a1][view.obj] if a1 != FREE else None
+            scores, which = accel.sweep_scores(state.score, psim, a1sim, a2sim,
+                                               min_score, exclude)
+            live = np.flatnonzero(scores >= 0.0)
+            precut = 0 < beam < len(live)
+            if precut:
+                # or_step keeps the stable top-beam of this step and fact
+                # states come first in it, so no fact outside the stable
+                # top-beam of the facts alone can make that cut. Every live
+                # fact is still accounted, in stream order and before any
+                # rule runs.
+                counters.established += len(live)
+                if hq is not None:
+                    for fid, sc in zip(view.fact_ids[live].tolist(),
+                                       scores[live].tolist()):
+                        hq.add(fid, sc, level, goal_rel)
+                top = np.argsort(-scores[live], kind="stable")[:beam]
+                live = np.sort(live[top])
+            # one list per column: plain ints and floats, no numpy scalars
+            for sc, w, p, s, o, fid in zip(
+                    scores[live].tolist(), which[live].tolist(),
+                    view.pred[live].tolist(), view.subj[live].tolist(),
+                    view.obj[live].tolist(), view.fact_ids[live].tolist()):
+                if w == 0:
+                    entry = state.entry
+                elif w == 1:
+                    entry = (ENTRY_PRED, pred, p)
+                elif w == 2:
+                    entry = (ENTRY_CONST, a0, s)
+                else:
+                    entry = (ENTRY_CONST, a1, o)
+                if not precut:
+                    counters.established += 1
+                    if hq is not None:
+                        hq.add(fid, sc, level, goal_rel)
+                yield ProofState(sc, entry, s if a0 == FREE
+                                 else o if a1 == FREE else FREE)
+        # a head scores min(state score, Kp[head, goal]), so one gather
+        # unifies every rule head; a rule below min_score is only traversed
+        # (a NaN kernel passes and leaves the state's score)
+        kp = Kp[view.rule_head, pred]
+        for k in np.flatnonzero(~(kp < min_score)).tolist():
+            rid = view.rule_ids[k]
+            kv = kp[k]
+            if kv < state.score:
+                st = ProofState(kv, (ENTRY_PRED, int(view.rule_head[k]), pred),
+                                FREE)
+            else:
+                st = state
+            if st.score < min_score:
+                continue
+            counters.established += 1
+            if hq is not None:
+                hq.add(parent.n_facts + rid, st.score, level, goal_rel)
+            if depth <= 0:
+                continue
+            shape, _, b1, b2 = parent.rules[rid]
+            if shape == SHAPE_IMPLIES:
+                yield from or_step(b1, a0, a1, depth - 1, st)
+            elif shape == SHAPE_CHAIN:
+                for mid in or_step(b1, a0, FREE, depth - 1, st):
+                    yield from or_step(b2, mid.bound, a1, depth - 1, mid)
+            else:
+                yield from or_step(b1, a1, a0, depth - 1, st)
+
     best = 0.0
     best_state: ProofState | None = None
     n = 0
-    for st in or_step(goal.pred, *goal.args, config.max_depth,
-                      ProofState(1.0, None, FREE), ctx):
+    for st in or_step(goal.pred, *goal.args, max_depth,
+                      ProofState(1.0, None, FREE)):
         n += 1
         if st.score > best:
             best = st.score
             best_state = st
+    # the two closures refer to each other; breaking that cycle frees the
+    # view and tables they hold on return rather than at the next collection
+    del or_step
     return ProofResult(best, best_state, n)
 
 
@@ -404,7 +377,8 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
     negation. A clamp that is active passes no gradient, and neither does
     a proof without an entry (none found, or every factor exactly 1).
     """
-    pconf = ProverConfig.from_run(cfg)
+    pconf = ProverConfig(max_depth=cfg.max_depth, min_score=cfg.min_score,
+                         beam=cfg.beam)
     if tables is None:
         tables = kernel_tables(store)
     n_real = store[PRED_EMB].shape[0]

@@ -165,18 +165,17 @@ class _Pass:
 
 
 def _build_pass(Kp: np.ndarray, Kc: np.ndarray, p_idx, s_idx, o_idx,
-                imp_h, imp_b, inv_h, inv_b, chains, depth: int,
-                th: float) -> _Pass:
+                imp_h, imp_b, inv_h, inv_b, chains, depth: int, th: float,
+                sim: np.ndarray, body: np.ndarray) -> _Pass:
+    """``sim`` is ``_sim_matrices`` at ``depth`` and ``body`` one I-link
+    shallower (none below depth 2); neither depends on the direction."""
     P = Kp.shape[0]
     C = Kc.shape[0]
     col = np.concatenate([p_idx, p_idx + P])
     anchor = np.concatenate([s_idx, o_idx])
     key = np.concatenate([o_idx, s_idx])
-    sim = _sim_matrices(Kp, imp_h, imp_b, inv_h, inv_b, depth, th)
     if depth == 0 or not len(p_idx):
         chains = []
-    body = _sim_matrices(Kp, imp_h, imp_b, inv_h, inv_b,
-                         1 if depth >= 2 else 0, th)
     # second chain body through facts or one I-link, facts taken both ways
     t_live, T = [], []
     for j, (_, _, b2) in enumerate(chains):
@@ -251,12 +250,15 @@ class BatchedEvaluator:
         p_idx = view.pred.astype(np.int64)
         s_idx = view.subj.astype(np.int64)
         o_idx = view.obj.astype(np.int64)
-        args = (imp_h, imp_b, inv_h, inv_b)
-        self._fwd = _build_pass(self.Kp, self.Kc, p_idx, s_idx, o_idx, *args,
-                                chains, max_depth, self.min_score)
+        links = (imp_h, imp_b, inv_h, inv_b)
+        th = self.min_score
+        sims = (_sim_matrices(self.Kp, *links, max_depth, th),
+                _sim_matrices(self.Kp, *links, 1 if max_depth >= 2 else 0, th))
+        self._fwd = _build_pass(self.Kp, self.Kc, p_idx, s_idx, o_idx, *links,
+                                chains, max_depth, th, *sims)
         rev_chains = [(hd, b2, b1) for hd, b1, b2 in chains]
-        self._rev = _build_pass(self.Kp, self.Kc, p_idx, o_idx, s_idx, *args,
-                                rev_chains, max_depth, self.min_score)
+        self._rev = _build_pass(self.Kp, self.Kc, p_idx, o_idx, s_idx, *links,
+                                rev_chains, max_depth, th, *sims)
 
     def score_tails(self, rel: int, subj: int) -> np.ndarray:
         """Scores of (rel, subj, y) for every constant y."""

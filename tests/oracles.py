@@ -104,7 +104,8 @@ def training_loss_reference(positives, view, store, cfg, hq, counters,
     from selprover import pretrain, prover
     from selprover.kb import Atom
 
-    pconf = prover.ProverConfig.from_run(cfg)
+    pconf = prover.ProverConfig(max_depth=cfg.max_depth,
+                                min_score=cfg.min_score, beam=cfg.beam)
     if tables is None:
         tables = prover.kernel_tables(store)
     n_real = store["pred_emb"].shape[0]

@@ -71,6 +71,8 @@ def test_every_field_is_read():
     ("max_depth", 3),               # beyond the batched scorer's depth 2
     ("max_depth", "3"),
     ("max_depth", 0),
+    ("seed", -1),                   # numpy's generators reject it later
+    ("pretrain_weight_decay", -1.0),  # the gradient would ascend the decay
 ])
 def test_bad_values_name_their_key(tmp_path, key, value):
     path = tmp_path / "c.json"
@@ -89,6 +91,9 @@ def test_numbers_coerce_without_loss():
     assert type(cfg.embedding_dim) is int
     assert cfg.min_score == 0.0 and type(cfg.min_score) is float
     assert cfg.ep_coefficients == (4, 2, 3)
+    # the list form a JSON config takes, as --set passes it
+    listed = load_config(None, {"ep_coefficients": "[4, 2, 3]"})
+    assert listed.ep_coefficients == (4, 2, 3)
 
 
 @pytest.mark.parametrize("value, want", [

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -69,6 +70,26 @@ def test_chain_rule_completes_with_exact_embeddings():
     kb, store = make_package(facts, rules, Ep, Ec)
     res = prove_goal(Atom(1, (0, 2)), kb.full_view(), store,
                      ProverConfig(max_depth=2, min_score=0.1))
+    assert res.score == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("beam", [0, 1])
+def test_proof_leaves_no_reference_cycle(beam):
+    # the search closures refer to each other; left as a cycle, they would
+    # keep every view and kernel table alive until the next collection
+    Ep = place([0.0, 0.0], [4.0, 0.0])
+    Ec = place([0.0, 0.0], [0.0, 3.0], [3.0, 0.0])
+    kb, store = make_package([(0, 0, 1), (0, 1, 2)],
+                             [Rule(SHAPE_CHAIN, 1, 0, 0)], Ep, Ec)
+    view = kb.full_view()
+    gc.collect()
+    gc.disable()
+    try:
+        res = prove_goal(Atom(1, (0, 2)), view, store,
+                         ProverConfig(max_depth=2, beam=beam))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
     assert res.score == pytest.approx(1.0, abs=1e-12)
 
 
