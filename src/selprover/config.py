@@ -24,7 +24,10 @@ class RunConfig:
     ``embedding_dim`` is the real dimension handed to the prover; the complex
     pretrainer uses half of it per component. ``beam`` of 0 means uncapped
     stream search. ``batches_per_iteration`` of 0 means a full pass over the
-    training goals per iteration.
+    training goals per iteration. ``min_score`` of 0 is accepted but prunes
+    nothing, so the stream prover walks the whole depth-``max_depth`` tree:
+    one goal over a random 8-fact, 3-rule KB traverses 12,023 items at depth
+    2, against 407 at the default 0.1.
     """
 
     # data / run identity

@@ -39,6 +39,21 @@ outside the stable top-``beam`` of the facts alone cannot make the cut:
 every live fact is counted and buffered, in stream order, but states are
 built for those top facts only.
 
+A beamed or-step runs once per proof. It is eager, so all of its side
+effects happen inside the call, and within one proof the view, the tables,
+the goal relation and the excluded fact are fixed: its states, counter
+increments and buffer adds depend only on (predicate, arguments, depth,
+incoming score, incoming entry). The first call with that key stores its
+top-``beam`` list, the ``traversed``/``established`` it added and the span
+of buffer adds it made; a repeat adds the same counts, replays those adds
+in order (so an enclosing call's span records them too) and returns the
+stored list. The counters and the buffer therefore see the whole logical
+search, and only the wall time drops. The memo lives for one proof, since a
+batch-wide one would hold every proof's lists at once. The score is keyed
+alongside the entry although it is the table value at that entry today, so
+the memo stays exact if the two ever part. The lazy stream without a beam
+is not memoized: its buffer adds interleave with its consumers.
+
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
 current score bottleneck, ties broken toward the earliest contribution. The
@@ -181,16 +196,43 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
     goal_rel = goal.pred
     parent = view.parent
     n_items = view.n_items
+    # beamed or-steps by (pred, a0, a1, depth, score, entry): the top-beam
+    # list, the counter deltas and the span of ``adds`` the call made
+    memo: dict[tuple, tuple[list[ProofState], int, int, slice]] = {}
+    adds: list[tuple[int, float, int]] = []
+    if hq is not None and beam > 0:
+        def add(item_id: int, score: float, level: int, rel: int) -> None:
+            adds.append((item_id, score, level))
+            hq.add(item_id, score, level, rel)
+    else:
+        add = hq.add if hq is not None else None
 
     def or_step(pred: int, a0: int, a1: int, depth: int, state: ProofState
                 ) -> Iterable[ProofState]:
         """The states of goal ``pred(a0, a1)``, at most one argument
-        ``FREE``: the lazy stream, or its stable top-``beam`` list."""
-        counters.traversed += n_items
-        states = or_states(pred, a0, a1, depth, state)
-        if beam > 0:
-            return sorted(states, key=lambda s: -s.score)[:beam]
-        return states
+        ``FREE``: the lazy stream, or its stable top-``beam`` list, run
+        once per key and proof."""
+        if beam <= 0:
+            counters.traversed += n_items
+            return or_states(pred, a0, a1, depth, state)
+        key = (pred, a0, a1, depth, state.score, state.entry)
+        hit = memo.get(key)
+        if hit is None:
+            t0, e0, i0 = counters.traversed, counters.established, len(adds)
+            counters.traversed += n_items
+            top = sorted(or_states(pred, a0, a1, depth, state),
+                         key=lambda s: -s.score)[:beam]
+            memo[key] = (top, counters.traversed - t0,
+                         counters.established - e0, slice(i0, len(adds)))
+            return top
+        top, traversed, established, span = hit
+        counters.traversed += traversed
+        counters.established += established
+        # appending through ``add`` records the replay in every enclosing
+        # call's span as well
+        for item_id, score, level in adds[span]:
+            add(item_id, score, level, goal_rel)
+        return top
 
     def or_states(pred: int, a0: int, a1: int, depth: int, state: ProofState
                   ) -> Iterator[ProofState]:
@@ -212,10 +254,10 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
                 # fact is still accounted, in stream order and before any
                 # rule runs.
                 counters.established += len(live)
-                if hq is not None:
+                if add is not None:
                     for fid, sc in zip(view.fact_ids[live].tolist(),
                                        scores[live].tolist()):
-                        hq.add(fid, sc, level, goal_rel)
+                        add(fid, sc, level, goal_rel)
                 top = np.argsort(-scores[live], kind="stable")[:beam]
                 live = np.sort(live[top])
             # one list per column: plain ints and floats, no numpy scalars
@@ -233,8 +275,8 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
                     entry = (ENTRY_CONST, a1, o)
                 if not precut:
                     counters.established += 1
-                    if hq is not None:
-                        hq.add(fid, sc, level, goal_rel)
+                    if add is not None:
+                        add(fid, sc, level, goal_rel)
                 yield ProofState(sc, entry, s if a0 == FREE
                                  else o if a1 == FREE else FREE)
         # a head scores min(state score, Kp[head, goal]), so one gather
@@ -243,7 +285,9 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
         kp = Kp[view.rule_head, pred]
         for k in np.flatnonzero(~(kp < min_score)).tolist():
             rid = view.rule_ids[k]
-            kv = kp[k]
+            # a plain float, as fact states carry, so a state's score has one
+            # type however the memo reached it
+            kv = float(kp[k])
             if kv < state.score:
                 st = ProofState(kv, (ENTRY_PRED, int(view.rule_head[k]), pred),
                                 FREE)
@@ -252,8 +296,8 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
             if st.score < min_score:
                 continue
             counters.established += 1
-            if hq is not None:
-                hq.add(parent.n_facts + rid, st.score, level, goal_rel)
+            if add is not None:
+                add(parent.n_facts + rid, st.score, level, goal_rel)
             if depth <= 0:
                 continue
             shape, _, b1, b2 = parent.rules[rid]

@@ -214,11 +214,13 @@ class OracleStats:
     or_calls: int = 0
     established: int = 0
     scores: list = field(default_factory=list)
+    entries: list = field(default_factory=list)
     harvest: dict = field(default_factory=dict)
+    adds: list = field(default_factory=list)
 
 
 def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
-                 exclude_fact=-1, beam=0):
+                 exclude_fact=-1, beam=0, tables=None):
     """All completed proof scores of a ground goal, by brute enumeration.
 
     Returns (best_score, stats); best is 0.0 when nothing completes. The
@@ -229,10 +231,29 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
     the ``beam`` best of them (a stable sort, so ties keep their order).
     ``stats.harvest`` maps every item that unified (fact ``i``, rule
     ``len(facts) + j``) to (max score, min level), in first-unification
-    order; level 1 is the goal's own or-step.
+    order; level 1 is the goal's own or-step. ``stats.adds`` lists every
+    unification as (item, score, level), in order, repeats included.
+    ``stats.entries`` holds each proof's bottleneck in the prover's
+    ``(kind, i, j)`` form, ``None`` while no factor fell below 1: a factor
+    takes over only when strictly below the running minimum, so ties stay
+    with the earliest (the predicate, then the arguments in order).
+    ``tables`` (``Kp``, ``Kc``) replaces the kernels computed from ``Ep`` and
+    ``Ec``; a NaN predicate kernel then acts like 1.
     """
     counter = [0]
     stats = OracleStats()
+    if tables is None:
+        def kp(i, j):
+            return okernel(Ep, i, j)
+
+        def kc(i, j):
+            return okernel(Ec, i, j)
+    else:
+        def kp(i, j):
+            return float(tables[0][i, j])
+
+        def kc(i, j):
+            return float(tables[1][i, j])
 
     def fresh():
         counter[0] += 1
@@ -243,8 +264,15 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
             t = env[t]
         return t
 
-    def unify(head, goal_atom, env, score, item, level):
-        s = min(score, okernel(Ep, head[0], goal_atom[0]))
+    def unify(head, goal_atom, env, score, entry, item, level):
+        # the prover reads a fact's kernels as K[goal, fact] and a rule
+        # head's as Kp[head, goal]
+        pair = ((goal_atom[0], head[0]) if item < len(facts)
+                else (head[0], goal_atom[0]))
+        s, e = score, entry
+        k = kp(*pair)
+        if k < s:
+            s, e = k, (0, *pair)
         local: dict = {}
         for ha_raw, ga_raw in ((head[1], goal_atom[1]), (head[2], goal_atom[2])):
             ha_e = walk(ha_raw, env)
@@ -261,57 +289,62 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
             else:
                 if ha_e < 0 or ga_e < 0:
                     return None  # conflicting re-bind inside this unification
-                s = min(s, okernel(Ec, ha, ga))
+                k = kc(ga, ha)
+                if k < s:
+                    s, e = k, (1, ga, ha)
         if s < threshold:
             return None
         stats.established += 1
+        stats.adds.append((item, s, level))
         prev = stats.harvest.get(item)
         stats.harvest[item] = ((s, level) if prev is None
                                else (max(prev[0], s), min(prev[1], level)))
-        return {**env, **local}, s
+        return {**env, **local}, s, e
 
     def rename(atom, mapping):
         return (atom[0],
                 mapping.get(atom[1], atom[1]),
                 mapping.get(atom[2], atom[2]))
 
-    def orx(goal_atom, d, env, score):
+    def orx(goal_atom, d, env, score, entry):
         stats.or_calls += 1
         level = max_depth - d + 1
         out = []
         for i, f in enumerate(facts):
             if i == exclude_fact:
                 continue
-            r = unify(f, goal_atom, env, score, i, level)
+            r = unify(f, goal_atom, env, score, entry, i, level)
             if r is not None:
                 out.append(r)
         for j, (head, body) in enumerate(rules):
             vars_here = sorted({t for a in (head, *body) for t in a[1:] if t < 0},
                                reverse=True)
             mapping = {v: fresh() for v in vars_here}
-            r = unify(rename(head, mapping), goal_atom, env, score,
+            r = unify(rename(head, mapping), goal_atom, env, score, entry,
                       len(facts) + j, level)
             if r is None:
                 continue
-            env2, s2 = r
-            out.extend(andx([rename(b, mapping) for b in body], d, env2, s2))
+            env2, s2, e2 = r
+            out.extend(andx([rename(b, mapping) for b in body], d, env2, s2,
+                            e2))
         if beam > 0:
             out = sorted(out, key=lambda r: -r[1])[:beam]
         return out
 
-    def andx(body, d, env, score):
+    def andx(body, d, env, score, entry):
         if not body:
-            return [(env, score)]
+            return [(env, score, entry)]
         if d <= 0:
             return []
         first = (body[0][0], walk(body[0][1], env), walk(body[0][2], env))
         out = []
-        for env2, s2 in orx(first, d - 1, env, score):
-            out.extend(andx(body[1:], d, env2, s2))
+        for env2, s2, e2 in orx(first, d - 1, env, score, entry):
+            out.extend(andx(body[1:], d, env2, s2, e2))
         return out
 
-    results = orx(goal, max_depth, {}, 1.0)
-    stats.scores = [s for _, s in results]
+    results = orx(goal, max_depth, {}, 1.0, None)
+    stats.scores = [s for _, s, _ in results]
+    stats.entries = [e for _, _, e in results]
     best = max(stats.scores, default=0.0)
     return best, stats
 

@@ -8,11 +8,11 @@ from selprover.autodiff import ParameterStore
 from selprover.config import RunConfig
 from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
                           KnowledgeBase, Rule, Vocabulary)
-from selprover import prover
+from selprover import accel, prover
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
-from selprover.prover import (Counters, HighQualityBuffer, ProverConfig,
-                              build_templates, kernel_tables, pred_matrix,
-                              prove_goal, training_loss)
+from selprover.prover import (ENTRY_PRED, Counters, HighQualityBuffer,
+                              ProverConfig, build_templates, kernel_tables,
+                              pred_matrix, prove_goal, training_loss)
 
 from oracles import (known_triples, oracle_prove, random_proof_case,
                      rule_atoms, training_loss_reference)
@@ -73,24 +73,43 @@ def test_chain_rule_completes_with_exact_embeddings():
     assert res.score == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("beam", [0, 1])
-def test_proof_leaves_no_reference_cycle(beam):
+def counting_sweeps(monkeypatch) -> list[int]:
+    """Count ``accel.sweep_scores`` calls: one per or-step actually run."""
+    calls = [0]
+    sweep = accel.sweep_scores
+
+    def counted(*args):
+        calls[0] += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(accel, "sweep_scores", counted)
+    return calls
+
+
+@pytest.mark.parametrize("beam", [0, 1, 2])
+def test_proof_leaves_no_reference_cycle(monkeypatch, beam):
     # the search closures refer to each other; left as a cycle, they would
-    # keep every view and kernel table alive until the next collection
+    # keep every view and kernel table alive until the next collection. The
+    # rule is listed twice, so a beam reuses its sub-steps from the memo.
     Ep = place([0.0, 0.0], [4.0, 0.0])
     Ec = place([0.0, 0.0], [0.0, 3.0], [3.0, 0.0])
     kb, store = make_package([(0, 0, 1), (0, 1, 2)],
-                             [Rule(SHAPE_CHAIN, 1, 0, 0)], Ep, Ec)
+                             [Rule(SHAPE_CHAIN, 1, 0, 0)] * 2, Ep, Ec)
     view = kb.full_view()
+    sweeps = counting_sweeps(monkeypatch)
+    counters = Counters()
     gc.collect()
     gc.disable()
     try:
         res = prove_goal(Atom(1, (0, 2)), view, store,
-                         ProverConfig(max_depth=2, beam=beam))
+                         ProverConfig(max_depth=2, beam=beam),
+                         HighQualityBuffer(), counters)
         assert gc.collect() == 0
     finally:
         gc.enable()
     assert res.score == pytest.approx(1.0, abs=1e-12)
+    or_steps = counters.traversed // kb.n_items
+    assert (sweeps[0] < or_steps) == (beam > 0)
 
 
 def test_goal_must_be_ground():
@@ -301,6 +320,118 @@ def test_beam_matches_oracle_with_harvest():
             searches.add((len(stats.scores), stats.or_calls))
         cut += len(searches) > 1
     assert cut >= 10  # the sample has searches a narrow beam truncates
+
+
+class RecordingBuffer(HighQualityBuffer):
+    """A harvest that also lists every ``add`` call, repeats included."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def add(self, item_id, score, level, goal_rel, origin="unify"):
+        self.calls.append((item_id, score, level))
+        super().add(item_id, score, level, goal_rel, origin)
+
+
+def repeated_rule_cases(rng, n):
+    """Random template KBs with every rule listed twice, so that beamed
+    sub-steps repeat with equal incoming states. In every third case, when
+    it has rules, the first rule gets a head predicate of its own whose
+    kernel row is NaN; no fact or body reads that row."""
+    for i in range(n):
+        facts, rules, Ep, Ec, goal, thr = random_proof_case(rng)
+        nan_head = bool(rules) and i % 3 == 0
+        if nan_head:
+            rules[0] = rules[0]._replace(head=len(Ep))
+            Ep = np.vstack([Ep, rng.normal(0.0, 0.9, (1, Ep.shape[1]))])
+        rules = rules * 2
+        kb, store = make_package(facts, rules, Ep, Ec)
+        Kp, Kc = kernel_tables(store)
+        if nan_head:
+            Kp[-1] = np.nan
+        yield facts, rules, kb, store, (Kp, Kc), goal, thr
+
+
+def prover_and_oracle(facts, rules, kb, store, tables, goal, thr, depth,
+                      beam, exclude=-1):
+    """One proof as the stream prover and the enumeration oracle report it:
+    score, bottleneck entry, proof count, traversed, established, every
+    harvest add in order, and the harvest as (item, score, level)."""
+    hq, counters = RecordingBuffer(), Counters()
+    res = prove_goal(Atom(goal[0], (goal[1], goal[2])), kb.full_view(), store,
+                     ProverConfig(max_depth=depth, min_score=thr, beam=beam),
+                     hq=hq, counters=counters, tables=tables,
+                     exclude_fact=exclude)
+    best, stats = oracle_prove(goal, facts, [rule_atoms(r) for r in rules],
+                               None, None, depth, thr, exclude_fact=exclude,
+                               beam=beam, tables=tables)
+    first = stats.scores.index(best) if best > 0 else None
+    ours = (res.score, res.state.entry if res.state else None, res.n_proofs,
+            counters.traversed, counters.established, hq.calls,
+            [(i, e.score, e.level) for i, e in hq.items.items()])
+    theirs = (best, None if first is None else stats.entries[first],
+              len(stats.scores), stats.or_calls * kb.n_items,
+              stats.established, stats.adds,
+              [(i, *v) for i, v in stats.harvest.items()])
+    return ours, theirs, stats.or_calls
+
+
+def test_repeated_beamed_steps_match_oracle(monkeypatch):
+    sweeps = counting_sweeps(monkeypatch)
+    rng = np.random.default_rng(61)
+    or_steps = 0
+    for case in repeated_rule_cases(rng, 24):
+        facts = case[0]
+        for exclude in (-1, int(rng.integers(len(facts)))):
+            for depth in (1, 2):
+                for beam in (1, 2, 3):
+                    ours, theirs, calls = prover_and_oracle(
+                        *case, depth, beam, exclude)
+                    assert ours == theirs
+                    or_steps += calls
+    # the memo runs a repeated or-step once
+    assert sweeps[0] < or_steps
+
+
+def test_memo_keys_on_the_bottleneck_entry():
+    # g(a,b) has two chains, through q1 and q2. Each reaches s(a, Z) at depth
+    # 0 through a head at kernel 0.5, with equal scores and different
+    # entries. Under q1, the fact q1(a,c) outranks s's state and beam 1 cuts
+    # it (c leads nowhere); under q2 that state survives to prove the goal,
+    # so its entry must be q2's head, not q1's.
+    g, q1, q2, s_, t, ha, hb = range(7)
+    a, b, c, d = range(4)
+    facts = [(q1, a, c), (s_, a, d), (t, d, b)]
+    rules = [Rule(SHAPE_CHAIN, g, q1, t), Rule(SHAPE_CHAIN, g, q2, t),
+             Rule(SHAPE_IMPLIES, ha, s_), Rule(SHAPE_IMPLIES, hb, s_)]
+    kb, store = make_package(facts, rules, np.zeros((7, 1)), np.zeros((4, 1)))
+    Kp = np.eye(7)
+    Kp[ha, q1] = Kp[hb, q2] = 0.5
+    ours, theirs, _ = prover_and_oracle(facts, rules, kb, store,
+                                        (Kp, np.eye(4)), (g, a, b), 0.1,
+                                        depth=2, beam=1)
+    assert ours == theirs
+    assert ours[:2] == (0.5, (ENTRY_PRED, hb, q2))
+
+
+def test_memo_lives_for_one_proof():
+    # proofs of the same goal in a row, over other tables or with another
+    # excluded fact, each match the oracle as if run alone
+    rng = np.random.default_rng(62)
+    for facts, rules, kb, store, tables, goal, thr in repeated_rule_cases(
+            rng, 12):
+        moved = ParameterStore()
+        moved.add(PRED_EMB, store[PRED_EMB]
+                  + rng.normal(0.0, 0.3, store[PRED_EMB].shape))
+        moved.add(CONST_EMB, store[CONST_EMB])
+        Kp, Kc = kernel_tables(moved)
+        Kp[np.isnan(tables[0])] = np.nan
+        for tabs, exclude in ((tables, -1), ((Kp, Kc), -1), (tables, 0),
+                              (tables, -1)):
+            ours, theirs, _ = prover_and_oracle(facts, rules, kb, store, tabs,
+                                                goal, thr, 2, 2, exclude)
+            assert ours == theirs
 
 
 # --- rule-head screen ------------------------------------------------------
