@@ -92,6 +92,8 @@ class RunConfig:
                               f"got {self.embedding_dim}")
         if len(self.split_ratios) != 3 or abs(sum(self.split_ratios) - 1.0) > 1e-9:
             raise ConfigError(f"split_ratios must sum to 1.0, got {self.split_ratios}")
+        if any(r < 0 for r in self.split_ratios):
+            raise ConfigError(f"split_ratios must be >= 0, got {self.split_ratios}")
         if not 0.0 < self.proportion <= 1.0:
             raise ConfigError(f"proportion must be in (0, 1], got {self.proportion}")
         if not 0.0 <= self.min_score < 1.0:
@@ -114,7 +116,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("seed", "iterations", "patience", "beam",
                      "prover_negatives", "batches_per_iteration",
-                     "valid_subsample", "pretrain_weight_decay"):
+                     "valid_subsample", "pretrain_weight_decay",
+                     "templates_implies", "templates_inverse",
+                     "templates_chain"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("pretrain_lr", "prover_lr", "gen_lr", "grad_clip"):

@@ -30,29 +30,26 @@ subgoal has at most one free argument, ``FREE``, and a ``ProofState``
 carries the constant bound to it: no binding map is kept. At depth 0 a body
 never runs, so a rule there is only counted and harvested.
 
-An or-step builds a ``ProofState`` only where one can survive. Without a
-beam, an or-step is one generator and its states stay lazy, one at a time,
-because the buffer's insertion order follows the interleaving of facts with
-their consumers' deeper steps. A positive beam cuts each or-step to the
-stable top-``beam`` list of its states. Fact states come first, so a fact
-outside the stable top-``beam`` of the facts alone cannot make the cut:
-every live fact is counted and buffered, in stream order, but states are
-built for those top facts only.
+An or-step is eager: it runs its facts, in view order, and then its rules
+to one list of states, so all of its side effects happen inside the call and
+the buffer lists items in the order their or-steps finish. A positive beam
+keeps the stable top-``beam`` of that list. Fact states come first, so a
+fact outside the stable top-``beam`` of the facts alone cannot make the cut:
+every live fact is counted and buffered, in view order, but states are built
+for those top facts only.
 
-A beamed or-step runs once per proof. It is eager, so all of its side
-effects happen inside the call, and within one proof the view, the tables,
-the goal relation and the excluded fact are fixed: its states, counter
+An or-step runs once per proof. Within one proof the view, the tables, the
+goal relation and the excluded fact are fixed, so its states, counter
 increments and buffer adds depend only on (predicate, arguments, depth,
 incoming score, incoming entry). The first call with that key stores its
-top-``beam`` list, the ``traversed``/``established`` it added and the span
-of buffer adds it made; a repeat adds the same counts, replays those adds
-in order (so an enclosing call's span records them too) and returns the
-stored list. The counters and the buffer therefore see the whole logical
-search, and only the wall time drops. The memo lives for one proof, since a
-batch-wide one would hold every proof's lists at once. The score is keyed
-alongside the entry although it is the table value at that entry today, so
-the memo stays exact if the two ever part. The lazy stream without a beam
-is not memoized: its buffer adds interleave with its consumers.
+states and the ``traversed``/``established`` it added; a repeat adds the
+same counts and returns the stored list. Its buffer adds are not repeated:
+each would add an item already added in this proof with the same score and
+level, which changes nothing. The counters and the buffer therefore see the
+whole logical search, and only the wall time drops. The memo lives for one
+proof, since a batch-wide one would hold every proof's lists at once. The
+score is keyed alongside the entry although it is the table value at that
+entry today, so the memo stays exact if the two ever part.
 
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
@@ -66,7 +63,7 @@ autodiff graph is recorded: the loss returns dense gradients by name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -196,43 +193,30 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
     goal_rel = goal.pred
     parent = view.parent
     n_items = view.n_items
-    # beamed or-steps by (pred, a0, a1, depth, score, entry): the top-beam
-    # list, the counter deltas and the span of ``adds`` the call made
-    memo: dict[tuple, tuple[list[ProofState], int, int, slice]] = {}
-    adds: list[tuple[int, float, int]] = []
-    if hq is not None and beam > 0:
-        def add(item_id: int, score: float, level: int, rel: int) -> None:
-            adds.append((item_id, score, level))
-            hq.add(item_id, score, level, rel)
-    else:
-        add = hq.add if hq is not None else None
+    # or-steps by (pred, a0, a1, depth, score, entry): the states and the
+    # counter deltas
+    memo: dict[tuple, tuple[list[ProofState], int, int]] = {}
 
     def or_step(pred: int, a0: int, a1: int, depth: int, state: ProofState
-                ) -> Iterable[ProofState]:
+                ) -> list[ProofState]:
         """The states of goal ``pred(a0, a1)``, at most one argument
-        ``FREE``: the lazy stream, or its stable top-``beam`` list, run
-        once per key and proof."""
-        if beam <= 0:
-            counters.traversed += n_items
-            return or_states(pred, a0, a1, depth, state)
+        ``FREE``, cut to the stable top-``beam`` under a beam; run once per
+        key and proof."""
         key = (pred, a0, a1, depth, state.score, state.entry)
         hit = memo.get(key)
-        if hit is None:
-            t0, e0, i0 = counters.traversed, counters.established, len(adds)
-            counters.traversed += n_items
-            top = sorted(or_states(pred, a0, a1, depth, state),
-                         key=lambda s: -s.score)[:beam]
-            memo[key] = (top, counters.traversed - t0,
-                         counters.established - e0, slice(i0, len(adds)))
-            return top
-        top, traversed, established, span = hit
-        counters.traversed += traversed
-        counters.established += established
-        # appending through ``add`` records the replay in every enclosing
-        # call's span as well
-        for item_id, score, level in adds[span]:
-            add(item_id, score, level, goal_rel)
-        return top
+        if hit is not None:
+            states, traversed, established = hit
+            counters.traversed += traversed
+            counters.established += established
+            return states
+        t0, e0 = counters.traversed, counters.established
+        counters.traversed += n_items
+        states = list(or_states(pred, a0, a1, depth, state))
+        if beam > 0:
+            states = sorted(states, key=lambda s: -s.score)[:beam]
+        memo[key] = (states, counters.traversed - t0,
+                     counters.established - e0)
+        return states
 
     def or_states(pred: int, a0: int, a1: int, depth: int, state: ProofState
                   ) -> Iterator[ProofState]:
@@ -246,18 +230,15 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
             scores, which = accel.sweep_scores(state.score, psim, a1sim, a2sim,
                                                min_score, exclude)
             live = np.flatnonzero(scores >= 0.0)
-            precut = 0 < beam < len(live)
-            if precut:
+            counters.established += len(live)
+            if hq is not None:
+                for fid, sc in zip(view.fact_ids[live].tolist(),
+                                   scores[live].tolist()):
+                    hq.add(fid, sc, level, goal_rel)
+            if 0 < beam < len(live):
                 # or_step keeps the stable top-beam of this step and fact
                 # states come first in it, so no fact outside the stable
-                # top-beam of the facts alone can make that cut. Every live
-                # fact is still accounted, in stream order and before any
-                # rule runs.
-                counters.established += len(live)
-                if add is not None:
-                    for fid, sc in zip(view.fact_ids[live].tolist(),
-                                       scores[live].tolist()):
-                        add(fid, sc, level, goal_rel)
+                # top-beam of the facts alone can make that cut
                 top = np.argsort(-scores[live], kind="stable")[:beam]
                 live = np.sort(live[top])
             # one list per column: plain ints and floats, no numpy scalars
@@ -273,10 +254,6 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
                     entry = (ENTRY_CONST, a0, s)
                 else:
                     entry = (ENTRY_CONST, a1, o)
-                if not precut:
-                    counters.established += 1
-                    if add is not None:
-                        add(fid, sc, level, goal_rel)
                 yield ProofState(sc, entry, s if a0 == FREE
                                  else o if a1 == FREE else FREE)
         # a head scores min(state score, Kp[head, goal]), so one gather
@@ -296,8 +273,8 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
             if st.score < min_score:
                 continue
             counters.established += 1
-            if add is not None:
-                add(parent.n_facts + rid, st.score, level, goal_rel)
+            if hq is not None:
+                hq.add(parent.n_facts + rid, st.score, level, goal_rel)
             if depth <= 0:
                 continue
             shape, _, b1, b2 = parent.rules[rid]
@@ -309,19 +286,18 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
             else:
                 yield from or_step(b1, a1, a0, depth - 1, st)
 
-    best = 0.0
-    best_state: ProofState | None = None
-    n = 0
-    for st in or_step(goal.pred, *goal.args, max_depth,
-                      ProofState(1.0, None, FREE)):
-        n += 1
-        if st.score > best:
-            best = st.score
-            best_state = st
+    states = or_step(goal.pred, *goal.args, max_depth,
+                     ProofState(1.0, None, FREE))
     # the two closures refer to each other; breaking that cycle frees the
     # view and tables they hold on return rather than at the next collection
     del or_step
-    return ProofResult(best, best_state, n)
+    best = 0.0
+    best_state: ProofState | None = None
+    for st in states:
+        if st.score > best:
+            best = st.score
+            best_state = st
+    return ProofResult(best, best_state, len(states))
 
 
 # ---------------------------------------------------------------------------

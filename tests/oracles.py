@@ -216,7 +216,6 @@ class OracleStats:
     scores: list = field(default_factory=list)
     entries: list = field(default_factory=list)
     harvest: dict = field(default_factory=dict)
-    adds: list = field(default_factory=list)
 
 
 def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
@@ -231,8 +230,7 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
     the ``beam`` best of them (a stable sort, so ties keep their order).
     ``stats.harvest`` maps every item that unified (fact ``i``, rule
     ``len(facts) + j``) to (max score, min level), in first-unification
-    order; level 1 is the goal's own or-step. ``stats.adds`` lists every
-    unification as (item, score, level), in order, repeats included.
+    order; level 1 is the goal's own or-step.
     ``stats.entries`` holds each proof's bottleneck in the prover's
     ``(kind, i, j)`` form, ``None`` while no factor fell below 1: a factor
     takes over only when strictly below the running minimum, so ties stay
@@ -295,7 +293,6 @@ def oracle_prove(goal, facts, rules, Ep, Ec, max_depth, threshold,
         if s < threshold:
             return None
         stats.established += 1
-        stats.adds.append((item, s, level))
         prev = stats.harvest.get(item)
         stats.harvest[item] = ((s, level) if prev is None
                                else (max(prev[0], s), min(prev[1], level)))

@@ -73,6 +73,11 @@ def test_every_field_is_read():
     ("max_depth", 0),
     ("seed", -1),                   # numpy's generators reject it later
     ("pretrain_weight_decay", -1.0),  # the gradient would ascend the decay
+    ("templates_implies", -1),      # acts as 0 but hashes to another run
+    ("templates_inverse", -1),
+    ("templates_chain", -3),
+    ("split_ratios", [1.2, -0.2, 0.0]),  # sums to 1
+    ("split_ratios", "1.2,-0.2,0.0"),
 ])
 def test_bad_values_name_their_key(tmp_path, key, value):
     path = tmp_path / "c.json"
