@@ -63,7 +63,6 @@ class RunConfig:
     gen_epochs: int = 10
     gen_samples: int = 4
     ep_coefficients: tuple[int, ...] = (4, 2, 2)
-    storage_scale: int = 10
 
     # EM loop
     iterations: int = 100
@@ -81,10 +80,6 @@ class RunConfig:
     def storage_layers(self) -> int:
         # or-recursion levels: the goal counts as level 1
         return self.max_depth + 1
-
-    @property
-    def storage_max_size(self) -> int:
-        return self.storage_scale * self.batch_goals * self.storage_layers
 
     def validate(self) -> "RunConfig":
         if self.embedding_dim <= 0 or self.embedding_dim % 2 != 0:
@@ -110,8 +105,7 @@ class RunConfig:
             raise ConfigError(f"ep_coefficients must be positive, "
                               f"got {self.ep_coefficients}")
         for name in ("pretrain_epochs", "pretrain_batch", "pretrain_negatives",
-                     "batch_goals", "gen_width", "gen_epochs", "gen_samples",
-                     "storage_scale"):
+                     "batch_goals", "gen_width", "gen_epochs", "gen_samples"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("seed", "iterations", "patience", "beam",

@@ -3,9 +3,9 @@
 Each iteration runs, in order: per-batch predicate generation and KB
 selection, a prover pass over the goal batches (embedding updates plus
 high-quality harvest), nearest-neighbor completion of the harvest while the
-relation storage sits below its target size, the storage update, and
-finally the generator's teacher-forced epochs. The generator never receives
-a gradient before the prover pass has finished; the storage is the only
+relation storage sits below its capacity, the storage update, and finally
+the generator's teacher-forced epochs. The generator never receives a
+gradient before the prover pass has finished; the storage is the only
 channel between the two phases.
 
 An iteration trains the incoming store and storage in place. A failure
@@ -42,7 +42,6 @@ PROOF_COUNTS = ("goals_pos", "proved_pos", "goals_neg", "proved_neg")
 METRIC_COLUMNS = ("iteration", "prover_loss", "generator_loss", "valid_mrr",
                   "attp_ms", "utilization", "traversed", "established",
                   *PROOF_COUNTS)
-COUNT_COLUMNS = ("iteration", "traversed", "established", *PROOF_COUNTS)
 
 
 @dataclass
@@ -156,8 +155,7 @@ def em_iteration(state: TrainState, kb: KnowledgeBase,
 
     gen_losses: list[float] = []
     if not cfg.baseline_full_kb:
-        if storage.total() < cfg.storage_max_size:
-            nns_complete(hq, kb, store, cfg.storage_max_size - storage.total())
+        nns_complete(hq, kb, store, sum(storage.capacities) - storage.total())
         update_relation_storage(storage, hq, kb)
         goal_rels = storage.goal_relations()
         for _ in range(cfg.gen_epochs):
@@ -207,20 +205,6 @@ def save_checkpoint(state: TrainState, kb: KnowledgeBase, out_dir) -> None:
     state.store.save(out / "store.npz")
     (out / "storage.txt").write_text(state.storage.dump(kb.vocab))
     write_metrics_csv(out / "metrics.csv", state.metrics_log)
-
-
-def load_checkpoint(out_dir, kb: KnowledgeBase,
-                    capacities: tuple[int, ...]) -> TrainState:
-    out = Path(out_dir)
-    store = ParameterStore.load(out / "store.npz")
-    storage = RelationStorage.load((out / "storage.txt").read_text(),
-                                   kb.vocab, capacities)
-    rows: list[dict] = []
-    with (out / "metrics.csv").open(newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append({c: int(rec[c]) if c in COUNT_COLUMNS
-                         else float(rec[c]) for c in METRIC_COLUMNS})
-    return TrainState(len(rows), store, storage, rows)
 
 
 def make_valid_eval(kb: KnowledgeBase, facts: list[Atom], known: frozenset,

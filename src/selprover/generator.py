@@ -10,8 +10,9 @@ The relation storage is the generator's training set. It holds predicate
 occurrences harvested from proof search, layered by the recursion level the
 source knowledge was used at, each layer capacity-bounded (lowest score
 evicted first). Nearest-neighbor completion tops the harvest up with the
-closest unexplored knowledge items before the storage update, so sparse
-early iterations still fill the buffers.
+closest unexplored knowledge items, as many as the storage has free room
+below its capacity, before the storage update, so sparse early iterations
+still fill the buffers.
 
 The m-step teacher-forces the generator on sequences read off the storage:
 goal relation, then one sampled predicate per layer in depth order.
@@ -24,6 +25,7 @@ backpropagation through time by hand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +195,11 @@ class RelationStorage:
         return seen
 
     def dump(self, vocab: Vocabulary) -> str:
-        """Editable text form: layer, predicate, score, goal, provenance."""
+        """Text form: layer, predicate, score, goal, provenance.
+
+        ``selprover inspect-storage`` reads it through
+        ``parse_storage_lines``.
+        """
         lines = []
         for li, layer in enumerate(self.layers, start=1):
             for e in layer:
@@ -203,23 +209,13 @@ class RelationStorage:
                              f"\t{e.provenance}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    @classmethod
-    def load(cls, text: str, vocab: Vocabulary,
-             capacities: tuple[int, ...]) -> "RelationStorage":
-        storage = cls(capacities)
-        for parts in parse_storage_lines(text):
-            layer, pred_name, score, goal_name, provenance = parts
-            storage.add(int(layer), StorageEntry(
-                vocab.predicate_id(pred_name), float(score),
-                vocab.predicate_id(goal_name), provenance))
-        return storage
-
 
 def parse_storage_lines(text: str) -> list[list[str]]:
     """Raw fields of every entry line in the storage text form.
 
     Blank lines and ``#`` comments are skipped; each other line must hold
-    the five tab-separated fields ``dump`` writes, or ValueError names it.
+    the five tab-separated fields ``dump`` writes, with a positive integer
+    layer and a finite score, or ValueError names it.
     """
     rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -230,6 +226,17 @@ def parse_storage_lines(text: str) -> list[list[str]]:
         if len(parts) != 5:
             raise ValueError(f"storage line {line_no}: expected 5 "
                              f"tab-separated fields, got {len(parts)}")
+        layer, _, score = parts[:3]
+        if not (layer.isdecimal() and int(layer) > 0):
+            raise ValueError(f"storage line {line_no}: layer must be a "
+                             f"positive integer, got {layer!r}")
+        try:
+            finite = math.isfinite(float(score))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise ValueError(f"storage line {line_no}: score must be a "
+                             f"finite number, got {score!r}")
         rows.append(parts)
     return rows
 

@@ -69,18 +69,6 @@ class Vocabulary:
             self._const_ids[name] = cid
         return cid
 
-    def predicate_id(self, name: str) -> int:
-        try:
-            return self._pred_ids[name]
-        except KeyError:
-            raise KeyError(f"unknown predicate name: {name!r}") from None
-
-    def constant_id(self, name: str) -> int:
-        try:
-            return self._const_ids[name]
-        except KeyError:
-            raise KeyError(f"unknown constant name: {name!r}") from None
-
     def predicate_name(self, pid: int) -> str:
         return self._pred_names[pid]
 

@@ -137,11 +137,19 @@ class TestInspectStorage:
         assert cli.run_command(["inspect-storage", "--checkpoint",
                                 str(tmp_path / "absent")]) == 2
 
-    def test_malformed_line_usage_error(self, tmp_path, capsys):
+    def test_malformed_line_usage_error(self, tmp_path, capsys, caplog):
         path = tmp_path / "storage.txt"
-        path.write_text("1\tparentOf\t0.9\tparentOf\n")
-        assert cli.run_command(["inspect-storage", "--checkpoint",
-                                str(path)]) == 2
+        for line, problem in (
+                ("1\tparentOf\t0.9\tparentOf", "5 tab-separated fields"),
+                ("x\tparentOf\t0.9\tparentOf\tunify", "layer"),
+                ("0\tparentOf\t0.9\tparentOf\tunify", "layer"),
+                ("1\tparentOf\tabc\tparentOf\tunify", "score")):
+            caplog.clear()
+            path.write_text("# note\n" + line + "\n")
+            assert cli.run_command(["inspect-storage", "--checkpoint",
+                                    str(path)]) == 2
+            assert "line 2: " in caplog.text and problem in caplog.text
+            assert "entries" not in capsys.readouterr().out
 
 
 class TestPipelines:
@@ -192,6 +200,38 @@ class TestPipelines:
             assert b.files == f.files
             for key in b.files:
                 np.testing.assert_array_equal(b[key], f[key])
+
+    def test_eval_over_train_and_valid(self, tmp_path, monkeypatch, caplog):
+        argv = flags(tmp_path)
+        assert cli.run_command(["train", *argv]) == 0
+        best = next((tmp_path / "runs").iterdir()) / "checkpoints" / "best"
+        wide = [*argv, "--set", "eval_kb=train+valid"]
+        # eval_kb is part of the config hash: the wider config has no run
+        assert cli.run_command(["eval", *wide]) == 2
+        assert "no checkpoint" in caplog.text
+
+        views = []
+        real = cli.BatchedEvaluator
+
+        def spy(view, *rest):
+            views.append(view)
+            return real(view, *rest)
+
+        monkeypatch.setattr(cli, "BatchedEvaluator", spy)
+        assert cli.run_command(["eval", *wide, "--checkpoint", str(best)]) == 0
+        (view,) = views
+        names = view.parent.vocab
+        got = [(names.predicate_name(p), names.constant_name(s),
+                names.constant_name(o))
+               for p, s, o in zip(view.pred, view.subj, view.obj)]
+        ds = cli._load(cli.config_from_args(
+            cli.build_parser().parse_args(["eval", *wide])))
+        want = {(ds.vocab.predicate_name(f.pred),
+                 ds.vocab.constant_name(f.args[0]),
+                 ds.vocab.constant_name(f.args[1]))
+                for f in ds.train + ds.valid}
+        assert len(want) > len({f.as_triple() for f in ds.train})
+        assert len(got) == len(set(got)) and set(got) == want
 
     def test_eval_without_checkpoint_usage_error(self, tmp_path):
         assert cli.run_command(["eval", *flags(tmp_path, seed=99)]) == 2

@@ -10,11 +10,11 @@ import pytest
 from selprover import em
 from selprover.autodiff import ParameterStore, clip_gradients
 from selprover.config import RunConfig
-from selprover.em import (TrainState, build_goal_batches, em_iteration,
-                          initialize, load_checkpoint, run_training,
-                          save_checkpoint, select_kbs, storage_capacities,
-                          write_metrics_csv)
-from selprover.generator import RelationStorage, nearest_real_predicate
+from selprover.em import (METRIC_COLUMNS, TrainState, build_goal_batches,
+                          em_iteration, initialize, run_training, select_kbs,
+                          storage_capacities)
+from selprover.generator import (RelationStorage, nearest_real_predicate,
+                                 parse_storage_lines)
 from selprover.kb import (SHAPE_IMPLIES, SHAPE_INVERSE, Atom, KnowledgeBase,
                           Rule, Vocabulary)
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
@@ -29,7 +29,7 @@ def tiny_cfg(**over):
                 pretrain_epochs=5, pretrain_batch=16, pretrain_negatives=2,
                 templates_implies=2, templates_inverse=2, templates_chain=2,
                 batch_goals=8, prover_negatives=2, gen_width=3, gen_epochs=2,
-                gen_samples=2, storage_scale=2, iterations=2, patience=1,
+                gen_samples=2, iterations=2, patience=1,
                 proportion=0.5, valid_subsample=0, beam=10, min_score=0.2)
     base.update(over)
     return RunConfig(**base)
@@ -473,32 +473,30 @@ def test_checkpoint_round_trip(tmp_path):
     splits = tiny_splits()
     cfg = tiny_cfg(iterations=1)
     state = run_training(cfg, splits, tmp_path / "run")
-    kb, _ = initialize(cfg, tiny_splits().vocab, tiny_splits().train,
-                       np.random.default_rng(cfg.seed))
-    back = load_checkpoint(tmp_path / "run" / "checkpoints" / "final", kb,
-                           storage_capacities(cfg))
-    assert back.iteration == state.iteration
-    assert set(back.store.params) == set(state.store.params)
+    final = tmp_path / "run" / "checkpoints" / "final"
+    back = ParameterStore.load(final / "store.npz")
+    assert set(back.params) == set(state.store.params)
     for name in state.store.params:
-        np.testing.assert_array_equal(back.store[name], state.store[name])
-    assert back.store.step_count == state.store.step_count
-    assert [(e.pred, e.goal_rel, e.provenance)
-            for layer in back.storage.layers for e in layer] == \
-           [(e.pred, e.goal_rel, e.provenance)
-            for layer in state.storage.layers for e in layer]
-    count_keys = ("traversed", "established", "goals_pos", "proved_pos",
-                  "goals_neg", "proved_neg")
-    counts = [[r[k] for k in count_keys] for r in back.metrics_log]
-    assert counts == [[r[k] for k in count_keys] for r in state.metrics_log]
-    assert all(type(n) is int for row in counts for n in row)
-    redump = tmp_path / "redump.csv"
-    write_metrics_csv(redump, [
-        {k: row[k] for k in ("iteration", "prover_loss", "generator_loss",
-                             "valid_mrr", "attp_ms", "utilization",
-                             *count_keys)}
-        for row in back.metrics_log])
-    original = (tmp_path / "run" / "checkpoints" / "final" / "metrics.csv")
-    assert redump.read_text() == original.read_text()
+        np.testing.assert_array_equal(back[name], state.store[name])
+    assert back.step_count == state.store.step_count
+    vocab = splits.vocab
+    rows = parse_storage_lines((final / "storage.txt").read_text())
+    assert rows
+    assert [(int(r[0]), r[1], float(r[2]), r[3], r[4]) for r in rows] == \
+           [(level, vocab.predicate_name(e.pred), pytest.approx(e.score,
+                                                                abs=1e-9),
+             vocab.predicate_name(e.goal_rel), e.provenance)
+            for level, layer in enumerate(state.storage.layers, start=1)
+            for e in layer]
+    with (final / "metrics.csv").open(newline="") as fh:
+        recs = list(csv.DictReader(fh))
+    assert len(recs) == state.iteration
+    for rec, row in zip(recs, state.metrics_log):
+        assert list(rec) == list(METRIC_COLUMNS)
+        for col in METRIC_COLUMNS:
+            value = row[col]
+            assert rec[col] == (repr(value) if isinstance(value, float)
+                                else str(value)), col
 
 
 def test_seeded_runs_match_except_wall_time(tmp_path):
@@ -524,11 +522,9 @@ def test_early_stopping_patience_zero(tmp_path):
     state = run_training(cfg, splits, tmp_path / "run",
                          valid_eval=lambda store: next(scripted))
     assert state.iteration == 2    # first degradation after the first best
-    kb, _ = initialize(cfg, tiny_splits().vocab, tiny_splits().train,
-                       np.random.default_rng(cfg.seed))
-    best = load_checkpoint(tmp_path / "run" / "checkpoints" / "best",
-                           kb, storage_capacities(cfg))
-    assert best.iteration == 1
+    best = tmp_path / "run" / "checkpoints" / "best" / "metrics.csv"
+    with best.open(newline="") as fh:
+        assert [r["iteration"] for r in csv.DictReader(fh)] == ["1"]
 
 
 def test_zero_iterations_leaves_state_initial(tmp_path):

@@ -243,26 +243,11 @@ def test_storage_dump_load_round_trip():
     st.add(1, StorageEntry(3, 0.75, 0, "unify"))
     st.add(2, StorageEntry(1, 0.5, 0, "nns"))
     st.add(3, StorageEntry(4, 0.25, 2, "unify"))
-    text = st.dump(kb.vocab)
-    back = RelationStorage.load(text, kb.vocab, (4, 8, 16))
-    for orig, loaded in zip(st.layers, back.layers):
-        assert [(e.pred, e.goal_rel, e.provenance) for e in orig] == \
-               [(e.pred, e.goal_rel, e.provenance) for e in loaded]
-        for a, b in zip(orig, loaded):
-            assert b.score == pytest.approx(a.score, abs=1e-9)
-
-
-def test_storage_text_is_editable():
-    kb = fact_kb(4, 2, [(0, 0, 1)])
-    st = RelationStorage((4,))
-    st.add(1, StorageEntry(1, 0.9, 0, "unify"))
-    text = st.dump(kb.vocab)
-    assert "p1" in text
-    edited = "# steering note\n\n" + text.replace("\tp1\t", "\tp3\t")
-    back = RelationStorage.load(edited, kb.vocab, (4,))
-    assert [e.pred for e in back.layers[0]] == [3]
-    with pytest.raises(ValueError, match="fields"):
-        RelationStorage.load("1\tp1\t0.5\n", kb.vocab, (4,))
+    rows = parse_storage_lines(st.dump(kb.vocab))
+    assert [(int(r[0]), r[1], r[3], r[4]) for r in rows] == [
+        (1, "p3", "p0", "unify"), (2, "p1", "p0", "nns"),
+        (3, "p4", "p2", "unify")]
+    assert [float(r[2]) for r in rows] == [0.75, 0.5, 0.25]
 
 
 def test_storage_parser_keeps_raw_fields():
@@ -270,6 +255,12 @@ def test_storage_parser_keeps_raw_fields():
     assert parse_storage_lines(text) == [["2", "#0", "0.5", "childOf", "nns"]]
     with pytest.raises(ValueError, match="line 2"):
         parse_storage_lines("# note\n1\tp1\t0.5\n")
+    for layer in ("x", "0", "-1", "1.5"):
+        with pytest.raises(ValueError, match="line 2: layer"):
+            parse_storage_lines(f"\n{layer}\tp1\t0.5\tp0\tnns\n")
+    for score in ("abc", "nan", "inf", ""):
+        with pytest.raises(ValueError, match="line 1: score"):
+            parse_storage_lines(f"1\tp1\t{score}\tp0\tnns\n")
 
 
 def test_update_from_buffer_places_by_level():

@@ -206,7 +206,7 @@ class TestKnowledgeBase:
 
     def test_rules_indexed_by_head(self):
         base = build_kb([("a", "p", "b")])
-        p = base.vocab.predicate_id("p")
+        p = base.vocab.intern_predicate("p")
         q = base.vocab.intern_predicate("q")
         rule = kb.Rule(kb.SHAPE_IMPLIES, q, p)
         kb2 = kb.KnowledgeBase(base.vocab, base.facts, [rule])
@@ -215,7 +215,7 @@ class TestKnowledgeBase:
     def test_rejects_non_template_rules(self):
         base = build_kb([("a", "p", "b")])
         vocab = base.vocab
-        p = vocab.predicate_id("p")
+        p = vocab.intern_predicate("p")
         q = vocab.intern_predicate("q")
         bad = [
             kb.Rule("swap", p, q),               # no such template

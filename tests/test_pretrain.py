@@ -280,10 +280,10 @@ class TestPretraining:
         cfg = small_cfg(pretrain_epochs=200, pretrain_negatives=2)
         store, losses = pretrain.pretrain_embeddings(
             facts, vocab, cfg, np.random.default_rng(7))
-        fwd = complex_score(vocab.constant_id("a"), 0,
-                            vocab.constant_id("b"), store)
-        bwd = complex_score(vocab.constant_id("b"), 0,
-                            vocab.constant_id("a"), store)
+        fwd = complex_score(vocab.intern_constant("a"), 0,
+                            vocab.intern_constant("b"), store)
+        bwd = complex_score(vocab.intern_constant("b"), 0,
+                            vocab.intern_constant("a"), store)
         assert fwd > bwd
         assert losses[-1] < losses[0]
 

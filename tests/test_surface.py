@@ -28,14 +28,10 @@ ALLOWED = {
     "autodiff.cross_entropy_logits": _TAPE,
     "autodiff.finite_difference_check": "tape gradient checks; moves to "
                                         "tests/oracles.py with ROADMAP item 7",
-    "em.load_checkpoint": "reads back what save_checkpoint writes, which "
-                          "pins the checkpoint format",
     "evaluate.pooled_region_auc_pr": "the Countries AUC-PR protocol, which "
                                      "no command reports yet",
     "pretrain.ComplExScorer": "ROADMAP item 1: eval's baselines.csv ranks "
                               "the pretrained embeddings through it",
-    "kb.Vocabulary.constant_id": "twin of predicate_id; tests look constants "
-                                 "up by name with it",
     "kb.Vocabulary.constant_name": "twin of predicate_name; tests read parsed "
                                    "facts back by name with it",
 }
