@@ -35,9 +35,14 @@ def _i64(a: np.ndarray) -> np.ndarray:
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """exp(-||a_i - b_j||^2) for every row pair. Shapes (n,d),(m,d) -> (n,m)."""
+    """exp(-||a_i - b_j||^2) for every row pair. Shapes (n,d),(m,d) -> (n,m).
+
+    With ``B is A`` only the columns ``j >= i0`` of each chunk are computed,
+    then mirrored: (a-b)^2 equals (b-a)^2, so the table is bitwise the same.
+    """
+    sym = B is A
     A = _f64(np.atleast_2d(A))
-    B = _f64(np.atleast_2d(B))
+    B = A if sym else _f64(np.atleast_2d(B))
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"dim mismatch: {A.shape} vs {B.shape}")
     n = A.shape[0]
@@ -47,8 +52,11 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     step = max(1, int(2.5e5 // max(1, B.size)))
     for i0 in range(0, n, step):
         i1 = min(n, i0 + step)
-        diff = A[i0:i1, None, :] - B[None, :, :]
-        out[i0:i1] = np.exp(-np.einsum("ijk,ijk->ij", diff, diff))
+        j0 = i0 if sym else 0
+        diff = A[i0:i1, None, :] - B[None, j0:, :]
+        out[i0:i1, j0:] = np.exp(-np.einsum("ijk,ijk->ij", diff, diff))
+        if sym:
+            out[i1:, i0:i1] = out[i0:i1, i1:].T
     return out
 
 

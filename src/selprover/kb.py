@@ -16,6 +16,7 @@ Representation choices, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -118,6 +119,27 @@ class Rule(NamedTuple):
     head: int
     body1: int
     body2: int = -1
+
+
+@functools.lru_cache(maxsize=1)
+def known_keys(known: frozenset, n_constants: int) -> np.ndarray:
+    """Sorted int keys ``(p * n + s) * n + o`` of the known triples, then a
+    sentinel above them all, with ``n = n_constants``.
+
+    Membership of a triple is ``keys[np.searchsorted(keys, key)] == key``.
+    Triples with an argument outside ``[0, n)`` can match no candidate and
+    are left out, so no key aliases another. Pretraining samples against
+    the train set; after it, the e-step sampler and validation ranking both
+    use the one all-splits set of a run, so one entry serves the whole EM
+    loop and ``eval`` reads its own set once. The array is read-only
+    because every call shares it.
+    """
+    n = n_constants
+    keys = np.fromiter(((p * n + s) * n + o for p, s, o in known
+                        if 0 <= s < n and 0 <= o < n), np.int64)
+    keys = np.append(np.sort(keys), np.iinfo(np.int64).max)
+    keys.flags.writeable = False
+    return keys
 
 
 class KnowledgeBase:

@@ -23,14 +23,12 @@ reference that the batch sampler is checked against.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore
 from .config import RunConfig
-from .kb import Atom, Vocabulary
+from .kb import Atom, Vocabulary, known_keys
 
 CONST_EMB = "const_emb"
 PRED_EMB = "pred_emb"
@@ -169,20 +167,6 @@ def _sample_negative(rng: np.random.Generator, triple: tuple[int, int, int],
     return None
 
 
-@functools.lru_cache(maxsize=1)
-def _known_keys(known: frozenset, n_constants: int) -> np.ndarray:
-    """Sorted int keys of the known triples, then a sentinel above them all.
-
-    Cached for the one ``known`` set that a pretraining run samples against
-    at every step; the array is read-only because every call shares it.
-    """
-    keys = np.fromiter(((p * n_constants + s) * n_constants + o
-                        for p, s, o in known), np.int64, len(known))
-    keys = np.append(np.sort(keys), np.iinfo(np.int64).max)
-    keys.flags.writeable = False
-    return keys
-
-
 def _sample_negatives(rng: np.random.Generator, triples: np.ndarray,
                       n_constants: int, known: frozenset
                       ) -> tuple[np.ndarray, np.ndarray]:
@@ -210,7 +194,7 @@ def _sample_negatives(rng: np.random.Generator, triples: np.ndarray,
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     m = len(triples)
     n = n_constants
-    keys = _known_keys(known, n)
+    keys = known_keys(known, n)
     p, s, o = triples.T
     # a corruption is checked by its key: (p, c, o) is head_base + c * n,
     # (p, s, c) is tail_base + c, and the input itself is own

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from selprover.evaluate import RankRecord
 from selprover.kb import SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Rule
 
 
@@ -424,6 +425,34 @@ def auc_pr_bruteforce(scores, labels) -> float:
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return area
+
+
+def rank_filtered(fact, scorer, known: frozenset):
+    """Filtered rank of a fact against both argument corruptions, one
+    candidate at a time: the reference for ``evaluate.evaluate_ranking``.
+
+    Corruptions replace either argument with every constant; candidates that
+    are themselves known facts are filtered out. Ties with the fact's own
+    score contribute half their count (mean tie handling), so the rank is
+    invariant under relabeling among equals.
+    """
+    rel, (subj, obj) = fact.pred, fact.args
+    tails = scorer.score_tails(rel, subj)
+    heads = scorer.score_heads(rel, obj)
+    pivot = float(tails[obj])
+    above = ties = count = 0
+    for c in range(tails.shape[0]):
+        if c != obj and (rel, subj, c) not in known:
+            s = float(tails[c])
+            count += 1
+            above += s > pivot
+            ties += s == pivot
+        if c != subj and (rel, c, obj) not in known:
+            s = float(heads[c])
+            count += 1
+            above += s > pivot
+            ties += s == pivot
+    return RankRecord(fact, 1 + above + ties // 2, count)
 
 
 def nns_oracle(anchors: np.ndarray, items: np.ndarray):

@@ -38,7 +38,7 @@ class TestKernelMatrix:
         A = rng.normal(size=(5, 7))
         K = accel.kernel_matrix(A, A)
         np.testing.assert_allclose(np.diag(K), 1.0, rtol=1e-12)
-        np.testing.assert_allclose(K, K.T, rtol=1e-12)
+        np.testing.assert_array_equal(K, K.T)
 
     def test_matches_naive(self, path):
         rng = np.random.default_rng(1)
@@ -58,6 +58,22 @@ class TestKernelMatrix:
     def test_dim_mismatch_raises(self, path):
         with pytest.raises(ValueError):
             accel.kernel_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("n,d", [
+        (5, 7),       # one chunk
+        (250, 500),   # two rows a chunk: several chunks
+        (301, 400),   # two rows a chunk, the last one short
+        (0, 3),
+        (1, 3),
+    ])
+    def test_symmetric_path_is_bitwise(self, n, d):
+        # B is A computes the upper triangle and mirrors it
+        A = np.random.default_rng(n).normal(size=(n, d))
+        if n > 2:
+            A[2, 1] = np.nan
+        K = accel.kernel_matrix(A, A)
+        np.testing.assert_array_equal(K, accel.kernel_matrix(A, A.copy()))
+        np.testing.assert_array_equal(K, K.T)
 
     def test_chunked_equals_single_chunk(self):
         # m * d = 1.25e5 puts two rows in each chunk: three chunks

@@ -265,3 +265,16 @@ def test_module_entry_point_runs():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "inspect-storage" in proc.stdout
+
+
+def test_cli_imports_nothing_beyond_stdlib_and_numpy():
+    # every import on the CLI path is paid by each command's start-up
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import selprover.cli; "
+            "print(*sorted({m.split('.')[0] for m in sys.modules} "
+            "- {m.split('.')[0] for m in before}))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split()) - {"selprover"}
+    assert added <= set(sys.stdlib_module_names), added

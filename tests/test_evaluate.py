@@ -3,11 +3,10 @@ import pytest
 
 from selprover.evaluate import (EfficiencyRecord, RankRecord, compute_auc_pr,
                                 compute_efficiency, compute_mrr_hits,
-                                evaluate_ranking, pooled_region_auc_pr,
-                                rank_filtered)
+                                evaluate_ranking, pooled_region_auc_pr)
 from selprover.kb import Atom
 
-from oracles import auc_pr_bruteforce
+from oracles import auc_pr_bruteforce, rank_filtered
 
 
 class FakeScorer:
@@ -36,7 +35,7 @@ def one_sided(fact, tail_scores, n_consts):
 def test_rank_strictly_highest_is_one():
     fact = Atom(0, (0, 1))
     scorer, known = one_sided(fact, [0.0, 0.9, 0.3, 0.2, 0.1], 5)
-    rec = rank_filtered(fact, scorer, known)
+    rec = evaluate_ranking([fact], scorer, known)[0]
     assert rec.rank == 1
     assert rec.candidate_count == 4
 
@@ -45,15 +44,15 @@ def test_rank_tie_rule_rounds_down():
     fact = Atom(0, (0, 1))
     scorer, known = one_sided(fact, [0.5, 0.5, 0.1, 0.1, 0.1], 5)
     # tied with one corruption, none above: floor(1/2) adds nothing
-    assert rank_filtered(fact, scorer, known).rank == 1
+    assert evaluate_ranking([fact], scorer, known)[0].rank == 1
     scorer, known = one_sided(fact, [0.5, 0.5, 0.5, 0.1, 0.1], 5)
-    assert rank_filtered(fact, scorer, known).rank == 2
+    assert evaluate_ranking([fact], scorer, known)[0].rank == 2
 
 
 def test_rank_counting_example():
     fact = Atom(0, (0, 1))
     scorer, known = one_sided(fact, [0.9, 0.5, 0.8, 0.3, 0.1], 5)
-    rec = rank_filtered(fact, scorer, known)
+    rec = evaluate_ranking([fact], scorer, known)[0]
     assert rec.rank == 3
     assert rec.candidate_count == 4
 
@@ -62,7 +61,7 @@ def test_rank_uses_both_argument_slots():
     fact = Atom(0, (0, 1))
     tails = {(0, 0): [0.0, 0.5, 0.9, 0.1]}       # one tail corruption above
     heads = {(0, 1): [0.5, 0.0, 0.7, 0.2]}       # one head corruption above
-    rec = rank_filtered(fact, FakeScorer(tails, heads), frozenset())
+    rec = evaluate_ranking([fact], FakeScorer(tails, heads), frozenset())[0]
     assert rec.candidate_count == 6
     assert rec.rank == 3
 
@@ -72,7 +71,7 @@ def test_rank_filters_known_facts():
     known = frozenset({(0, 0, 2), (0, 3, 1)})    # both high scorers are real
     tails = {(0, 0): [0.0, 0.5, 0.9, 0.1]}
     heads = {(0, 1): [0.5, 0.0, 0.2, 0.7]}
-    rec = rank_filtered(fact, FakeScorer(tails, heads), known)
+    rec = evaluate_ranking([fact], FakeScorer(tails, heads), known)[0]
     assert rec.candidate_count == 4
     assert rec.rank == 1
 
@@ -85,13 +84,13 @@ def test_rank_invariant_under_monotone_transform():
         heads = rng.uniform(0, 1, n)
         fact = Atom(0, (int(rng.integers(n)), int(rng.integers(n))))
         heads[fact.args[0]] = tails[fact.args[1]]
-        base = rank_filtered(fact, FakeScorer({(0, fact.args[0]): tails},
-                                              {(0, fact.args[1]): heads}),
-                             frozenset())
-        warped = rank_filtered(
-            fact, FakeScorer({(0, fact.args[0]): 3.0 * tails + 1.0},
-                             {(0, fact.args[1]): 3.0 * heads + 1.0}),
-            frozenset())
+        base = evaluate_ranking(
+            [fact], FakeScorer({(0, fact.args[0]): tails},
+                               {(0, fact.args[1]): heads}), frozenset())[0]
+        warped = evaluate_ranking(
+            [fact], FakeScorer({(0, fact.args[0]): 3.0 * tails + 1.0},
+                               {(0, fact.args[1]): 3.0 * heads + 1.0}),
+            frozenset())[0]
         assert warped.rank == base.rank
         assert warped.candidate_count == base.candidate_count
 
@@ -164,6 +163,51 @@ def test_evaluate_ranking_runs_per_fact():
     records = evaluate_ranking(facts, FakeScorer(tails, heads), frozenset())
     assert [r.fact for r in records] == facts
     assert all(1 <= r.rank <= r.candidate_count + 1 for r in records)
+
+
+def test_evaluate_ranking_matches_scalar_reference():
+    # 2 * 2500 candidates a query puts 50 queries in a block, so 160 facts
+    # span a one-fact first block, three full blocks and a short last one
+    rng = np.random.default_rng(20)
+    n, n_rel = 2500, 3
+    facts = [Atom(int(rng.integers(n_rel)), (int(rng.integers(n)),
+                                             int(rng.integers(n))))
+             for _ in range(150)]
+    facts += [Atom(int(rng.integers(n_rel)), (c, c))
+              for c in rng.integers(n, size=10)]
+    rng.shuffle(facts)
+    # two decimals force ties with the fact's own score
+    tails = {(f.pred, f.args[0]): np.round(rng.uniform(0, 1, n), 2)
+             for f in facts}
+    heads = {(f.pred, f.args[1]): np.round(rng.uniform(0, 1, n), 2)
+             for f in facts}
+    # half the facts are not known themselves, so only the c != obj and
+    # c != subj rules keep the fact out of its own candidates
+    known = {f.as_triple() for f in facts[::2]}
+    for f in facts:
+        p, (s, o) = f.pred, f.args
+        known.update((p, s, int(c)) for c in rng.integers(n, size=40))
+        known.update((p, int(c), o) for c in rng.integers(n, size=40))
+    known = frozenset(known)
+    scorer = FakeScorer(tails, heads)
+    want = [rank_filtered(f, scorer, known) for f in facts]
+    assert evaluate_ranking(facts, scorer, known) == want
+    assert any(r.rank > 1 for r in want)
+
+
+@pytest.mark.parametrize("side", ["tails", "heads"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_evaluate_ranking_rejects_non_finite_score(side, value):
+    # nothing compares above or equal to a NaN true-triple score, so the
+    # scalar loop ranks its fact first with full MRR credit
+    facts = [Atom(0, (0, 1)), Atom(0, (2, 0))]
+    rows = {"tails": {(0, 0): [0.0, 0.9, 0.1], (0, 2): [0.3, 0.5, 0.1]},
+            "heads": {(0, 1): [0.9, 0.2, 0.1], (0, 0): [0.3, 0.5, 0.1]}}
+    # either altered row belongs to the second fact alone
+    rows[side][(0, 2) if side == "tails" else (0, 0)][0] = value
+    with pytest.raises(ValueError, match=r"args=\(2, 0\)"):
+        evaluate_ranking(facts, FakeScorer(rows["tails"], rows["heads"]),
+                         frozenset())
 
 
 def test_pooled_region_auc_matches_direct_computation():
