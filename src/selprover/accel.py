@@ -113,15 +113,16 @@ def strict_group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
     """Fact table keyed by a strictly bound argument.
 
     out[x, z] = max over facts f with grp_idx[f] == z of
-    min(psim[f], Kc[x, soft_idx[f]]).  Rows x range over candidate constants
-    put in the soft position; columns z over the constants a free variable
-    binds to.  Missing groups stay at 0.0.
+    min(psim[f], Kc[x, soft_idx[f]]).  Rows x range over the rows of ``Kc``,
+    candidate constants (all of them, or a block) put in the soft position;
+    columns z over the constants a free variable binds to.  Missing groups
+    stay at 0.0.
     """
     psim = _f64(psim)
     Kc = _f64(Kc)
     C = Kc.shape[0]
     F = psim.shape[0]
-    out = np.zeros((C, C))
+    out = np.zeros(Kc.shape)
     if F == 0:
         return out
     cand = np.minimum(psim[None, :], Kc[:, _i64(soft_idx)])  # (C, F)

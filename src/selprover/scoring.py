@@ -1,12 +1,12 @@
 """Batched exact scoring of ranking queries over template-shaped views.
 
-Ranking wants, for a goal relation r and anchor constant a, the best proof
-score of (r, a, y) for every candidate y at once. Running the stream prover
-per candidate is exact but repeats almost all of its work across candidates;
-this module computes the identical max-min scores in closed form, given that
-every rule in the view is one of the three template shapes (same-direction
-implication, argument-swapped implication, two-hop chain) and the proof
-depth is at most 2.
+Ranking wants, for a goal relation r, the best proof score of (r, x, y) for
+every anchor x and candidate y. Running the stream prover per triple is
+exact but repeats almost all of its work across triples; this module
+computes the identical max-min scores in closed form, as one (C, C) matrix
+per relation, given that every rule in the view is one of the three
+template shapes (same-direction implication, argument-swapped implication,
+two-hop chain) and the proof depth is at most 2.
 
 Exactness rests on two facts about the search. First, a rule names only
 predicates and its head takes both goal arguments, so applying a rule binds
@@ -21,7 +21,8 @@ Proof families at depth 2, each an exact closed form here:
 
 * ``A``: zero, one, or two implication links ending in a fact. Effective
   predicate similarity matrices (SIM) fold the link kernels, tracking the
-  argument-swap parity, and one grouped sweep finishes the job.
+  argument-swap parity; the goal relation's SIM row makes the same pair
+  table over (anchor, candidate) as a chain's second body does.
 * ``B``: a top-level chain rule. Its first body resolves the middle
   constant strictly (through a fact, one implication link, or a nested
   chain); its second body is a pair table over (middle, candidate).
@@ -37,13 +38,14 @@ below theta. The max-min products therefore run only over the rows and
 inner indices that can reach theta, and the final cut (scores below theta
 become 0) restores the dense result exactly. At theta = 0 nothing is cut.
 
-Each query direction keeps only its live chains, those with a table entry
-that reaches theta, and stacks their tables, so one vec-mat product scores
-every live chain of a family at once and a dead chain costs nothing.
+Only live chains, those with a table entry that reaches theta, are kept,
+and their tables stacked, so one max-min product scores every live chain of
+a family at once and a dead chain costs nothing.
 
-Head-side queries (vary the subject) reuse the same machinery on the
-reversed view: facts swap subject/object, chains swap their two body slots,
-and both implication shapes map to themselves.
+A relation's matrix holds the score of (r, x, y) at [x, y], computed for
+all anchors at once in chunks of anchors that keep temporaries near 2 MB.
+A tail query (r, a, ?) reads its row a and a head query (r, ?, a) its
+column a, so one set of forward tables serves both sides.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import numpy as np
 
 from . import accel
 from .autodiff import ParameterStore
-from .kb import SHAPE_CHAIN, SHAPE_IMPLIES, KBView
+from .kb import SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, KBView
 from .prover import kernel_tables
 
 
@@ -77,26 +79,6 @@ def _matmat(A: np.ndarray, B: np.ndarray, th: float) -> np.ndarray:
     return out
 
 
-def _matvec(M: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
-    """out[i] = max_k min(M[i,k], v[k]) over the k where v reaches th."""
-    keep = v >= th
-    if keep.all():
-        return accel.maxmin_matvec(M, v)
-    if not keep.any():
-        return np.zeros(M.shape[0])
-    return accel.maxmin_matvec(M[:, keep], v[keep])
-
-
-def _vecmat(v: np.ndarray, M: np.ndarray, th: float) -> np.ndarray:
-    """out[j] = max_i min(v[i], M[i,j]) over the i where v reaches th."""
-    keep = v >= th
-    if keep.all():
-        return accel.maxmin_vecmat(v, M)
-    if not keep.any():
-        return np.zeros(M.shape[1])
-    return accel.maxmin_vecmat(v[keep], M[keep])
-
-
 def _group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
            Kc: np.ndarray, th: float) -> np.ndarray:
     """accel.strict_group over the facts whose predicate factor reaches th."""
@@ -111,7 +93,7 @@ def _live(T: np.ndarray, th: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-direction tables
+# tables
 # ---------------------------------------------------------------------------
 
 
@@ -139,7 +121,7 @@ def _sim_matrices(Kp: np.ndarray, imp_h, imp_b, inv_h, inv_b, depth: int,
 
 @dataclass(slots=True)
 class _Pass:
-    """Tables of one query direction.
+    """The forward tables of a view.
 
     Fact arrays list every fact twice, as stored and with its arguments
     swapped: ``col`` indexes a [forward | swapped] similarity row, ``anchor``
@@ -218,12 +200,23 @@ def _build_pass(Kp: np.ndarray, Kc: np.ndarray, p_idx, s_idx, o_idx,
                       _compose(Kp, inv_h, inv_b, Kp[:, hd_h2], th)]))
 
 
+_BLOCK = 2.5e5  # float64 elements in about 2 MB
+
+
+def _index(name: str, value: int, size: int) -> int:
+    if not 0 <= value < size:
+        raise IndexError(f"{name} {value} outside [0, {size})")
+    return value
+
+
 class BatchedEvaluator:
     """Exact per-candidate proof scores for ranking, without the stream.
 
     Reads each ``kb.Rule``'s template shape and predicates, and requires a
     proof depth of at most 2; a deeper one raises, because only those search
-    spaces have the closed forms above.
+    spaces have the closed forms above. A relation's score matrix is
+    computed when it is first queried and kept, read-only, for the
+    evaluator's lifetime: one validation in ``train``, or one ``eval``.
     """
 
     def __init__(self, view: KBView, store: ParameterStore,
@@ -234,74 +227,75 @@ class BatchedEvaluator:
         self.Kp, self.Kc = kernel_tables(store)
         self.min_score = float(min_score)
         self.n_constants = self.Kc.shape[0]
-        imp, inv, chains = [], [], []
-        for rid in view.rule_ids:
-            shape, hd, b1, b2 = view.parent.rules[rid]
-            if shape == SHAPE_IMPLIES:
-                imp.append((hd, b1))
-            elif shape == SHAPE_CHAIN:
-                chains.append((hd, b1, b2))
-            else:
-                inv.append((hd, b1))
-        imp_h = np.array([h for h, _ in imp], dtype=np.int64)
-        imp_b = np.array([b for _, b in imp], dtype=np.int64)
-        inv_h = np.array([h for h, _ in inv], dtype=np.int64)
-        inv_b = np.array([b for _, b in inv], dtype=np.int64)
-        p_idx = view.pred.astype(np.int64)
-        s_idx = view.subj.astype(np.int64)
-        o_idx = view.obj.astype(np.int64)
-        links = (imp_h, imp_b, inv_h, inv_b)
+        rules = [view.parent.rules[rid] for rid in view.rule_ids]
+        chains = [r[1:] for r in rules if r.shape == SHAPE_CHAIN]
+        # implication heads and bodies: imp_h, imp_b, inv_h, inv_b
+        links = tuple(np.array([r[k] for r in rules if r.shape == shape],
+                               dtype=np.int64)
+                      for shape in (SHAPE_IMPLIES, SHAPE_INVERSE)
+                      for k in (1, 2))
         th = self.min_score
         sims = (_sim_matrices(self.Kp, *links, max_depth, th),
                 _sim_matrices(self.Kp, *links, 1 if max_depth >= 2 else 0, th))
-        self._fwd = _build_pass(self.Kp, self.Kc, p_idx, s_idx, o_idx, *links,
-                                chains, max_depth, th, *sims)
-        rev_chains = [(hd, b2, b1) for hd, b1, b2 in chains]
-        self._rev = _build_pass(self.Kp, self.Kc, p_idx, o_idx, s_idx, *links,
-                                rev_chains, max_depth, th, *sims)
+        self._pass = _build_pass(
+            self.Kp, self.Kc, view.pred.astype(np.int64),
+            view.subj.astype(np.int64), view.obj.astype(np.int64), *links,
+            chains, max_depth, th, *sims)
+        self._matrices: dict[int, np.ndarray] = {}
 
     def score_tails(self, rel: int, subj: int) -> np.ndarray:
         """Scores of (rel, subj, y) for every constant y."""
-        return self._score(self._fwd, rel, subj)
+        return self._matrix(rel)[_index("subj", subj, self.n_constants)]
 
     def score_heads(self, rel: int, obj: int) -> np.ndarray:
         """Scores of (rel, x, obj) for every constant x."""
-        return self._score(self._rev, rel, obj)
+        return self._matrix(rel)[:, _index("obj", obj, self.n_constants)]
 
-    def _score(self, pa: _Pass, rel: int, a: int) -> np.ndarray:
-        C = self.n_constants
-        th = self.min_score
-        Ka = self.Kc[a]
-        # family A: implication links only, then one soft fact sweep
-        u = np.minimum(pa.sim[rel][pa.col], Ka[pa.anchor])
-        live = u >= th
-        w = accel.scatter_max(pa.key[live], u[live], C)
-        V = _matvec(self.Kc, w, th)
+    def _matrix(self, rel: int) -> np.ndarray:
+        """Read-only scores of every (rel, x, y), anchors x by candidates y."""
+        if rel not in self._matrices:
+            M = self._compute(_index("rel", rel, self.Kp.shape[0]))
+            M.flags.writeable = False
+            self._matrices[rel] = M
+        return self._matrices[rel]
+
+    def _compute(self, rel: int) -> np.ndarray:
+        pa, Kc, th = self._pass, self.Kc, self.min_score
+        C, N, Ls, Lh = self.n_constants, len(pa.hd), len(pa.H2s), len(pa.H2)
+        psim = pa.sim[rel][pa.col]
         cap = self.Kp[rel][pa.hd]
-        if _live(cap, th):
-            # family B: first chain body binds the middle constant, all
-            # scored chains in one scatter keyed by (chain, middle)
-            anc = Ka[pa.b1_anchor]
-            f = anc >= th
-            U = np.minimum(np.minimum(pa.body1[:, f], anc[f]), cap[:, None])
-            i, k = np.nonzero(U >= th)
-            B1 = accel.scatter_max(i * C + pa.b1_key[f][k], U[i, k],
-                                   len(cap) * C).reshape(-1, C)
-            if len(pa.H2s):
-                # first body through a nested chain
-                B1C = _matmat(pa.W1, pa.H2s[:, a], th)
-                np.maximum(B1, np.minimum(B1C, cap[:, None]), out=B1)
-            if len(pa.T):
-                np.maximum(V, _vecmat(B1[pa.t_rows].ravel(), pa.T, th),
-                           out=V)
-            if len(pa.H2):
-                # second chain body through a nested chain
-                Q = _matmat(pa.W2t, B1, th)
-                np.maximum(V, _vecmat(Q.ravel(), pa.H2.reshape(-1, C), th),
-                           out=V)
-        if len(pa.H2):
-            # family C: one implication link into a plain-fact chain
-            rows = np.concatenate([pa.H2[:, a], pa.H2[:, :, a]])
-            np.maximum(V, _vecmat(pa.GI[rel], rows, th), out=V)
-        V[V < th] = 0.0
-        return V
+        chained = _live(cap, th)
+        # anchors per chunk: each (anchors, width) temporary stays near 2 MB
+        width = max(len(pa.col), C * max(1, N, Ls, 2 * Lh))
+        step = max(1, int(_BLOCK // width))
+        M = np.empty((C, C))
+        for x in range(0, C, step):
+            X, n = slice(x, x + step), min(step, C - x)
+            # family A: the relation's pair table, then one soft sweep
+            V = _matmat(_group(psim, pa.anchor, pa.key, Kc[X], th), Kc, th)
+            if chained:
+                # family B: B1[i, x, m] is chain i's first body from anchor x
+                # to middle m, capped by the link into the chain's head
+                B1 = np.array([np.minimum(_group(b, pa.b1_anchor, pa.b1_key,
+                                                 Kc[X], th), c)
+                               for b, c in zip(pa.body1, cap)])
+                if Ls:  # first body through a nested chain
+                    B1C = _matmat(pa.W1, pa.H2s[:, X].reshape(Ls, -1), th)
+                    np.maximum(B1, np.minimum(B1C.reshape(B1.shape),
+                                              cap[:, None, None]), out=B1)
+                if len(pa.T):  # second body through facts or one I-link
+                    B1T = B1[pa.t_rows].transpose(1, 0, 2).reshape(n, -1)
+                    np.maximum(V, _matmat(B1T, pa.T, th), out=V)
+                if Lh:  # second body through a nested chain
+                    Q = _matmat(pa.W2t, B1.reshape(N, -1), th)
+                    Q = Q.reshape(Lh, n, C).transpose(1, 0, 2).reshape(n, -1)
+                    np.maximum(V, _matmat(Q, pa.H2.reshape(-1, C), th), out=V)
+            if Lh:
+                # family C: one implication link into a plain-fact chain
+                H2 = np.concatenate([pa.H2[:, X],
+                                     pa.H2[:, :, X].transpose(0, 2, 1)])
+                CV = _matmat(pa.GI[rel][None], H2.reshape(2 * Lh, -1), th)
+                np.maximum(V, CV.reshape(n, C), out=V)
+            M[X] = V
+        M[M < th] = 0.0
+        return M

@@ -5,7 +5,9 @@ full result lists, kernels computed straight from embedding rows, no shared
 code with the package internals. The enumeration oracle reads plain tuples:
 facts are ``(pred, subj, obj)`` ints, rules are ``(head, body)`` atoms with
 variables as negative ints, which ``rule_atoms`` writes for a package
-``kb.Rule``.
+``kb.Rule``. ``ReferenceScorer`` is the exception: it keeps the earlier
+per-anchor closed form over the package's own ``scoring`` tables, built
+once forward and once on the reversed view.
 """
 
 from __future__ import annotations
@@ -14,8 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from selprover import accel
 from selprover.evaluate import RankRecord
 from selprover.kb import SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Rule
+from selprover.prover import kernel_tables
+from selprover.scoring import (_build_pass, _live, _matmat, _Pass,
+                               _sim_matrices)
 
 
 def constant_names(vocab) -> list[str]:
@@ -453,6 +459,112 @@ def rank_filtered(fact, scorer, known: frozenset):
             above += s > pivot
             ties += s == pivot
     return RankRecord(fact, 1 + above + ties // 2, count)
+
+
+def _matvec(M: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
+    """out[i] = max_k min(M[i,k], v[k]) over the k where v reaches th."""
+    keep = v >= th
+    if keep.all():
+        return accel.maxmin_matvec(M, v)
+    if not keep.any():
+        return np.zeros(M.shape[0])
+    return accel.maxmin_matvec(M[:, keep], v[keep])
+
+
+def _vecmat(v: np.ndarray, M: np.ndarray, th: float) -> np.ndarray:
+    """out[j] = max_i min(v[i], M[i,j]) over the i where v reaches th."""
+    keep = v >= th
+    if keep.all():
+        return accel.maxmin_vecmat(v, M)
+    if not keep.any():
+        return np.zeros(M.shape[1])
+    return accel.maxmin_vecmat(v[keep], M[keep])
+
+
+def reference_passes(view, Kp, Kc, max_depth, th):
+    """Forward and reversed ``scoring._Pass`` tables of a view.
+
+    The reversed tables are the forward ones of the reversed view: facts
+    swap subject and object, chains swap their two body slots, and both
+    implication shapes map to themselves.
+    """
+    imp, inv, chains = [], [], []
+    for rid in view.rule_ids:
+        shape, hd, b1, b2 = view.parent.rules[rid]
+        if shape == SHAPE_IMPLIES:
+            imp.append((hd, b1))
+        elif shape == SHAPE_CHAIN:
+            chains.append((hd, b1, b2))
+        else:
+            inv.append((hd, b1))
+    links = (np.array([h for h, _ in imp], dtype=np.int64),
+             np.array([b for _, b in imp], dtype=np.int64),
+             np.array([h for h, _ in inv], dtype=np.int64),
+             np.array([b for _, b in inv], dtype=np.int64))
+    p, s, o = (a.astype(np.int64) for a in (view.pred, view.subj, view.obj))
+    sims = (_sim_matrices(Kp, *links, max_depth, th),
+            _sim_matrices(Kp, *links, 1 if max_depth >= 2 else 0, th))
+    fwd = _build_pass(Kp, Kc, p, s, o, *links, chains, max_depth, th, *sims)
+    rev_chains = [(hd, b2, b1) for hd, b1, b2 in chains]
+    rev = _build_pass(Kp, Kc, p, o, s, *links, rev_chains, max_depth, th,
+                      *sims)
+    return fwd, rev
+
+
+class ReferenceScorer:
+    """Per-anchor closed form over forward and reversed tables: the
+    reference for ``scoring.BatchedEvaluator``'s relation matrices."""
+
+    def __init__(self, view, store, max_depth=2, min_score=0.1):
+        self.Kp, self.Kc = kernel_tables(store)
+        self.min_score = float(min_score)
+        self.n_constants = self.Kc.shape[0]
+        self._fwd, self._rev = reference_passes(view, self.Kp, self.Kc,
+                                                max_depth, self.min_score)
+
+    def score_tails(self, rel: int, subj: int) -> np.ndarray:
+        return self._score(self._fwd, rel, subj)
+
+    def score_heads(self, rel: int, obj: int) -> np.ndarray:
+        return self._score(self._rev, rel, obj)
+
+    def _score(self, pa: _Pass, rel: int, a: int) -> np.ndarray:
+        C = self.n_constants
+        th = self.min_score
+        Ka = self.Kc[a]
+        # family A: implication links only, then one soft fact sweep
+        u = np.minimum(pa.sim[rel][pa.col], Ka[pa.anchor])
+        live = u >= th
+        w = accel.scatter_max(pa.key[live], u[live], C)
+        V = _matvec(self.Kc, w, th)
+        cap = self.Kp[rel][pa.hd]
+        if _live(cap, th):
+            # family B: first chain body binds the middle constant, all
+            # scored chains in one scatter keyed by (chain, middle)
+            anc = Ka[pa.b1_anchor]
+            f = anc >= th
+            U = np.minimum(np.minimum(pa.body1[:, f], anc[f]), cap[:, None])
+            i, k = np.nonzero(U >= th)
+            B1 = accel.scatter_max(i * C + pa.b1_key[f][k], U[i, k],
+                                   len(cap) * C).reshape(-1, C)
+            if len(pa.H2s):
+                # first body through a nested chain
+                B1C = _matmat(pa.W1, pa.H2s[:, a], th)
+                np.maximum(B1, np.minimum(B1C, cap[:, None]), out=B1)
+            if len(pa.T):
+                np.maximum(V, _vecmat(B1[pa.t_rows].ravel(), pa.T, th),
+                           out=V)
+            if len(pa.H2):
+                # second chain body through a nested chain
+                Q = _matmat(pa.W2t, B1, th)
+                np.maximum(V, _vecmat(Q.ravel(), pa.H2.reshape(-1, C), th),
+                           out=V)
+        if len(pa.H2):
+            # family C: one implication link into a plain-fact chain
+            rows = np.concatenate([pa.H2[:, a], pa.H2[:, :, a]])
+            np.maximum(V, _vecmat(pa.GI[rel], rows, th), out=V)
+        V[V < th] = 0.0
+        return V
 
 
 def nns_oracle(anchors: np.ndarray, items: np.ndarray):

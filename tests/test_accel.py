@@ -176,6 +176,20 @@ class TestStrictGroup:
         got = accel.strict_group(psim, soft, grp, Kc)
         np.testing.assert_allclose(got, expect, rtol=1e-15)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 25), st.integers(2, 8), st.integers(0, 2**31 - 1))
+    def test_block_of_rows_is_those_rows(self, F, C, seed):
+        rng = np.random.default_rng(seed)
+        psim = rng.uniform(0.0, 1.0, F)
+        soft = rng.integers(0, C, F)
+        grp = rng.integers(0, C, F)
+        Kc = accel.kernel_matrix(rng.normal(size=(C, 3)), rng.normal(size=(C, 3)))
+        full = accel.strict_group(psim, soft, grp, Kc)
+        lo = int(rng.integers(0, C))
+        hi = int(rng.integers(lo + 1, C + 1))
+        np.testing.assert_array_equal(
+            accel.strict_group(psim, soft, grp, Kc[lo:hi]), full[lo:hi])
+
 
 def naive_maxmin_mat(A, B):
     n, k = A.shape

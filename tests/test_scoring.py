@@ -8,7 +8,10 @@ from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.prover import ProverConfig, build_templates, prove_goal
 from selprover.config import RunConfig
+from selprover import scoring
 from selprover.scoring import BatchedEvaluator
+
+from oracles import ReferenceScorer
 
 
 def build_kb(facts, rules, Ep, Ec):
@@ -211,8 +214,8 @@ def test_threshold_every_chain_dead(depth):
     kb, store = build_kb(PATH_FACTS, [implies(0, 1), chain(0, 3, 4)],
                          FAR_EP, SQUARE_EC)
     free, cut = assert_cut_is_exact(kb, store, depth, 0.1)
-    assert n_live_chains(free._fwd) > 0
-    assert n_live_chains(cut._fwd) == n_live_chains(cut._rev) == 0
+    assert n_live_chains(free._pass) > 0
+    assert n_live_chains(cut._pass) == 0
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -220,9 +223,9 @@ def test_threshold_one_live_chain(depth):
     kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1), chain(0, 3, 4)],
                          FAR_EP, SQUARE_EC)
     _, cut = assert_cut_is_exact(kb, store, depth, 0.1)
-    for pa in (cut._fwd, cut._rev):
-        assert len(pa.t_rows) == 1 and len(pa.H2) <= 1
+    assert len(cut._pass.t_rows) == 1 and len(cut._pass.H2) <= 1
     assert cut.score_tails(0, 0)[2] == 1.0
+    assert cut.score_heads(0, 2)[0] == 1.0
 
 
 def test_threshold_equal_to_a_score_keeps_it():
@@ -266,3 +269,54 @@ def test_subset_view_scores_subset_facts_only():
         want = prove_goal(Atom(0, (0, y)), sub, store, cfg).score
         assert ev.score_tails(0, 0)[y] == pytest.approx(want, abs=1e-9)
 
+
+
+@pytest.mark.parametrize("block", [scoring._BLOCK, 1.0, 40.0])
+def test_matrix_equals_per_anchor_reference(monkeypatch, block):
+    # every row and column of each relation's matrix, bit for bit, against
+    # the per-anchor closed form over forward and reversed tables; a small
+    # block splits the anchors into chunks of one or a few
+    monkeypatch.setattr(scoring, "_BLOCK", block)
+    nested = 0
+    for seed in range(40):
+        facts, rules, Ep, Ec = random_template_case(np.random.default_rng(seed))
+        scale = (0.4, 0.7, 1.0, 1.5)[seed % 4]
+        kb, store = build_kb(facts, rules, Ep * scale, Ec * scale)
+        for depth in (0, 1, 2):
+            for threshold in (0.0, 0.1, 0.3):
+                ev = BatchedEvaluator(kb.full_view(), store, depth, threshold)
+                ref = ReferenceScorer(kb.full_view(), store, depth, threshold)
+                nested += bool(len(ev._pass.H2) and len(ev._pass.H2s))
+                for rel in range(kb.vocab.n_predicates):
+                    for a in range(kb.vocab.n_constants):
+                        np.testing.assert_array_equal(
+                            ev.score_tails(rel, a), ref.score_tails(rel, a))
+                        np.testing.assert_array_equal(
+                            ev.score_heads(rel, a), ref.score_heads(rel, a))
+    assert nested > 0
+
+
+@pytest.mark.parametrize("side, arg", [("score_tails", "subj"),
+                                       ("score_heads", "obj")])
+def test_out_of_range_index_raises(side, arg):
+    kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1)], FAR_EP, SQUARE_EC)
+    ev = BatchedEvaluator(kb.full_view(), store, 2, 0.1)
+    score = getattr(ev, side)
+    for rel in (-1, kb.vocab.n_predicates):
+        with pytest.raises(IndexError, match=f"^rel {rel} "):
+            score(rel, 0)
+    for a in (-1, kb.vocab.n_constants):
+        with pytest.raises(IndexError, match=f"^{arg} {a} "):
+            score(0, a)
+    assert set(ev._matrices) == {0}
+    assert score(4, 3).shape == (kb.vocab.n_constants,)
+
+
+def test_returned_scores_are_read_only():
+    kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1)], FAR_EP, SQUARE_EC)
+    ev = BatchedEvaluator(kb.full_view(), store, 2, 0.1)
+    tails, heads = ev.score_tails(0, 0), ev.score_heads(0, 2)
+    for row in (tails, heads):
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.5
+    assert tails[2] == heads[0] == ev.score_tails(0, 0)[2] == 1.0
