@@ -5,9 +5,11 @@ full result lists, kernels computed straight from embedding rows, no shared
 code with the package internals. The enumeration oracle reads plain tuples:
 facts are ``(pred, subj, obj)`` ints, rules are ``(head, body)`` atoms with
 variables as negative ints, which ``rule_atoms`` writes for a package
-``kb.Rule``. ``ReferenceScorer`` is the exception: it keeps the earlier
-per-anchor closed form over the package's own ``scoring`` tables, built
-once forward and once on the reversed view.
+``kb.Rule``. ``ReferenceScorer`` keeps the earlier closed form of the
+batched ranker, which splits a depth-2 proof into three families over
+folded predicate similarities and scores one anchor at a time, built once
+forward and once on the reversed view; it shares only ``accel`` kernels
+with the package's ``scoring`` recursion.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ from selprover import accel
 from selprover.evaluate import RankRecord
 from selprover.kb import SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Rule
 from selprover.prover import kernel_tables
-from selprover.scoring import (_build_pass, _live, _matmat, _Pass,
-                               _sim_matrices)
 
 
 def constant_names(vocab) -> list[str]:
@@ -461,6 +461,146 @@ def rank_filtered(fact, scorer, known: frozenset):
     return RankRecord(fact, 1 + above + ties // 2, count)
 
 
+# ---------------------------------------------------------------------------
+# the closed form by proof families, per anchor: the reference for
+# scoring.BatchedEvaluator
+# ---------------------------------------------------------------------------
+
+
+def _matmat(A: np.ndarray, B: np.ndarray, th: float) -> np.ndarray:
+    """Max-min product over the rows of A and the inner indices that reach th."""
+    a = A >= th
+    rows = a.any(axis=1)
+    inner = a.any(axis=0) & (B >= th).any(axis=1)
+    if rows.all() and inner.all():
+        return accel.maxmin_matmat(A, B)
+    out = np.zeros((A.shape[0], B.shape[1]))
+    if rows.any() and inner.any():
+        out[rows] = accel.maxmin_matmat(A[np.ix_(rows, inner)], B[inner])
+    return out
+
+
+def _group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
+           Kc: np.ndarray, th: float) -> np.ndarray:
+    """accel.strict_group over the facts whose predicate factor reaches th."""
+    keep = psim >= th
+    if keep.all():
+        return accel.strict_group(psim, soft_idx, grp_idx, Kc)
+    return accel.strict_group(psim[keep], soft_idx[keep], grp_idx[keep], Kc)
+
+
+def _live(T: np.ndarray, th: float) -> bool:
+    return bool((T >= th).any())
+
+
+# ---------------------------------------------------------------------------
+# tables
+# ---------------------------------------------------------------------------
+
+
+def _compose(Kp: np.ndarray, heads: np.ndarray, bodies: np.ndarray,
+             S: np.ndarray, th: float) -> np.ndarray:
+    """One I-link step: out[q,p] = max_j min(Kp[q, h_j], S[b_j, p])."""
+    return _matmat(Kp[:, heads], S[bodies], th)
+
+
+def _sim_matrices(Kp: np.ndarray, imp_h, imp_b, inv_h, inv_b, depth: int,
+                  th: float) -> np.ndarray:
+    """Effective predicate similarity through <= depth I-links, as
+    [forward | swapped]: column p is a same-direction fact of predicate p,
+    column P + p one with its arguments swapped."""
+    simF, simR = Kp, np.zeros_like(Kp)
+    for _ in range(min(depth, 2)):
+        simF, simR = (
+            np.maximum(Kp, np.maximum(_compose(Kp, imp_h, imp_b, simF, th),
+                                      _compose(Kp, inv_h, inv_b, simR, th))),
+            np.maximum(_compose(Kp, imp_h, imp_b, simR, th),
+                       _compose(Kp, inv_h, inv_b, simF, th)),
+        )
+    return np.hstack([simF, simR])
+
+
+@dataclass(slots=True)
+class _Pass:
+    """The forward tables of a view.
+
+    Fact arrays list every fact twice, as stored and with its arguments
+    swapped: ``col`` indexes a [forward | swapped] similarity row, ``anchor``
+    is the argument unified with the query's anchor constant, and ``key`` the
+    one the free variable binds to. Chain arrays hold the chains whose first
+    body is scored (``hd``); the stacked tables hold live chains only.
+    """
+    col: np.ndarray       # (2F,) fact column in a [forward | swapped] row
+    anchor: np.ndarray    # (2F,)
+    key: np.ndarray       # (2F,)
+    sim: np.ndarray       # (P, 2P) goal-level predicate similarity
+    hd: np.ndarray        # (N,) heads of the scored chains
+    body1: np.ndarray     # (N, L) first-body similarity per kept fact
+    b1_anchor: np.ndarray  # (L,) facts where some first body reaches theta
+    b1_key: np.ndarray    # (L,)
+    t_rows: np.ndarray    # (Lt,) rows of hd whose second-body table is live
+    T: np.ndarray         # (Lt*C, C) stacked second-body pair tables
+    W1: np.ndarray        # (N, Ls): Kp[b1_i, hd_j] for live H2strict chains j
+    H2s: np.ndarray       # (Ls, C, C) nested chain, final object strict
+    W2t: np.ndarray       # (Lh, N): Kp[b2_i, hd_j] for live H2 chains j
+    H2: np.ndarray        # (Lh, C, C) nested chain, candidate side soft
+    GI: np.ndarray        # (P, 2Lh): best implies | inverse link into chain j
+
+
+def _build_pass(Kp: np.ndarray, Kc: np.ndarray, p_idx, s_idx, o_idx,
+                imp_h, imp_b, inv_h, inv_b, chains, depth: int, th: float,
+                sim: np.ndarray, body: np.ndarray) -> _Pass:
+    """``sim`` is ``_sim_matrices`` at ``depth`` and ``body`` one I-link
+    shallower (none below depth 2); neither depends on the direction."""
+    P = Kp.shape[0]
+    C = Kc.shape[0]
+    col = np.concatenate([p_idx, p_idx + P])
+    anchor = np.concatenate([s_idx, o_idx])
+    key = np.concatenate([o_idx, s_idx])
+    if depth == 0 or not len(p_idx):
+        chains = []
+    # second chain body through facts or one I-link, facts taken both ways
+    t_live, T = [], []
+    for j, (_, _, b2) in enumerate(chains):
+        Tj = _matmat(_group(body[b2][col], anchor, key, Kc, th), Kc, th)
+        if _live(Tj, th):
+            t_live.append(j)
+            T.append(Tj)
+    # nested chain whose bodies are plain facts
+    h2s_live, H2s, h2_live, H2 = [], [], [], []
+    if depth >= 2:
+        for j, (_, b1, b2) in enumerate(chains):
+            Ms1 = _group(Kp[b1][p_idx], s_idx, o_idx, Kc, th)
+            Ms2 = _group(Kp[b2][p_idx], s_idx, o_idx, Kc, th)
+            H2j = _matmat(Ms1, _matmat(Ms2, Kc, th), th)
+            if _live(H2j, th):
+                h2_live.append(j)
+                H2.append(H2j)
+            H2sj = _matmat(Ms1, Ms2, th)
+            if _live(H2sj, th):
+                h2s_live.append(j)
+                H2s.append(H2sj)
+    # a live nested chain can sit under any chain's second body
+    need = np.arange(len(chains)) if h2_live else np.array(t_live, np.int64)
+    ch = np.array(chains, dtype=np.int64).reshape(-1, 3)
+    hd, b1, b2 = ch[need, 0], ch[need, 1], ch[need, 2]
+    body1 = body[b1][:, col]
+    kept = (body1 >= th).any(axis=0)
+    hd_h2 = ch[h2_live, 0]
+
+    def stack(tables):
+        return np.array(tables) if tables else np.zeros((0, C, C))
+
+    return _Pass(
+        col=col, anchor=anchor, key=key, sim=sim, hd=hd,
+        body1=body1[:, kept], b1_anchor=anchor[kept], b1_key=key[kept],
+        t_rows=np.searchsorted(need, t_live), T=stack(T).reshape(-1, C),
+        W1=Kp[np.ix_(b1, ch[h2s_live, 0])], H2s=stack(H2s),
+        W2t=Kp[np.ix_(b2, hd_h2)].T.copy(), H2=stack(H2),
+        GI=np.hstack([_compose(Kp, imp_h, imp_b, Kp[:, hd_h2], th),
+                      _compose(Kp, inv_h, inv_b, Kp[:, hd_h2], th)]))
+
+
 def _matvec(M: np.ndarray, v: np.ndarray, th: float) -> np.ndarray:
     """out[i] = max_k min(M[i,k], v[k]) over the k where v reaches th."""
     keep = v >= th
@@ -482,7 +622,7 @@ def _vecmat(v: np.ndarray, M: np.ndarray, th: float) -> np.ndarray:
 
 
 def reference_passes(view, Kp, Kc, max_depth, th):
-    """Forward and reversed ``scoring._Pass`` tables of a view.
+    """Forward and reversed ``_Pass`` tables of a view.
 
     The reversed tables are the forward ones of the reversed view: facts
     swap subject and object, chains swap their two body slots, and both

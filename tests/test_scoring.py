@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,7 +10,6 @@ from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.prover import ProverConfig, build_templates, prove_goal
 from selprover.config import RunConfig
-from selprover import scoring
 from selprover.scoring import BatchedEvaluator
 
 from oracles import ReferenceScorer
@@ -85,10 +86,10 @@ def assert_matches_stream(kb, store, depth, threshold, rng, n_queries=3):
         a = int(rng.integers(kb.vocab.n_constants))
         got_t = ev.score_tails(rel, a)
         want_t = stream_scores(kb, store, rel, a, depth, threshold, "tail")
-        np.testing.assert_allclose(got_t, want_t, atol=1e-9, rtol=0)
+        np.testing.assert_array_equal(got_t, want_t)
         got_h = ev.score_heads(rel, a)
         want_h = stream_scores(kb, store, rel, a, depth, threshold, "head")
-        np.testing.assert_allclose(got_h, want_h, atol=1e-9, rtol=0)
+        np.testing.assert_array_equal(got_h, want_h)
 
 
 def test_facts_only_matches_stream():
@@ -205,8 +206,14 @@ SQUARE_EC = 0.8 * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 PATH_FACTS = [(1, 0, 1), (1, 1, 2)]
 
 
-def n_live_chains(pa):
-    return len(pa.t_rows) + len(pa.H2)
+def live_tables(ev, kinds):
+    """Cache keys of the evaluator's tables of these kinds with an entry
+    that scores."""
+    return sorted(k for k, T in ev._tables.items()
+                  if k[0] in kinds and T.any())
+
+
+GOAL_KINDS, CHAIN_PRODUCTS = ("G", "R", "L"), ("RG", "RR")
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -214,8 +221,8 @@ def test_threshold_every_chain_dead(depth):
     kb, store = build_kb(PATH_FACTS, [implies(0, 1), chain(0, 3, 4)],
                          FAR_EP, SQUARE_EC)
     free, cut = assert_cut_is_exact(kb, store, depth, 0.1)
-    assert n_live_chains(free._pass) > 0
-    assert n_live_chains(cut._pass) == 0
+    assert live_tables(free, CHAIN_PRODUCTS)
+    assert not live_tables(cut, CHAIN_PRODUCTS)
 
 
 @pytest.mark.parametrize("depth", [1, 2])
@@ -223,7 +230,7 @@ def test_threshold_one_live_chain(depth):
     kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1), chain(0, 3, 4)],
                          FAR_EP, SQUARE_EC)
     _, cut = assert_cut_is_exact(kb, store, depth, 0.1)
-    assert len(cut._pass.t_rows) == 1 and len(cut._pass.H2) <= 1
+    assert live_tables(cut, CHAIN_PRODUCTS) == [("RG", 0, depth - 1)]
     assert cut.score_tails(0, 0)[2] == 1.0
     assert cut.score_heads(0, 2)[0] == 1.0
 
@@ -244,7 +251,7 @@ def test_rejects_depth_three():
     Ec = np.zeros((2, 2))
     kb, store = build_kb([(0, 0, 1)], [], Ep, Ec)
     with pytest.raises(ValueError, match="depth"):
-        BatchedEvaluator(kb.full_view(), store, max_depth=3)
+        BatchedEvaluator(kb.full_view(), store, max_depth=3, min_score=0.1)
 
 
 def test_empty_fact_view_scores_zero():
@@ -270,14 +277,25 @@ def test_subset_view_scores_subset_facts_only():
         assert ev.score_tails(0, 0)[y] == pytest.approx(want, abs=1e-9)
 
 
-
-@pytest.mark.parametrize("block", [scoring._BLOCK, 1.0, 40.0])
-def test_matrix_equals_per_anchor_reference(monkeypatch, block):
+def test_matrix_equals_per_anchor_reference(monkeypatch):
     # every row and column of each relation's matrix, bit for bit, against
-    # the per-anchor closed form over forward and reversed tables; a small
-    # block splits the anchors into chunks of one or a few
-    monkeypatch.setattr(scoring, "_BLOCK", block)
-    nested = 0
+    # the per-anchor closed form by proof families over forward and reversed
+    # tables
+    # the tables each table or chain product reads, through the cache or not
+    readers, stack = collections.defaultdict(set), []
+    table = BatchedEvaluator._table
+
+    def spy(ev, kind, q, d):
+        if stack:
+            readers[kind, q, d].add(stack[-1])
+        stack.append((kind, q, d))
+        try:
+            return table(ev, kind, q, d)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(BatchedEvaluator, "_table", spy)
+    live, chain_depths, shared, nested = set(), set(), 0, 0
     for seed in range(40):
         facts, rules, Ep, Ec = random_template_case(np.random.default_rng(seed))
         scale = (0.4, 0.7, 1.0, 1.5)[seed % 4]
@@ -286,14 +304,47 @@ def test_matrix_equals_per_anchor_reference(monkeypatch, block):
             for threshold in (0.0, 0.1, 0.3):
                 ev = BatchedEvaluator(kb.full_view(), store, depth, threshold)
                 ref = ReferenceScorer(kb.full_view(), store, depth, threshold)
-                nested += bool(len(ev._pass.H2) and len(ev._pass.H2s))
+                nested += bool(len(ref._fwd.H2) and len(ref._fwd.H2s))
+                readers.clear()
                 for rel in range(kb.vocab.n_predicates):
                     for a in range(kb.vocab.n_constants):
                         np.testing.assert_array_equal(
                             ev.score_tails(rel, a), ref.score_tails(rel, a))
                         np.testing.assert_array_equal(
                             ev.score_heads(rel, a), ref.score_heads(rel, a))
-    assert nested > 0
+                live.update(k[0] for k in live_tables(ev, GOAL_KINDS))
+                chain_depths.update(
+                    k[2] for k in live_tables(ev, CHAIN_PRODUCTS))
+                shared += any(len(by) > 1 and ev._tables[k].any()
+                              for k, by in readers.items())
+    assert live == {"G", "R", "L"}
+    assert chain_depths == {0, 1}
+    assert shared > 0 and nested > 0
+
+
+def test_every_triple_matches_prove_goal_bitwise():
+    # the relation matrices against the stream prover, one ground goal per
+    # (rel, x, y), on the full view and on a random sub-view
+    rng = np.random.default_rng(23)
+    for _ in range(12):
+        facts, rules, Ep, Ec = random_template_case(rng)
+        kb, store = build_kb(facts, rules, Ep, Ec)
+        sub = KBView(kb, np.flatnonzero(rng.random(kb.n_facts) < 0.6),
+                     tuple(np.flatnonzero(rng.random(kb.n_rules) < 0.6)
+                           .tolist()))
+        P, C = kb.vocab.n_predicates, kb.vocab.n_constants
+        for view in (kb.full_view(), sub):
+            for depth in (0, 1, 2):
+                for threshold in (0.0, 0.1, 0.3):
+                    ev = BatchedEvaluator(view, store, depth, threshold)
+                    cfg = ProverConfig(max_depth=depth, min_score=threshold)
+                    tables = (ev.Kp, ev.Kc)
+                    for rel in range(P):
+                        want = [[prove_goal(Atom(rel, (x, y)), view, store,
+                                            cfg, tables=tables).score
+                                 for y in range(C)] for x in range(C)]
+                        np.testing.assert_array_equal(ev._matrix(rel),
+                                                      np.array(want))
 
 
 @pytest.mark.parametrize("side, arg", [("score_tails", "subj"),
@@ -308,7 +359,9 @@ def test_out_of_range_index_raises(side, arg):
     for a in (-1, kb.vocab.n_constants):
         with pytest.raises(IndexError, match=f"^{arg} {a} "):
             score(0, a)
-    assert set(ev._matrices) == {0}
+    assert ("G", 0, 2) in ev._tables
+    assert not any(k[1] in (-1, kb.vocab.n_predicates)
+                   for k in ev._tables if k[0] in GOAL_KINDS)
     assert score(4, 3).shape == (kb.vocab.n_constants,)
 
 
