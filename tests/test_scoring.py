@@ -10,6 +10,7 @@ from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
 from selprover.pretrain import CONST_EMB, PRED_EMB
 from selprover.prover import ProverConfig, build_templates, prove_goal
 from selprover.config import RunConfig
+from selprover import accel
 from selprover.scoring import BatchedEvaluator
 
 from oracles import ReferenceScorer
@@ -277,10 +278,13 @@ def test_subset_view_scores_subset_facts_only():
         assert ev.score_tails(0, 0)[y] == pytest.approx(want, abs=1e-9)
 
 
-def test_matrix_equals_per_anchor_reference(monkeypatch):
+@pytest.mark.parametrize("block", [accel._BLOCK, 1.0, 40.0])
+def test_matrix_equals_per_anchor_reference(monkeypatch, block):
     # every row and column of each relation's matrix, bit for bit, against
     # the per-anchor closed form by proof families over forward and reversed
-    # tables
+    # tables; a small block splits the max-min products into chunks of one
+    # or a few rows
+    monkeypatch.setattr(accel, "_BLOCK", block)
     # the tables each table or chain product reads, through the cache or not
     readers, stack = collections.defaultdict(set), []
     table = BatchedEvaluator._table
