@@ -30,7 +30,7 @@ from .evaluate import EfficiencyRecord, compute_efficiency, compute_mrr_hits, \
 from .generator import parse_storage_lines
 from .kb import KnowledgeBase
 from .pretrain import PRED_EMB, SLOT_EMB, pretrain_embeddings
-from .prover import template_rules
+from .prover import slot_count, template_rules
 from .scoring import BatchedEvaluator
 
 log = logging.getLogger(__name__)
@@ -113,9 +113,13 @@ def prepare_out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _load(cfg: RunConfig) -> Dataset:
+def _load(cfg: RunConfig, split: str = "train") -> Dataset:
+    """The configured dataset, whose ``split`` the command reads and so must
+    hold facts."""
     ds = load_dataset(cfg.dataset, cfg.data_dir, cfg.seed, cfg.split_ratios)
     log.info("%s", ds.summary())
+    if not getattr(ds, split):
+        raise DatasetError(f"{ds.name}: the {split} split is empty")
     return ds
 
 
@@ -151,15 +155,14 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _scorer_for(cfg: RunConfig, ds: Dataset, store: ParameterStore
                 ) -> BatchedEvaluator:
-    n_real = ds.vocab.n_predicates
     rules = template_rules(ds.vocab, cfg)
     background = list(ds.train)
     if cfg.eval_kb == "train+valid":
         background += ds.valid
     kb = KnowledgeBase(ds.vocab, background, rules)
-    n_slots = ds.vocab.n_predicates - n_real
-    if store[PRED_EMB].shape[0] != n_real \
-            or SLOT_EMB not in store or store[SLOT_EMB].shape[0] != n_slots:
+    if store[PRED_EMB].shape[0] != ds.vocab.n_predicates \
+            or SLOT_EMB not in store \
+            or store[SLOT_EMB].shape[0] != slot_count(rules):
         raise ConfigError(
             "checkpoint does not match this dataset/template configuration; "
             "evaluate with the config the run was trained under")
@@ -174,7 +177,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         else out / "checkpoints" / "best"
     if not (ckpt / "store.npz").is_file():
         raise ConfigError(f"no checkpoint at {ckpt}")
-    ds = _load(cfg)
+    ds = _load(cfg, "test")
     out = prepare_out_dir(cfg)
     store = ParameterStore.load(ckpt / "store.npz")
     scorer = _scorer_for(cfg, ds, store)
@@ -198,14 +201,11 @@ def _efficiency_records(state: TrainState) -> list[EfficiencyRecord]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     cfg = config_from_args(args)
+    ds = _load(cfg)
+    out = prepare_out_dir(cfg)
     runs = {}
-    out = None
     for mode, flag in (("selected", False), ("full-kb", True)):
         mode_cfg = dataclasses.replace(cfg, baseline_full_kb=flag)
-        # fresh load per mode: training interns template slots into the vocab
-        ds = _load(cfg)
-        if out is None:
-            out = prepare_out_dir(cfg)
         log.info("running %s mode", mode)
         runs[mode] = run_training(mode_cfg, ds, out / mode)
     eff = compute_efficiency(_efficiency_records(runs["selected"]),

@@ -12,6 +12,8 @@ Representation choices, fixed here and relied on everywhere else:
   a rule is stored. The knowledge base stores facts and rules in one
   item-id space, facts first, which is the canonical enumeration order for
   proof search.
+* Predicate ids past the real ones are template slots, never interned, so
+  a vocabulary only grows while its dataset loads.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class Vocabulary:
 
     Ids are dense and contiguous per kind, assigned in first-appearance
     order, which makes vocabulary growth deterministic for a fixed input.
+    A predicate id past the real predicates is a template slot, named
+    ``#k`` for the ``k``-th slot and never interned.
     """
 
     def __init__(self) -> None:
@@ -71,13 +75,12 @@ class Vocabulary:
         return cid
 
     def predicate_name(self, pid: int) -> str:
+        if pid >= len(self._pred_names):
+            return f"#{pid - len(self._pred_names)}"
         return self._pred_names[pid]
 
     def constant_name(self, cid: int) -> str:
         return self._const_names[cid]
-
-    def predicate_names(self) -> list[str]:
-        return list(self._pred_names)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,13 +1,13 @@
 """Differentiable backward chaining over a knowledge-base view.
 
 The search is the classic or/and recursion over template rules, written as
-two closures inside ``prove_goal`` over the view, the kernel tables, the
-config and the accounting: an or-step unifies a goal against every fact and
-rule head in the view, and a rule that unifies proves its body one depth
-further down. Scores follow soft unification: every concrete symbol pair
-contributes a Gaussian-kernel similarity, a branch's score is the running
-minimum of its contributions, and a goal's score is the maximum over
-completed branches.
+one self-recursive or-step closure inside ``prove_goal`` over the view, the
+kernel tables, the config and the accounting: an or-step unifies a goal
+against every fact and rule head in the view, and a rule that unifies
+proves its body by or-steps one depth further down. Scores follow soft
+unification: every concrete symbol pair contributes a Gaussian-kernel
+similarity, a branch's score is the running minimum of its contributions,
+and a goal's score is the maximum over completed branches.
 
 Two things distinguish this prover from the plain formulation. First,
 unification carries a score threshold: a branch whose running minimum falls
@@ -62,8 +62,9 @@ autodiff graph is recorded: the loss returns dense gradients by name.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -211,18 +212,10 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
             return states
         t0, e0 = counters.traversed, counters.established
         counters.traversed += n_items
-        states = list(or_states(pred, a0, a1, depth, state))
-        if beam > 0:
-            states = sorted(states, key=lambda s: -s.score)[:beam]
-        memo[key] = (states, counters.traversed - t0,
-                     counters.established - e0)
-        return states
-
-    def or_states(pred: int, a0: int, a1: int, depth: int, state: ProofState
-                  ) -> Iterator[ProofState]:
         # facts in one vectorized sweep, then rules, each through its shape;
         # view order makes tie handling deterministic
         level = max_depth - depth + 1
+        states = []
         if view.n_facts:
             psim = Kp[pred][view.pred]
             a1sim = Kc[a0][view.subj] if a0 != FREE else None
@@ -236,16 +229,16 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
                                    scores[live].tolist()):
                     hq.add(fid, sc, level, goal_rel)
             if 0 < beam < len(live):
-                # or_step keeps the stable top-beam of this step and fact
-                # states come first in it, so no fact outside the stable
-                # top-beam of the facts alone can make that cut
+                # the beam cut below keeps the stable top-beam of this step
+                # and fact states come first in it, so no fact outside the
+                # stable top-beam of the facts alone can make that cut
                 top = np.argsort(-scores[live], kind="stable")[:beam]
                 live = np.sort(live[top])
             # one list per column: plain ints and floats, no numpy scalars
-            for sc, w, p, s, o, fid in zip(
+            for sc, w, p, s, o in zip(
                     scores[live].tolist(), which[live].tolist(),
                     view.pred[live].tolist(), view.subj[live].tolist(),
-                    view.obj[live].tolist(), view.fact_ids[live].tolist()):
+                    view.obj[live].tolist()):
                 if w == 0:
                     entry = state.entry
                 elif w == 1:
@@ -254,8 +247,8 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
                     entry = (ENTRY_CONST, a0, s)
                 else:
                     entry = (ENTRY_CONST, a1, o)
-                yield ProofState(sc, entry, s if a0 == FREE
-                                 else o if a1 == FREE else FREE)
+                states.append(ProofState(sc, entry, s if a0 == FREE
+                                         else o if a1 == FREE else FREE))
         # a head scores min(state score, Kp[head, goal]), so one gather
         # unifies every rule head; a rule below min_score is only traversed
         # (a NaN kernel passes and leaves the state's score)
@@ -279,17 +272,22 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
                 continue
             shape, _, b1, b2 = parent.rules[rid]
             if shape == SHAPE_IMPLIES:
-                yield from or_step(b1, a0, a1, depth - 1, st)
+                states += or_step(b1, a0, a1, depth - 1, st)
             elif shape == SHAPE_CHAIN:
                 for mid in or_step(b1, a0, FREE, depth - 1, st):
-                    yield from or_step(b2, mid.bound, a1, depth - 1, mid)
+                    states += or_step(b2, mid.bound, a1, depth - 1, mid)
             else:
-                yield from or_step(b1, a1, a0, depth - 1, st)
+                states += or_step(b1, a1, a0, depth - 1, st)
+        if beam > 0:
+            states = sorted(states, key=lambda s: -s.score)[:beam]
+        memo[key] = (states, counters.traversed - t0,
+                     counters.established - e0)
+        return states
 
     states = or_step(goal.pred, *goal.args, max_depth,
                      ProofState(1.0, None, FREE))
-    # the two closures refer to each other; breaking that cycle frees the
-    # view and tables they hold on return rather than at the next collection
+    # the closure refers to itself; breaking that cycle frees the view and
+    # tables it holds on return rather than at the next collection
     del or_step
     best = 0.0
     best_state: ProofState | None = None
@@ -311,37 +309,29 @@ def build_templates(vocab: Vocabulary, store: ParameterStore, cfg: RunConfig,
 
     Three shapes: same-direction implication, argument-swapped implication,
     and a two-hop chain. Slot embeddings are appended to the store under
-    their own parameter, one row per slot the vocabulary gained, scaled to
-    the pretrained predicate spread. Either the store or the vocabulary
-    already holding slots is an error, raised before anything is added to
-    the store.
+    their own parameter, one row per slot of ``template_rules``, scaled to
+    the pretrained predicate spread. A store that already holds slots is
+    an error, raised before anything is added to it.
     """
     if SLOT_EMB in store:
         raise ValueError("templates already built for this store")
-    n_real = vocab.n_predicates
     rules = template_rules(vocab, cfg)
     scale = float(np.std(store[PRED_EMB])) if store[PRED_EMB].size else 0.1
-    store.add(SLOT_EMB, rng.normal(0.0, max(scale, 1e-3),
-                                   size=(vocab.n_predicates - n_real,
-                                         cfg.embedding_dim)))
+    size = (slot_count(rules), cfg.embedding_dim)
+    store.add(SLOT_EMB, rng.normal(0.0, max(scale, 1e-3), size=size))
     return rules
 
 
 def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
     """Template skeletons alone, deterministic given the configured counts.
 
-    Interns one slot predicate ``#k`` per head and body predicate, in rule
-    order, but touches no parameters; use it to reconstruct the rule
+    Slot ids count up from ``vocab.n_predicates``, one per head and body
+    predicate in rule order. Touches neither the vocabulary, which names
+    slot ``k`` ``#k``, nor any parameter; use it to reconstruct the rule
     structure around a saved parameter store, whose slot embeddings were
     laid out in this same order.
     """
-    if any(n.startswith("#") for n in vocab.predicate_names()):
-        raise ValueError("vocabulary already contains template slots")
-    n_real = vocab.n_predicates
-
-    def slot() -> int:
-        return vocab.intern_predicate(f"#{vocab.n_predicates - n_real}")
-
+    slot = itertools.count(vocab.n_predicates).__next__
     # arguments evaluate left to right: head, then body1, then body2
     rules = [Rule(SHAPE_IMPLIES, slot(), slot())
              for _ in range(cfg.templates_implies)]
@@ -350,6 +340,11 @@ def template_rules(vocab: Vocabulary, cfg: RunConfig) -> list[Rule]:
     rules += [Rule(SHAPE_CHAIN, slot(), slot(), slot())
               for _ in range(cfg.templates_chain)]
     return rules
+
+
+def slot_count(rules: list[Rule]) -> int:
+    """Slots the template rules use: two a rule, three a chain."""
+    return sum(3 if r.body2 >= 0 else 2 for r in rules)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,54 @@ class TestPipelines:
         assert (run / "selected" / "metrics.csv").is_file()
         assert (run / "full-kb" / "metrics.csv").is_file()
 
+    def test_compare_baseline_loads_its_dataset_once(self, tmp_path,
+                                                     monkeypatch):
+        loads = []
+        real = cli.load_dataset
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_dataset", counting)
+        argv = flags(tmp_path, iterations=1)
+        assert cli.run_command(["compare-baseline", *argv]) == 0
+        assert len(loads) == 1
+
+    def test_scorers_share_one_dataset(self, tmp_path):
+        argv = flags(tmp_path)
+        assert cli.run_command(["train", *argv]) == 0
+        cfg = cli.config_from_args(cli.build_parser().parse_args(
+            ["eval", *argv]))
+        store = cli.ParameterStore.load(next((tmp_path / "runs").iterdir())
+                                        / "checkpoints" / "best" / "store.npz")
+        ds = cli._load(cfg)
+        first = cli._scorer_for(cfg, ds, store)
+        second = cli._scorer_for(cfg, ds, store)
+        assert ds.vocab.n_predicates == 5
+        for rel in range(ds.vocab.n_predicates):
+            np.testing.assert_array_equal(first._matrix(rel),
+                                          second._matrix(rel))
+
+    @pytest.mark.parametrize("command",
+                             ["pretrain", "train", "compare-baseline"])
+    def test_empty_train_split_is_dataset_error(self, tmp_path, caplog,
+                                                command):
+        argv = flags(tmp_path, split_ratios="0,0,1")
+        assert cli.run_command([command, *argv]) == 2
+        assert "the train split is empty" in caplog.text
+        assert not (tmp_path / "runs").exists()
+
+    def test_empty_test_split_is_dataset_error(self, tmp_path, caplog):
+        argv = flags(tmp_path, split_ratios="1,0,0")
+        assert cli.run_command(["train", *argv]) == 0
+        best = next((tmp_path / "runs").iterdir()) / "checkpoints" / "best"
+        elsewhere = tmp_path / "elsewhere"
+        assert cli.run_command(["eval", *argv, "--checkpoint", str(best),
+                                "--output-root", str(elsewhere)]) == 2
+        assert "the test split is empty" in caplog.text
+        assert not elsewhere.exists()
+
 
 def test_module_entry_point_runs():
     proc = subprocess.run([sys.executable, "-m", "selprover", "--help"],

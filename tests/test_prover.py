@@ -12,7 +12,8 @@ from selprover import accel, prover
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import (ENTRY_PRED, Counters, HighQualityBuffer,
                               ProverConfig, build_templates, kernel_tables,
-                              pred_matrix, prove_goal, training_loss)
+                              pred_matrix, prove_goal, slot_count,
+                              template_rules, training_loss)
 
 from oracles import (known_triples, oracle_prove, random_proof_case,
                      rule_atoms, training_loss_reference)
@@ -545,14 +546,17 @@ def test_template_shapes_and_slots():
     shapes = [r.shape for r in rules]
     assert shapes == ["implies"] * 3 + ["inverse"] * 2 + ["chain"] * 4
     n_slots = 3 * 2 + 2 * 2 + 4 * 3
+    assert slot_count(rules) == n_slots
     assert store[SLOT_EMB].shape == (n_slots, cfg.embedding_dim)
-    assert vocab.n_predicates == 4 + n_slots
-    # slot ids are dense, appended after the real predicates in rule order,
-    # head, then body1, then body2
+    # the slots are ids past the real predicates, never interned
+    assert vocab.n_predicates == 4
+    # slot ids are dense, after the real predicates in rule order, head,
+    # then body1, then body2
     seen = [p for r in rules for p in r[1:] if p >= 0]
     assert seen == list(range(4, 4 + n_slots))
     assert [vocab.predicate_name(p) for p in seen] == [
         f"#{k}" for k in range(n_slots)]
+    assert vocab.predicate_name(3) == "r3"
 
 
 def test_template_slot_scale_tracks_pretrained_spread():
@@ -567,14 +571,26 @@ def test_templates_refuse_double_build():
         build_templates(vocab, store, cfg, np.random.default_rng(0))
 
 
-def test_failed_template_build_leaves_store_untouched():
-    # the vocabulary already holds slots; a fresh store must stay slot-free
-    vocab, _, cfg, _ = template_setup()
-    store = ParameterStore()
-    store.add(PRED_EMB, np.ones((4, cfg.embedding_dim)))
-    with pytest.raises(ValueError, match="template slots"):
-        build_templates(vocab, store, cfg, np.random.default_rng(0))
-    assert SLOT_EMB not in store
+def test_template_rules_leave_the_vocabulary_alone():
+    vocab, _, cfg, rules = template_setup()
+    assert template_rules(vocab, cfg) == rules
+    assert template_rules(vocab, cfg) == rules
+    assert vocab.n_predicates == 4
+
+
+def test_template_builds_share_one_vocabulary():
+    # each store gets the same rules and slot rows over one vocabulary, and
+    # a refused build leaves its store's slots as they were
+    vocab, store, cfg, rules = template_setup()
+    other = ParameterStore()
+    other.add(PRED_EMB, np.ones((4, cfg.embedding_dim)))
+    assert build_templates(vocab, other, cfg,
+                           np.random.default_rng(0)) == rules
+    assert other[SLOT_EMB].shape == store[SLOT_EMB].shape
+    before = other[SLOT_EMB].copy()
+    with pytest.raises(ValueError, match="already built"):
+        build_templates(vocab, other, cfg, np.random.default_rng(1))
+    np.testing.assert_array_equal(other[SLOT_EMB], before)
 
 
 def test_prove_through_template_matches_oracle():
