@@ -7,9 +7,13 @@ logistic loss over positives and uniformly sampled filtered corruptions, on
 the training split only. The resulting store seeds the prover, whose kernel
 then operates directly on the packed 2k-vectors.
 
-No autodiff graph is recorded. The score is trilinear, so
+No autodiff graph is recorded. The score is linear in each argument, so
 ``batch_loss_grad`` writes the loss and its gradients in closed form, and
-the step hands them to ``adam_step`` by parameter name.
+the step hands them to ``adam_step`` by parameter name. A negative differs
+from its positive in one argument, so the batch scores every constant in
+each positive's head and tail slot with one matmul, and reads each sampled
+score off that (2B, C) table: no row is gathered per negative.
+
 Corruptions come from ``_sample_negatives``. It draws a batch's (constant,
 side) pairs in one call and walks the rows against that one stream, in
 vectorized chunks, so it gets exactly what calling the scalar sampler
@@ -51,36 +55,63 @@ def init_store(n_constants: int, n_predicates: int, dim: int,
 
 
 def batch_loss_grad(store: ParameterStore, pos: np.ndarray, neg: np.ndarray,
-                    weight_decay: float) -> tuple[float, np.ndarray, np.ndarray]:
+                    src: np.ndarray, weight_decay: float
+                    ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss of one pretraining batch and its gradients, in closed form.
 
-    ``pos`` and ``neg`` are int arrays of (pred, subj, obj) rows. With B
-    positives the loss is [sum softplus(-s(pos)) + sum softplus(s(neg))
+    ``pos`` and ``neg`` are int arrays of (pred, subj, obj) rows, and
+    ``neg[j]`` corrupts ``pos[src[j]]``: it keeps that positive's predicate
+    and changes exactly one argument, else ``ValueError``. With B positives
+    the loss is [sum softplus(-s(pos)) + sum softplus(s(neg))
     + weight_decay * (squared norm of the positives' head, tail and relation
-    rows)] / B. The score is trilinear, so each partial derivative is a sum
-    of products of the other two factors, e.g. d s / d re_h = re_r*re_t +
-    im_r*im_t. Row gradients are summed into one dense array per parameter.
+    rows)] / B.
+
+    Read as complex vectors, the score of (r, h, t) is Re(<h, r, conj(t)>),
+    linear in each argument. Positive i = (r, h, t) has a head query
+    hq_i = conj(r) t and a tail query tq_i = r h (``_query``), packed
+    [re || im]: (r, c, t) scores E[c] . hq_i and (r, h, c) scores
+    E[c] . tq_i. A head corruption is the first, a tail corruption the
+    second, and the positive is E[h] . hq_i. So the table
+    S = [hq; tq] @ E.T holds every score of the batch, and each is one
+    lookup. The loss gradients of those scores are summed into a table G of
+    the same shape; G.T @ [hq; tq] is then the gradient of every scored
+    constant row, G @ E that of the queries, and the chain through the
+    queries reaches the B positives' own rows, so only B rows are gathered
+    and scattered, however many negatives there are. This is exact: it
+    regroups the same sums, so it agrees with scoring each triple from its
+    own gathered rows up to rounding.
+
+    S and G each hold 2B x C floats for C constants: 258 x 95 on
+    family-large, whose 129 training facts fit in one batch; at the default
+    batch of 256, each is 4 KB per constant.
 
     Returns (loss, d loss / d const_emb, d loss / d pred_emb).
     """
     E = store[CONST_EMB]
     W = store[PRED_EMB]
-    B = len(pos)
-    k = E.shape[1] // 2
-    trip = np.concatenate([pos, neg])
-    p, s, o = trip[:, 0], trip[:, 1], trip[:, 2]
-    # gather from contiguous re/im halves, so every row block is contiguous
-    E_re, E_im = np.ascontiguousarray(E[:, :k]), np.ascontiguousarray(E[:, k:])
-    W_re, W_im = np.ascontiguousarray(W[:, :k]), np.ascontiguousarray(W[:, k:])
-    re_h, im_h = E_re[s], E_im[s]
-    re_r, im_r = W_re[p], W_im[p]
-    re_t, im_t = E_re[o], E_im[o]
-    # d s / d head; the score is linear in the head
-    dh_re = re_r * re_t
-    dh_re += im_r * im_t
-    dh_im = re_r * im_t
-    dh_im -= im_r * re_t
-    score = np.einsum("ij,ij->i", re_h, dh_re) + np.einsum("ij,ij->i", im_h, dh_im)
+    B, C = len(pos), len(E)
+    p, s, o = pos.T
+    src = np.asarray(src)
+    if src.shape != (len(neg),):
+        raise ValueError(f"src has shape {src.shape}, expected ({len(neg)},)")
+    if len(src) and (src.min() < 0 or src.max() >= B):
+        raise ValueError(f"src must index {B} positives, "
+                         f"got {src.min()}..{src.max()}")
+    changed = neg != pos[src]
+    head = changed[:, 1]
+    if changed[:, 0].any() or (head == changed[:, 2]).any():
+        raise ValueError("each negative must keep its positive's predicate "
+                         "and change exactly one argument")
+    r = _complex(W[p])
+    ht = _complex(E[np.concatenate([s, o])])
+    h, t = ht[:B], ht[B:]
+    Q = _packed(np.concatenate([_query(r, t, head=True),
+                                _query(r, h, head=False)]))
+    S = Q @ E.T
+    # (row, column) of every score: the positives, then the negatives
+    row = np.concatenate([np.arange(B), np.where(head, src, src + B)])
+    col = np.concatenate([s, np.where(head, neg[:, 1], neg[:, 2])])
+    score = S[row, col]
     # x is the softplus argument: -s for positives, s for negatives
     x = np.concatenate([-score[:B], score[B:]])
     e = np.exp(-np.abs(x))
@@ -88,48 +119,47 @@ def batch_loss_grad(store: ParameterStore, pos: np.ndarray, neg: np.ndarray,
     # g = d loss / d s
     g = np.where(x >= 0, 1.0, e) / (1.0 + e) * (1.0 / B)
     g[:B] *= -1.0
-    g = g[:, None]
     c = 2.0 * weight_decay / B
     if weight_decay > 0:
-        rows = np.concatenate([re_h[:B], im_h[:B], re_t[:B], im_t[:B],
-                               re_r[:B], im_r[:B]], axis=1)
-        loss += np.sum(rows * rows) * weight_decay
+        loss += (np.vdot(ht, ht).real + np.vdot(r, r).real) * weight_decay
     loss *= 1.0 / B
 
-    # Each block of row gradients is summed into its parameter and dropped
-    # before the next is formed, which keeps the step's peak memory low.
-    n_c, n_p = len(E), len(W)
-    dh_re *= g
-    dh_im *= g
-    dh_re[:B] += c * re_h[:B]
-    dh_im[:B] += c * im_h[:B]
-    flat = _flat_index(s, k)
-    c_re = _scatter(flat, dh_re, n_c)
-    c_im = _scatter(flat, dh_im, n_c)
-    del dh_re, dh_im
-    # from here on re_h, im_h hold g * head
-    re_h *= g
-    im_h *= g
-    dr_re = re_h * re_t
-    dr_re += im_h * im_t
-    dr_im = re_h * im_t
-    dr_im -= im_h * re_t
-    dr_re[:B] += c * re_r[:B]
-    dr_im[:B] += c * im_r[:B]
-    flat = _flat_index(p, k)
-    g_pred = np.concatenate([_scatter(flat, dr_re, n_p),
-                             _scatter(flat, dr_im, n_p)], axis=1)
-    del dr_re, dr_im
-    dt_re = re_h * re_r
-    dt_re -= im_h * im_r
-    dt_im = im_h * re_r
-    dt_im += re_h * im_r
-    dt_re[:B] += c * re_t[:B]
-    dt_im[:B] += c * im_t[:B]
-    flat = _flat_index(o, k)
-    c_re += _scatter(flat, dt_re, n_c)
-    c_im += _scatter(flat, dt_im, n_c)
-    return float(loss), np.concatenate([c_re, c_im], axis=1), g_pred
+    G = np.bincount(row * C + col, weights=g, minlength=2 * B * C).reshape(2 * B, C)
+    dQ = _complex(G @ E)
+    dhq, dtq = dQ[:B], dQ[B:]
+    # a complex entry u + iv has the gradient dL/du + i dL/dv; through
+    # hq = conj(r) t and tq = r h, d t = r dhq, d h = conj(r) dtq and
+    # d r = t conj(dhq) + conj(h) dtq
+    d_ht = np.concatenate([_query(r, dtq, head=True),
+                           _query(r, dhq, head=False)])
+    d_ht += c * ht
+    d_r = t * dhq.conj() + h.conj() * dtq + c * r
+    g_const = G.T @ Q
+    g_const += _scatter(_flat_index(np.concatenate([s, o]), E.shape[1]),
+                        _packed(d_ht), C)
+    g_pred = _scatter(_flat_index(p, W.shape[1]), _packed(d_r), len(W))
+    return float(loss), g_const, g_pred
+
+
+def _query(r: np.ndarray, a: np.ndarray, head: bool) -> np.ndarray:
+    """ComplEx's query of complex relation rows ``r`` and argument rows ``a``.
+
+    With ``head``, ``a`` is the tail t and the query is conj(r) t, so that
+    E[c] . _packed(query) scores (r, c, t) for every constant c; otherwise
+    ``a`` is the head h, the query is r h, and it scores (r, h, c).
+    """
+    return (r.conj() if head else r) * a
+
+
+def _complex(packed: np.ndarray) -> np.ndarray:
+    """Complex rows from real rows packed [re || im]."""
+    k = packed.shape[-1] // 2
+    return packed[..., :k] + 1j * packed[..., k:]
+
+
+def _packed(z: np.ndarray) -> np.ndarray:
+    """Real rows packed [re || im] from complex rows."""
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _flat_index(rows: np.ndarray, k: int) -> np.ndarray:
@@ -265,11 +295,11 @@ def pretrain_embeddings(train: list[Atom], vocab: Vocabulary, cfg: RunConfig,
         epoch_loss = 0.0
         for b0 in range(0, n, cfg.pretrain_batch):
             pos = triples[order[b0:b0 + cfg.pretrain_batch]]
-            neg, kept = _sample_negatives(
-                rng, np.repeat(pos, cfg.pretrain_negatives, axis=0),
-                vocab.n_constants, known)
+            src = np.repeat(np.arange(len(pos)), cfg.pretrain_negatives)
+            neg, kept = _sample_negatives(rng, pos[src], vocab.n_constants,
+                                          known)
             loss, g_const, g_pred = batch_loss_grad(
-                store, pos, neg[kept], cfg.pretrain_weight_decay)
+                store, pos, neg[kept], src[kept], cfg.pretrain_weight_decay)
             ad.adam_step(store, {CONST_EMB: g_const, PRED_EMB: g_pred},
                          lr=cfg.pretrain_lr)
             epoch_loss += loss * len(pos)
@@ -286,21 +316,14 @@ class ComplExScorer:
     """
 
     def __init__(self, store: ParameterStore) -> None:
-        E, W = store[CONST_EMB], store[PRED_EMB]
-        k = E.shape[1] // 2
-        self.E_re, self.E_im = E[:, :k], E[:, k:]
-        self.W_re, self.W_im = W[:, :k], W[:, k:]
+        self.E = store[CONST_EMB]
+        self.E_c = _complex(self.E)
+        self.W_c = _complex(store[PRED_EMB])
 
     def score_tails(self, rel: int, subj: int) -> np.ndarray:
         """Scores of (rel, subj, y) for every constant y."""
-        re_h, im_h = self.E_re[subj], self.E_im[subj]
-        re_r, im_r = self.W_re[rel], self.W_im[rel]
-        return (self.E_re @ (re_h * re_r - im_h * im_r)
-                + self.E_im @ (im_h * re_r + re_h * im_r))
+        return self.E @ _packed(_query(self.W_c[rel], self.E_c[subj], head=False))
 
     def score_heads(self, rel: int, obj: int) -> np.ndarray:
         """Scores of (rel, x, obj) for every constant x."""
-        re_t, im_t = self.E_re[obj], self.E_im[obj]
-        re_r, im_r = self.W_re[rel], self.W_im[rel]
-        return (self.E_re @ (re_r * re_t + im_r * im_t)
-                + self.E_im @ (re_r * im_t - im_r * re_t))
+        return self.E @ _packed(_query(self.W_c[rel], self.E_c[obj], head=True))

@@ -56,15 +56,71 @@ def complex_score(h: int, r: int, t: int, store):
                   + re_h * im_r * im_t - im_h * im_r * re_t)
 
 
-def pretrain_reference(train, vocab, cfg, rng):
+def batch_loss_grad_reference(store, pos, neg, weight_decay):
+    """``pretrain.batch_loss_grad`` scored row by row from gathered rows.
+
+    Every triple of the batch, positive or negative, gathers its own head,
+    relation and tail rows, and each partial derivative is a sum of products
+    of the other two factors, e.g. d s / d re_h = re_r*re_t + im_r*im_t;
+    ``np.add.at`` sums the row gradients into one dense array per parameter.
+    Negatives need not be corruptions of a positive, so this also checks
+    that the package's table form reads each one off the right table.
+    Returns (loss, d loss / d const_emb, d loss / d pred_emb).
+    """
+    E = store["const_emb"]
+    W = store["pred_emb"]
+    B = len(pos)
+    k = E.shape[1] // 2
+    trip = np.concatenate([pos, neg])
+    p, s, o = trip[:, 0], trip[:, 1], trip[:, 2]
+    re_h, im_h = E[s, :k], E[s, k:]
+    re_r, im_r = W[p, :k], W[p, k:]
+    re_t, im_t = E[o, :k], E[o, k:]
+    # d s / d head; the score is linear in the head
+    dh_re = re_r * re_t + im_r * im_t
+    dh_im = re_r * im_t - im_r * re_t
+    score = np.sum(re_h * dh_re + im_h * dh_im, axis=1)
+    # x is the softplus argument: -s for positives, s for negatives
+    x = np.concatenate([-score[:B], score[B:]])
+    e = np.exp(-np.abs(x))
+    loss = (np.maximum(x, 0.0) + np.log1p(e)).sum()
+    # g = d loss / d s
+    g = np.where(x >= 0, 1.0, e) / (1.0 + e) / B
+    g[:B] *= -1.0
+    g = g[:, None]
+    c = 2.0 * weight_decay / B
+    for rows in (re_h, im_h, re_t, im_t, re_r, im_r):
+        loss += weight_decay * np.sum(rows[:B] ** 2)
+    loss /= B
+
+    def decayed(grad, rows):
+        grad[:B] += c * rows[:B]
+        return grad
+
+    dh_re = decayed(g * dh_re, re_h)
+    dh_im = decayed(g * dh_im, im_h)
+    dr_re = decayed(g * (re_h * re_t + im_h * im_t), re_r)
+    dr_im = decayed(g * (re_h * im_t - im_h * re_t), im_r)
+    dt_re = decayed(g * (re_h * re_r - im_h * im_r), re_t)
+    dt_im = decayed(g * (im_h * re_r + re_h * im_r), im_t)
+    g_const = np.zeros_like(E)
+    g_pred = np.zeros_like(W)
+    np.add.at(g_const, s, np.concatenate([dh_re, dh_im], axis=1))
+    np.add.at(g_const, o, np.concatenate([dt_re, dt_im], axis=1))
+    np.add.at(g_pred, p, np.concatenate([dr_re, dr_im], axis=1))
+    return float(loss), g_const, g_pred
+
+
+def pretrain_reference(train, vocab, cfg, rng, row_wise=False):
     """``pretrain.pretrain_embeddings`` with corruptions drawn row by row.
 
     Each positive of a batch gets ``pretrain_negatives`` calls to the scalar
     sampler ``pretrain._sample_negative``, in batch order, and a call that
     gives up adds no negative. The loss, its gradients and the update come
     from the package's ``batch_loss_grad`` and ``adam_step``, so the batch
-    sampler is the one part this loop does differently. Returns (store,
-    mean loss per epoch).
+    sampler is the one part this loop does differently; with ``row_wise``
+    the loss and gradients come from ``batch_loss_grad_reference`` instead.
+    Returns (store, mean loss per epoch).
     """
     from selprover import autodiff, pretrain
 
@@ -78,17 +134,23 @@ def pretrain_reference(train, vocab, cfg, rng):
         epoch_loss = 0.0
         for b0 in range(0, len(triples), cfg.pretrain_batch):
             pos = [triples[j] for j in order[b0:b0 + cfg.pretrain_batch]]
-            neg = []
-            for t in pos:
+            neg, src = [], []
+            for i, t in enumerate(pos):
                 for _ in range(cfg.pretrain_negatives):
                     cand = pretrain._sample_negative(rng, t, vocab.n_constants,
                                                      known)
                     if cand is not None:
                         neg.append(cand)
-            loss, g_const, g_pred = pretrain.batch_loss_grad(
-                store, np.array(pos, dtype=np.int64),
-                np.array(neg, dtype=np.int64).reshape(-1, 3),
-                cfg.pretrain_weight_decay)
+                        src.append(i)
+            pos = np.array(pos, dtype=np.int64)
+            neg = np.array(neg, dtype=np.int64).reshape(-1, 3)
+            if row_wise:
+                loss, g_const, g_pred = batch_loss_grad_reference(
+                    store, pos, neg, cfg.pretrain_weight_decay)
+            else:
+                loss, g_const, g_pred = pretrain.batch_loss_grad(
+                    store, pos, neg, np.array(src, dtype=np.int64),
+                    cfg.pretrain_weight_decay)
             autodiff.adam_step(store, {pretrain.CONST_EMB: g_const,
                                        pretrain.PRED_EMB: g_pred},
                                lr=cfg.pretrain_lr)

@@ -353,16 +353,24 @@ def _fd_gaussian_kernel() -> float:
 
 
 def _fd_complex_score() -> float:
-    # the closed-form pretraining gradient, weight decay on, one row repeated
+    # the closed-form pretraining gradient, weight decay on, one positive and
+    # one negative repeated; each negative replaces the head or the tail of
+    # its positive with another constant
     rng = np.random.default_rng(2)
     store = pretrain.init_store(4, 2, 6, rng)
-    pos, neg = (np.stack([rng.integers(0, 2, size=n), rng.integers(0, 4, size=n),
-                          rng.integers(0, 4, size=n)], axis=1) for n in (3, 4))
+    pos = np.stack([rng.integers(0, 2, size=3), rng.integers(0, 4, size=3),
+                    rng.integers(0, 4, size=3)], axis=1)
+    src = rng.integers(0, 3, size=4)
+    neg = pos[src]
+    side = rng.integers(1, 3, size=4)
+    neg[np.arange(4), side] = (neg[np.arange(4), side]
+                               + rng.integers(1, 4, size=4)) % 4
     pos = np.concatenate([pos, pos[:1]])
     neg = np.concatenate([neg, neg[:1]])
+    src = np.concatenate([src, src[:1]])
 
     def loss():
-        return pretrain.batch_loss_grad(store, pos, neg, 0.1)
+        return pretrain.batch_loss_grad(store, pos, neg, src, 0.1)
 
     _, g_const, g_pred = loss()
     return _sweep_manual_fd(store, lambda: loss()[0],
