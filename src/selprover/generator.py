@@ -32,8 +32,9 @@ import numpy as np
 
 from .autodiff import ParameterStore
 from .kb import KnowledgeBase, Vocabulary
-from .prover import HighQualityBuffer, pred_matrix
+from .prover import HighQualityBuffer
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
+from .scoring import pred_matrix
 
 def init_generator(store: ParameterStore, n_real_preds: int, dim: int,
                    rng: np.random.Generator) -> None:

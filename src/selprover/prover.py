@@ -58,6 +58,11 @@ training loss differentiates just those winning entries, which is the exact
 subgradient of the max-min composition away from ties. The kernel
 exp(-||u - v||^2) has the closed-form gradient -2K(u - v) in u, so no
 autodiff graph is recorded: the loss returns dense gradients by name.
+
+The training loss runs this search for its positives only, each with its
+own fact masked. A sampled corruption masks nothing, so its score and
+bottleneck entry come from ``scoring.BatchedEvaluator.proof`` over the
+batch's tables: unbeamed, and with no harvest and no counts.
 """
 
 from __future__ import annotations
@@ -74,9 +79,8 @@ from .config import RunConfig
 from .kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom, KBView,
                  Rule, Vocabulary)
 from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB, _sample_negatives
+from .scoring import ENTRY_CONST, ENTRY_PRED, BatchedEvaluator, kernel_tables
 
-ENTRY_PRED = 0
-ENTRY_CONST = 1
 # a subgoal argument no constant is bound to yet
 FREE = -1
 
@@ -106,7 +110,9 @@ class HqEntry:
 
 
 class HighQualityBuffer:
-    """Knowledge items whose unification cleared the threshold.
+    """Knowledge items whose unification cleared the threshold in a proof of
+    a training positive; ``training_loss`` scores corruptions from tables,
+    which harvest nothing.
 
     Deduplicated by item id: score keeps the max, level keeps the min, and
     the goal relation (with its origin tag) follows the best score seen.
@@ -139,24 +145,6 @@ class HighQualityBuffer:
 class Counters:
     traversed: int = 0
     established: int = 0
-
-
-# ---------------------------------------------------------------------------
-# kernel tables
-# ---------------------------------------------------------------------------
-
-
-def pred_matrix(store: ParameterStore) -> np.ndarray:
-    """All predicate embeddings, trainable template slots appended."""
-    if SLOT_EMB in store:
-        return np.vstack([store[PRED_EMB], store[SLOT_EMB]])
-    return store[PRED_EMB]
-
-
-def kernel_tables(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
-    E = pred_matrix(store)
-    return accel.kernel_matrix(E, E), accel.kernel_matrix(store[CONST_EMB],
-                                                          store[CONST_EMB])
 
 
 @dataclass(slots=True)
@@ -374,18 +362,22 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
                   ) -> tuple[float, dict[str, np.ndarray], dict]:
     """Cross-entropy over proof scores of positives and sampled corruptions.
 
-    Each positive is masked out of the view for its own proof only, and is
-    followed by its ``prover_negatives`` corruptions, all drawn by one
-    ``pretrain._sample_negatives`` call; a draw that finds no unknown triple
-    is dropped. Each score is clamped to [c, 1 - c] (c = ``score_clamp``),
-    and the loss sums -log s over positives and -log clip(1 - s, c, 1) over
-    negatives. Returns (loss, gradients, stats). ``stats`` holds the mean
-    proof score of the positives and of the negatives, and how many of each
-    were scored (``goals_*``) and proved, that is scored above 0
-    (``proved_*``). The gradients are dense arrays keyed by parameter name,
-    in the order proofs first touch them; the caller owns the clip/update
-    sequence. Unifications that clear the threshold go to ``hq``; with
-    ``hq=None`` nothing is harvested and ``counters`` still count them.
+    Each positive is proved by ``prove_goal`` with its own fact masked out
+    of the view, and is followed by its ``prover_negatives`` corruptions,
+    all drawn by one ``pretrain._sample_negatives`` call; a draw that finds
+    no unknown triple is dropped. A corruption masks nothing, so one
+    ``scoring.BatchedEvaluator`` over the view and ``tables`` scores all of
+    them, unbeamed, with ``proof``. Each score is clamped to [c, 1 - c]
+    (c = ``score_clamp``), and the loss sums -log s over positives and
+    -log clip(1 - s, c, 1) over negatives. Returns (loss, gradients, stats).
+    ``stats`` holds the mean proof score of the positives and of the
+    negatives, and how many of each were scored (``goals_*``) and proved,
+    that is scored above 0 (``proved_*``). The gradients are dense arrays
+    keyed by parameter name, in the order proofs first touch them; the
+    caller owns the clip/update sequence. The positives' unifications that
+    clear the threshold go to ``hq``, and their searches to ``counters``;
+    with ``hq=None`` nothing is harvested and ``counters`` still count.
+    Corruptions touch neither.
 
     A proof's score is recomputed from its bottleneck entry's rows u, v as
     K = exp(-||u - v||^2), whose gradient in u is -2K(u - v) and in v its
@@ -396,6 +388,8 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
                          beam=cfg.beam)
     if tables is None:
         tables = kernel_tables(store)
+    scorer = BatchedEvaluator(view, store, cfg.max_depth, cfg.min_score,
+                              tables=tables)
     n_real = store[PRED_EMB].shape[0]
     n_const = store[CONST_EMB].shape[0]
     c = cfg.score_clamp
@@ -411,9 +405,8 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
             g = grads[name] = np.zeros_like(store[name])
         return g
 
-    def add_term(result: ProofResult, negative: bool) -> None:
-        K = result.score
-        entry = result.state.entry if result.state is not None else None
+    def add_term(K: float, entry: tuple[int, int, int] | None,
+                 negative: bool) -> None:
         if entry is not None:
             (nu, iu), (nv, iv) = _entry_rows(entry, n_real)
             d = store[nu][iu] - store[nv][iv]
@@ -447,13 +440,14 @@ def training_loss(positives: list[Atom], view: KBView, store: ParameterStore,
         res_p = prove_goal(goal, view, store, pconf, hq, counters, tables,
                            exclude_fact=base.fact_id(goal))
         pos_scores.append(res_p.score)
-        add_term(res_p, negative=False)
+        add_term(res_p.score,
+                 res_p.state.entry if res_p.state is not None else None,
+                 negative=False)
         own = slice(i * k, (i + 1) * k)
         for rel, subj, obj in negs[own][kept[own]].tolist():
-            res_n = prove_goal(Atom(rel, (subj, obj)), view, store, pconf, hq,
-                               counters, tables)
-            neg_scores.append(res_n.score)
-            add_term(res_n, negative=True)
+            score, entry = scorer.proof(rel, subj, obj)
+            neg_scores.append(score)
+            add_term(score, entry, negative=True)
     stats = {
         "mean_pos": float(np.mean(pos_scores)) if pos_scores else 0.0,
         "mean_neg": float(np.mean(neg_scores)) if neg_scores else 0.0,

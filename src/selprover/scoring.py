@@ -46,6 +46,18 @@ read-only for the evaluator's lifetime, keyed by (kind, predicate, depth);
 a chain's product does not depend on the goal and is keyed by the rule
 instead. A tail query (r, a, ?) reads row a of r's ``G`` table at full
 depth and a head query (r, ?, a) its column a.
+
+``proof(r, x, y)`` also names the bottleneck kernel entry of [x, y], which
+the training loss differentiates for a sampled corruption. With the score
+s in hand, the best proofs are those whose factors all reach s, and a
+table entry >= s says some proof of its goal is one. The walk-back visits
+a goal's facts in view order, then its rules in view order, taking a
+chain's inner constants lowest first, and descends into the first
+candidate whose tables reach s. On that proof it returns the first factor,
+in path order, equal to s, written in ``prove_goal``'s operand order, so
+the stream and the walk-back differentiate the same kernel value. Where
+tied proofs exist the two can pick different ones; the stream visits a
+chain's inner constants in its first body's proof order instead.
 """
 
 from __future__ import annotations
@@ -55,7 +67,30 @@ import numpy as np
 from . import accel
 from .autodiff import ParameterStore
 from .kb import SHAPE_CHAIN, SHAPE_IMPLIES, KBView
-from .prover import kernel_tables
+from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
+
+ENTRY_PRED = 0
+ENTRY_CONST = 1
+# the table kind of a goal by the argument (0 or 1) a free variable holds
+_KIND = {None: "G", 1: "R", 0: "L"}
+
+
+# ---------------------------------------------------------------------------
+# kernel tables
+# ---------------------------------------------------------------------------
+
+
+def pred_matrix(store: ParameterStore) -> np.ndarray:
+    """All predicate embeddings, trainable template slots appended."""
+    if SLOT_EMB in store:
+        return np.vstack([store[PRED_EMB], store[SLOT_EMB]])
+    return store[PRED_EMB]
+
+
+def kernel_tables(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
+    E = pred_matrix(store)
+    return accel.kernel_matrix(E, E), accel.kernel_matrix(store[CONST_EMB],
+                                                          store[CONST_EMB])
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +139,12 @@ class BatchedEvaluator:
     """
 
     def __init__(self, view: KBView, store: ParameterStore, max_depth: int,
-                 min_score: float):
+                 min_score: float, *,
+                 tables: tuple[np.ndarray, np.ndarray] | None = None):
         if max_depth > 2:
             raise ValueError(
                 f"batched scoring supports depth <= 2, got {max_depth}")
-        self.Kp, self.Kc = kernel_tables(store)
+        self.Kp, self.Kc = kernel_tables(store) if tables is None else tables
         self.min_score = float(min_score)
         self.n_constants = self.Kc.shape[0]
         self._depth = max_depth
@@ -124,6 +160,21 @@ class BatchedEvaluator:
     def score_heads(self, rel: int, obj: int) -> np.ndarray:
         """Scores of (rel, x, obj) for every constant x."""
         return self._matrix(rel)[:, _index("obj", obj, self.n_constants)]
+
+    def proof(self, rel: int, x: int, y: int
+              ) -> tuple[float, tuple[int, int, int] | None]:
+        """Score of (rel, x, y) and the bottleneck entry of its best proof.
+
+        The score is the one ``prove_goal`` finds without a beam. The entry
+        is the first factor at that score on the first proof that reaches
+        it, or None when no proof scores or every factor is 1.0.
+        """
+        C = self.n_constants
+        score = float(self._matrix(rel)[_index("subj", x, C),
+                                        _index("obj", y, C)])
+        if not 0.0 < score < 1.0:
+            return score, None
+        return score, self._walk(rel, x, y, None, self._depth, score)
 
     def _matrix(self, rel: int) -> np.ndarray:
         """Read-only scores of every (rel, x, y), anchors x by candidates y."""
@@ -166,3 +217,63 @@ class BatchedEvaluator:
         T.flags.writeable = False
         self._tables[key] = T
         return T
+
+    def _walk(self, q: int, a0: int, a1: int, free: int | None, d: int,
+              t: float) -> tuple[int, int, int] | None:
+        """The entry of the first factor at ``t`` on the first proof of goal
+        q(a0, a1) at remaining depth ``d`` whose factors all reach ``t``;
+        None when no factor of that proof is at ``t``.
+
+        ``free`` is the argument (0 or 1) a free variable holds, with the
+        constant it binds in its place, or None for a ground goal; the
+        goal's table must reach ``t`` at [a0, a1]. Proofs are visited as
+        facts in view order, then rules in view order, and a chain's inner
+        constants lowest first. An entry keeps the stream's operand order:
+        (PRED, goal, fact), (PRED, head, goal), (CONST, goal arg, fact arg).
+        """
+        Kp, Kc = self.Kp, self.Kc
+        pred, subj, obj = self._facts
+        factors = [(Kp[q][pred], ENTRY_PRED, q, pred)]
+        ok = factors[0][0] >= t
+        for arg, a, ids in ((0, a0, subj), (1, a1, obj)):
+            if arg == free:
+                ok &= ids == a
+            else:
+                factors.append((Kc[a][ids], ENTRY_CONST, a, ids))
+                ok &= factors[-1][0] >= t
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            f = hits[0]
+            return next(((kind, i, int(ids[f]))
+                         for sims, kind, i, ids in factors if sims[f] <= t),
+                        None)
+        rules = self._rules if d > 0 else []  # an L goal has depth 0
+        for shape, head, b1, b2 in rules:
+            link = Kp[head, q]
+            if link < t:
+                continue
+            if shape == SHAPE_CHAIN:
+                mids = np.flatnonzero(
+                    (self._table("R", b1, d - 1)[a0] >= t)
+                    & (self._table(_KIND[free], b2, d - 1)[:, a1] >= t))
+                if not mids.size:
+                    continue
+                z = int(mids[0])
+                steps = ((b1, a0, z, 1), (b2, z, a1, free))
+            else:
+                if shape == SHAPE_IMPLIES:
+                    step = (b1, a0, a1, free)
+                else:  # an inverse swaps the arguments, and so a free one
+                    step = (b1, a1, a0, None if free is None else 1 - free)
+                if self._table(_KIND[step[3]], b1, d - 1)[step[1:3]] < t:
+                    continue
+                steps = (step,)
+            if link <= t:
+                return ENTRY_PRED, head, q
+            for step in steps:
+                entry = self._walk(*step, d - 1, t)
+                if entry is not None:
+                    return entry
+            return None
+        raise RuntimeError(f"no proof of {_KIND[free]} goal {q}({a0}, {a1}) "
+                           f"at depth {d} reaches its table's {t}")

@@ -14,7 +14,7 @@ with the package's ``scoring`` recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -163,18 +163,21 @@ def training_loss_reference(positives, view, store, cfg, hq, counters,
                             known_facts, rng, tables=None):
     """``prover.training_loss`` with each goal's corruptions drawn by the
     scalar sampler ``pretrain._sample_negative``, one call at a time between
-    that goal's proofs, as the loss drew them before it sampled in batch.
+    that goal's proofs, as the loss drew them before it sampled in batch,
+    and proved one by one by the stream prover.
 
     Proofs, the bottleneck-entry gradient and the clamps come from the
-    package, through ``prover.prove_goal`` and ``prover._entry_rows``, so
-    how the corruptions are drawn is the one thing this loop does
-    differently. Returns (loss, gradients, stats).
+    package, through ``prover.prove_goal`` and ``prover._entry_rows``. A
+    corruption is proved unbeamed, with ``hq=None`` and a throwaway
+    ``Counters``, since the loss scores corruptions from tables that harvest
+    and count nothing. Returns (loss, gradients, stats).
     """
     from selprover import pretrain, prover
     from selprover.kb import Atom
 
     pconf = prover.ProverConfig(max_depth=cfg.max_depth,
                                 min_score=cfg.min_score, beam=cfg.beam)
+    unbeamed = replace(pconf, beam=0)
     if tables is None:
         tables = prover.kernel_tables(store)
     n_real = store["pred_emb"].shape[0]
@@ -217,7 +220,8 @@ def training_loss_reference(positives, view, store, cfg, hq, counters,
             if cand is None:
                 continue
             res = prover.prove_goal(Atom(cand[0], (cand[1], cand[2])), view,
-                                    store, pconf, hq, counters, tables)
+                                    store, unbeamed, None, prover.Counters(),
+                                    tables)
             neg_scores.append(res.score)
             add_term(res, negative=True)
     stats = {

@@ -7,13 +7,14 @@ import pytest
 from selprover.autodiff import ParameterStore
 from selprover.config import RunConfig
 from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
-                          KnowledgeBase, Rule, Vocabulary)
+                          KBView, KnowledgeBase, Rule, Vocabulary)
 from selprover import accel, prover
 from selprover.pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 from selprover.prover import (ENTRY_PRED, Counters, HighQualityBuffer,
                               ProverConfig, build_templates, kernel_tables,
-                              pred_matrix, prove_goal, slot_count,
-                              template_rules, training_loss)
+                              prove_goal, slot_count, template_rules,
+                              training_loss)
+from selprover.scoring import BatchedEvaluator, pred_matrix
 
 from oracles import (known_triples, oracle_prove, random_proof_case,
                      rule_atoms, training_loss_reference)
@@ -812,10 +813,8 @@ def test_training_loss_drops_exhausted_corruptions():
     assert loss == pytest.approx(-np.log(stats["mean_pos"]), abs=1e-9)
 
 
-def test_training_loss_matches_goal_by_goal_sampling(monkeypatch):
-    # p0 holds 8 of its 9 triples over three constants, so most draws are
-    # rejected, and a p0 goal without constant 2 in it has every corruption
-    # known, so its draws run out and are dropped
+def sampling_case():
+    """test_training_loss_matches_goal_by_goal_sampling's KB and positives."""
     rng = np.random.default_rng(8)
     Ep = rng.normal(0.0, 0.4, size=(3, 2))
     Ec = rng.normal(0.0, 0.4, size=(3, 2))
@@ -823,7 +822,14 @@ def test_training_loss_matches_goal_by_goal_sampling(monkeypatch):
     facts += [(1, 0, 1), (1, 2, 0), (2, 1, 2)]
     rules = [Rule(SHAPE_CHAIN, 2, 0, 1), Rule(SHAPE_INVERSE, 1, 0)]
     kb, store = make_package(facts, rules, Ep, Ec)
-    positives = [Atom(p, (s, o)) for p, s, o in facts[::2]]
+    return kb, store, [Atom(p, (s, o)) for p, s, o in facts[::2]]
+
+
+def test_training_loss_matches_goal_by_goal_sampling(monkeypatch):
+    # p0 holds 8 of its 9 triples over three constants, so most draws are
+    # rejected, and a p0 goal without constant 2 in it has every corruption
+    # known, so its draws run out and are dropped
+    kb, store, positives = sampling_case()
     cfg = RunConfig(max_depth=2, min_score=0.1, prover_negatives=3,
                     embedding_dim=2)
     proved = []
@@ -847,13 +853,84 @@ def test_training_loss_matches_goal_by_goal_sampling(monkeypatch):
     (loss_r, grads_r, stats_r), proved_r, hq_r, counters_r, state_r = runs[1]
     assert 0 < stats["goals_neg"] < 3 * len(positives)  # some rows dropped
     assert stats["proved_neg"] > 0
-    assert proved == proved_r
+    # the loss proves its positives alone on the stream, each masked
+    assert proved == [(g, x) for g, x in proved_r if x >= 0]
+    assert len(proved) == len(positives)
     assert loss == loss_r
     assert list(grads) == list(grads_r)
     for name in grads:
         np.testing.assert_array_equal(grads[name], grads_r[name])
     assert stats == stats_r
     assert (hq, counters, state) == (hq_r, counters_r, state_r)
+
+
+def spy_proofs(monkeypatch) -> list:
+    """Record every ``BatchedEvaluator.proof`` call as (rel, x, y, result)."""
+    calls = []
+    proof = BatchedEvaluator.proof
+
+    def spy(ev, rel, x, y):
+        out = proof(ev, rel, x, y)
+        calls.append((rel, x, y, out))
+        return out
+
+    monkeypatch.setattr(BatchedEvaluator, "proof", spy)
+    return calls
+
+
+def test_corruptions_leave_harvest_and_counters_alone():
+    kb, store, positives = sampling_case()
+    runs = []
+    for k in (0, 3):
+        cfg = RunConfig(max_depth=2, min_score=0.1, prover_negatives=k,
+                        embedding_dim=2)
+        hq, counters = HighQualityBuffer(), Counters()
+        _, _, stats = training_loss(positives, kb.full_view(), store, cfg, hq,
+                                    counters, known_triples(kb),
+                                    np.random.default_rng(5))
+        runs.append((list(hq.items.items()), counters, stats["goals_neg"]))
+    (hq0, counters0, n0), (hq3, counters3, n3) = runs
+    assert n0 == 0 and n3 > 0
+    assert hq3 == hq0 and counters3 == counters0
+
+
+def test_corruption_scores_are_unbeamed_stream_scores(monkeypatch):
+    kb, store, positives = sampling_case()
+    view = KBView(kb, np.arange(0, kb.n_facts, 2), (0, 1))
+    calls = spy_proofs(monkeypatch)
+    cfg = RunConfig(max_depth=2, min_score=0.1, prover_negatives=3,
+                    embedding_dim=2, beam=2)
+    _, _, stats = training_loss(positives, view, store, cfg,
+                                HighQualityBuffer(), Counters(),
+                                known_triples(kb), np.random.default_rng(5))
+    assert len(calls) == stats["goals_neg"] > 0
+    unbeamed = ProverConfig(max_depth=2, min_score=0.1, beam=0)
+    scores = [prove_goal(Atom(rel, (x, y)), view, store, unbeamed).score
+              for rel, x, y, _ in calls]
+    assert [score for *_, (score, _) in calls] == scores
+    assert stats["mean_neg"] == float(np.mean(scores))
+    assert stats["proved_neg"] == sum(s > 0.0 for s in scores) > 0
+
+
+def test_beam_does_not_cut_a_corruption(monkeypatch):
+    # r(c0, c3) proves by the chain r <- b1(X, Z), b2(Z, Y) through b1(c0, c2)
+    # and b2(c2, c3) only. b1(c0, c1) ties b1(c0, c2) ahead of it in view
+    # order, so a beam of 1 keeps c1, which b2 cannot continue; the loss
+    # scores the corruption from the tables, unbeamed
+    Ep = place([0.0, 0.0], [4.0, 0.0], [0.0, 4.0])
+    Ec = place([0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0])
+    kb, store = make_package([(0, 0, 0), (1, 0, 1), (1, 0, 2), (2, 2, 3)],
+                             [Rule(SHAPE_CHAIN, 0, 1, 2)], Ep, Ec)
+    corrupt = Atom(0, (0, 3))
+    beamed = ProverConfig(max_depth=2, min_score=0.1, beam=1)
+    assert prove_goal(corrupt, kb.full_view(), store, beamed).score == 0.0
+    calls = spy_proofs(monkeypatch)
+    cfg = RunConfig(max_depth=2, min_score=0.1, prover_negatives=6,
+                    embedding_dim=2, beam=1)
+    training_loss([Atom(0, (0, 0))], kb.full_view(), store, cfg,
+                  HighQualityBuffer(), Counters(), known_triples(kb),
+                  np.random.default_rng(0))
+    assert (0, 0, 3, (1.0, None)) in calls
 
 
 def test_training_loss_no_mask_when_goal_not_a_fact():

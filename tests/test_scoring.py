@@ -8,10 +8,12 @@ from selprover.autodiff import ParameterStore
 from selprover.kb import (SHAPE_CHAIN, SHAPE_IMPLIES, SHAPE_INVERSE, Atom,
                           KBView, KnowledgeBase, Rule, Vocabulary)
 from selprover.pretrain import CONST_EMB, PRED_EMB
-from selprover.prover import ProverConfig, build_templates, prove_goal
+from selprover.prover import (ProverConfig, _entry_rows, build_templates,
+                              prove_goal)
 from selprover.config import RunConfig
 from selprover import accel
-from selprover.scoring import BatchedEvaluator
+from selprover.scoring import (ENTRY_CONST, ENTRY_PRED, BatchedEvaluator,
+                              kernel_tables)
 
 from oracles import ReferenceScorer
 
@@ -326,9 +328,46 @@ def test_matrix_equals_per_anchor_reference(monkeypatch, block):
     assert shared > 0 and nested > 0
 
 
+def entry_gradient(store, entry):
+    """Gradient of one kernel entry's value, as ``training_loss`` spreads it
+    over both operands' rows: -2K(u - v) to u, its negation to v."""
+    (nu, iu), (nv, iv) = _entry_rows(entry, store[PRED_EMB].shape[0])
+    d = store[nu][iu] - store[nv][iv]
+    row = -2.0 * (np.exp(-(d * d).sum()) * d)
+    grads = {name: np.zeros_like(store[name]) for name in (nu, nv)}
+    grads[nu][iu] += row
+    grads[nv][iv] -= row
+    return grads
+
+
+def assert_proofs_match_stream(ev, view, store, cfg, rel):
+    """Every (rel, x, y): ``proof`` against ``prove_goal``, bit for bit in
+    the score; the entry is the stream's, or the same kernel entry with its
+    operands swapped, whose gradient rows are the same. Returns the
+    stream's score matrix."""
+    C = ev.n_constants
+    scores = np.zeros((C, C))
+    for x in range(C):
+        for y in range(C):
+            res = prove_goal(Atom(rel, (x, y)), view, store, cfg,
+                             tables=(ev.Kp, ev.Kc))
+            want = res.state.entry if res.state is not None else None
+            score, entry = ev.proof(rel, x, y)
+            assert score == res.score
+            if entry != want:
+                assert (entry[0], entry[2], entry[1]) == want
+                got_g, want_g = (entry_gradient(store, e)
+                                 for e in (entry, want))
+                assert set(got_g) == set(want_g)
+                for name in want_g:
+                    np.testing.assert_array_equal(got_g[name], want_g[name])
+            scores[x, y] = res.score
+    return scores
+
+
 def test_every_triple_matches_prove_goal_bitwise():
-    # the relation matrices against the stream prover, one ground goal per
-    # (rel, x, y), on the full view and on a random sub-view
+    # the relation matrices and the walk-back against the stream prover, one
+    # ground goal per (rel, x, y), on the full view and on a random sub-view
     rng = np.random.default_rng(23)
     for _ in range(12):
         facts, rules, Ep, Ec = random_template_case(rng)
@@ -336,19 +375,85 @@ def test_every_triple_matches_prove_goal_bitwise():
         sub = KBView(kb, np.flatnonzero(rng.random(kb.n_facts) < 0.6),
                      tuple(np.flatnonzero(rng.random(kb.n_rules) < 0.6)
                            .tolist()))
-        P, C = kb.vocab.n_predicates, kb.vocab.n_constants
         for view in (kb.full_view(), sub):
             for depth in (0, 1, 2):
                 for threshold in (0.0, 0.1, 0.3):
                     ev = BatchedEvaluator(view, store, depth, threshold)
                     cfg = ProverConfig(max_depth=depth, min_score=threshold)
-                    tables = (ev.Kp, ev.Kc)
-                    for rel in range(P):
-                        want = [[prove_goal(Atom(rel, (x, y)), view, store,
-                                            cfg, tables=tables).score
-                                 for y in range(C)] for x in range(C)]
-                        np.testing.assert_array_equal(ev._matrix(rel),
-                                                      np.array(want))
+                    for rel in range(kb.vocab.n_predicates):
+                        np.testing.assert_array_equal(
+                            ev._matrix(rel),
+                            assert_proofs_match_stream(ev, view, store, cfg,
+                                                       rel))
+
+
+def test_proof_with_threshold_at_a_cell():
+    # a threshold equal to a cell's score keeps that cell, and the walk-back
+    # must still reach it: every factor of its proof is at or above it
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        facts, rules, Ep, Ec = random_template_case(rng)
+        kb, store = build_kb(facts, rules, Ep, Ec)
+        view = kb.full_view()
+        free = BatchedEvaluator(view, store, 2, 0.0)
+        rel = int(rng.integers(kb.vocab.n_predicates))
+        cells = np.unique(free._matrix(rel))
+        threshold = float(rng.choice(cells[cells > 0.0]))
+        ev = BatchedEvaluator(view, store, 2, threshold,
+                              tables=(free.Kp, free.Kc))
+        cfg = ProverConfig(max_depth=2, min_score=threshold)
+        assert threshold in assert_proofs_match_stream(ev, view, store, cfg,
+                                                       rel)
+
+
+def test_proof_of_a_chain_at_the_threshold():
+    # the threshold is one square side's kernel. p0(c0, c3) binds Z = c1
+    # through p1(c0, c1), and the second body p1(c1, c3) proves from that
+    # same fact with both constants one side off: the first is the entry
+    kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1)], FAR_EP, SQUARE_EC)
+    free = BatchedEvaluator(kb.full_view(), store, 2, 0.0)
+    threshold = float(free.Kc[3, 2])
+    ev = BatchedEvaluator(kb.full_view(), store, 2, threshold)
+    assert ev.proof(0, 0, 3) == (threshold, (ENTRY_CONST, 1, 0))
+    res = prove_goal(Atom(0, (0, 3)), kb.full_view(), store,
+                     ProverConfig(max_depth=2, min_score=threshold))
+    assert (res.score, res.state.entry) == ev.proof(0, 0, 3)
+    assert ev.proof(0, 0, 2) == (1.0, None)  # every factor exactly 1
+    assert ev.proof(2, 0, 1) == (0.0, None)  # no fact or rule for p2
+
+
+def test_proof_of_a_rule_link_keeps_the_stream_order():
+    # p0(c0, c1) proves only by p2(X, Y) :- p1(X, Y), whose head sits 0.8
+    # from p0: the link is the bottleneck, written (PRED, head, goal)
+    Ep = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.8]])
+    kb, store = build_kb([(1, 0, 1)], [implies(2, 1)], Ep, SQUARE_EC)
+    view = kb.full_view()
+    ev = BatchedEvaluator(view, store, 1, 0.1)
+    assert ev.proof(0, 0, 1) == (float(ev.Kp[2, 0]), (ENTRY_PRED, 2, 0))
+    res = prove_goal(Atom(0, (0, 1)), view, store,
+                     ProverConfig(max_depth=1, min_score=0.1))
+    assert (res.score, res.state.entry) == ev.proof(0, 0, 1)
+
+
+def test_proof_through_an_inverse_under_a_chain():
+    # p0(c3, c2) :- p1(c3, Z), p2(Z, c2) with p1(X, Y) :- p3(Y, X): the
+    # inverse turns the first body's free object into p3's free subject,
+    # which binds Z = c1 from p3(c1, c0); c0 against c3 is the bottleneck
+    kb, store = build_kb([(3, 1, 0), (2, 1, 2)],
+                         [chain(0, 1, 2), inverse(1, 3)], FAR_EP, SQUARE_EC)
+    view = kb.full_view()
+    ev = BatchedEvaluator(view, store, 2, 0.1)
+    assert ev.proof(0, 3, 2) == (float(ev.Kc[3, 0]), (ENTRY_CONST, 3, 0))
+    res = prove_goal(Atom(0, (3, 2)), view, store,
+                     ProverConfig(max_depth=2, min_score=0.1))
+    assert (res.score, res.state.entry) == ev.proof(0, 3, 2)
+
+
+def test_caller_tables_are_used_as_given():
+    kb, store = build_kb(PATH_FACTS, [chain(0, 1, 1)], FAR_EP, SQUARE_EC)
+    tables = kernel_tables(store)
+    ev = BatchedEvaluator(kb.full_view(), store, 2, 0.1, tables=tables)
+    assert ev.Kp is tables[0] and ev.Kc is tables[1]
 
 
 @pytest.mark.parametrize("side, arg", [("score_tails", "subj"),
