@@ -46,20 +46,6 @@ _EXTENSIONS = (".txt", ".tsv")
 _PART_NAMES = ("train", "valid", "test")
 
 
-def _read_facts(path: str, vocab: Vocabulary,
-                seen: set[tuple[int, int, int]]) -> list[Atom]:
-    # cross-file dedup: a triple repeated in a later split file is dropped
-    with open(path, "r", encoding="utf-8") as fh:
-        facts, _, _ = parse_triples(fh.read(), vocab)
-    out = []
-    for f in facts:
-        t = f.as_triple()
-        if t not in seen:
-            seen.add(t)
-            out.append(f)
-    return out
-
-
 def _part_file(directory: str, part: str) -> str | None:
     for ext in _EXTENSIONS:
         path = os.path.join(directory, part + ext)
@@ -87,11 +73,13 @@ def load_dataset(name: str, data_dir: str, seed: int,
     if os.path.isdir(directory):
         parts = {p: _part_file(directory, p) for p in _PART_NAMES}
         if all(parts.values()):
-            vocab = Vocabulary()
-            seen: set[tuple[int, int, int]] = set()
-            loaded = {p: _read_facts(parts[p], vocab, seen) for p in _PART_NAMES}
-            return Dataset(name, vocab, loaded["train"], loaded["valid"],
-                           loaded["test"])
+            # one vocabulary, and one seen set: a triple repeated in a
+            # later split file is dropped
+            vocab, seen, loaded = Vocabulary(), set(), []
+            for part in _PART_NAMES:
+                with open(parts[part], "r", encoding="utf-8") as fh:
+                    loaded.append(parse_triples(fh.read(), vocab, seen)[0])
+            return Dataset(name, vocab, *loaded)
         single = _single_file(directory)
         if single is None:
             raise DatasetError(
@@ -104,7 +92,7 @@ def load_dataset(name: str, data_dir: str, seed: int,
             return _from_single_file(name, path, seed, ratios)
     if name in SYNTHETIC_PRESETS:
         facts, vocab = synthesize_family(seed=seed, **SYNTHETIC_PRESETS[name])
-        return _from_facts(name, facts, vocab, seed, ratios)
+        return Dataset(name, vocab, *split_dataset(facts, ratios, seed))
     raise DatasetError(
         f"dataset {name!r} not found under {data_dir!r} and not a synthetic "
         f"preset ({', '.join(sorted(SYNTHETIC_PRESETS))})")
@@ -116,11 +104,6 @@ def _from_single_file(name: str, path: str, seed: int,
         facts, vocab, _ = parse_triples(fh.read())
     if not facts:
         raise DatasetError(f"no facts in {path}")
-    return _from_facts(name, facts, vocab, seed, ratios)
-
-
-def _from_facts(name: str, facts: list[Atom], vocab: Vocabulary, seed: int,
-                ratios: tuple[float, float, float]) -> Dataset:
     return Dataset(name, vocab, *split_dataset(facts, ratios, seed))
 
 

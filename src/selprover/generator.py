@@ -8,11 +8,11 @@ which knowledge selection intersects with the KB.
 
 The relation storage is the generator's training set. It holds predicate
 occurrences harvested from proof search, layered by the recursion level the
-source knowledge was used at, each layer capacity-bounded (lowest score
-evicted first). Nearest-neighbor completion tops the harvest up with the
-closest unexplored knowledge items, as many as the storage has free room
-below its capacity, before the storage update, so sparse early iterations
-still fill the buffers.
+source knowledge was used at, each layer capacity-bounded (completion
+entries, then the lowest score, evicted first). Nearest-neighbor completion
+tops the harvest up with the closest unexplored knowledge items, as many as
+the storage has free room below its capacity, before the storage update, so
+sparse early iterations still fill the buffers.
 
 The m-step teacher-forces the generator on sequences read off the storage:
 goal relation, then one sampled predicate per layer in depth order.
@@ -153,8 +153,9 @@ class RelationStorage:
     """Layered predicate buffers; layer index equals proof recursion level.
 
     Duplicates are allowed (a predicate proving many goals should weigh
-    more in the m-step). When a layer overflows its capacity the lowest
-    score is evicted, earliest entry first on ties.
+    more in the m-step). An overflowing layer evicts ``nns`` entries before
+    harvested (``unify``) ones, so completion never displaces the harvest;
+    within each group the lowest score goes, earliest first on ties.
     """
 
     def __init__(self, capacities: tuple[int, ...]):
@@ -177,8 +178,8 @@ class RelationStorage:
         layer = self.layers[level - 1]
         layer.append(entry)
         if len(layer) > self.capacities[level - 1]:
-            drop = min(range(len(layer)), key=lambda i: (layer[i].score, i))
-            layer.pop(drop)
+            layer.remove(min(layer, key=lambda e: (e.provenance != "nns",
+                                                   e.score)))
 
     def entries_by_goal(self, level: int) -> dict[int, list[StorageEntry]]:
         """One layer's entries grouped by goal relation, in storage order."""

@@ -244,19 +244,20 @@ class KBView:
             self._local_of_parent = {int(p): i for i, p in enumerate(self.fact_ids)}
         return self._local_of_parent.get(int(parent_fact_id), -1)
 
-def parse_triples(text: str, vocab: Vocabulary | None = None
+def parse_triples(text: str, vocab: Vocabulary | None = None,
+                  seen: set[tuple[int, int, int]] | None = None
                   ) -> tuple[list[Atom], Vocabulary, int]:
     """Parse tab/whitespace-separated triple lines into interned facts.
 
     Lines hold (subject, predicate, object). Two-token lines are unary atoms
     and are skipped; the skip count is returned. Any other token count is a
-    ``ParseError`` carrying the 1-based line number. Duplicate facts keep
-    their first occurrence. Returns (facts, vocabulary, unary_skipped).
+    ``ParseError`` carrying the 1-based line number. A fact already in
+    ``seen``, or earlier in the text, is dropped, and each kept fact is
+    added to ``seen``. Returns (facts, vocabulary, unary_skipped).
     """
-    if vocab is None:
-        vocab = Vocabulary()
+    vocab = Vocabulary() if vocab is None else vocab
+    seen = set() if seen is None else seen
     facts: list[Atom] = []
-    seen: set[tuple[int, int, int]] = set()
     skipped = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -41,15 +41,14 @@ for those top facts only.
 An or-step runs once per proof. Within one proof the view, the tables, the
 goal relation and the excluded fact are fixed, so its states, counter
 increments and buffer adds depend only on (predicate, arguments, depth,
-incoming score, incoming entry). The first call with that key stores its
-states and the ``traversed``/``established`` it added; a repeat adds the
-same counts and returns the stored list. Its buffer adds are not repeated:
-each would add an item already added in this proof with the same score and
+incoming entry): the incoming score is the kernel value at that entry, or
+1.0 when the entry is None. The first call with that key stores its states
+and the ``traversed``/``established`` it added; a repeat adds the same
+counts and returns the stored list. Its buffer adds are not repeated: each
+would add an item already added in this proof with the same score and
 level, which changes nothing. The counters and the buffer therefore see the
 whole logical search, and only the wall time drops. The memo lives for one
-proof, since a batch-wide one would hold every proof's lists at once. The
-score is keyed alongside the entry although it is the table value at that
-entry today, so the memo stays exact if the two ever part.
+proof, since a batch-wide one would hold every proof's lists at once.
 
 Gradient handling: search runs on precomputed kernel tables (plain floats),
 and each state remembers the single (kind, i, j) kernel entry that is its
@@ -182,8 +181,8 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
     goal_rel = goal.pred
     parent = view.parent
     n_items = view.n_items
-    # or-steps by (pred, a0, a1, depth, score, entry): the states and the
-    # counter deltas
+    # or-steps by (pred, a0, a1, depth, entry): the states and the counter
+    # deltas
     memo: dict[tuple, tuple[list[ProofState], int, int]] = {}
 
     def or_step(pred: int, a0: int, a1: int, depth: int, state: ProofState
@@ -191,7 +190,7 @@ def prove_goal(goal: Atom, view: KBView, store: ParameterStore,
         """The states of goal ``pred(a0, a1)``, at most one argument
         ``FREE``, cut to the stable top-``beam`` under a beam; run once per
         key and proof."""
-        key = (pred, a0, a1, depth, state.score, state.entry)
+        key = (pred, a0, a1, depth, state.entry)
         hit = memo.get(key)
         if hit is not None:
             states, traversed, established = hit

@@ -26,9 +26,11 @@ reaches the threshold adds its body's table floored by that kernel: an
 implication the body's table of the same kind, an inverse its transposed
 partner (``G`` for ``G``, ``L`` for ``R``), and a chain the max-min product
 of its first body's ``R`` table with its second body's table of the goal's
-kind. A chain's first body is the only place an ``R`` goal starts, and an
-inverse under it the only place an ``L`` goal starts, so at depth <= 2 an
-``L`` goal has depth 0 and runs no rule; the depth guard keeps it there.
+kind. ``_body`` is the one place a rule body's table is read, by this
+recursion and by the walk-back below alike. A chain's first body is the
+only place an ``R`` goal starts, and an inverse under it the only place an
+``L`` goal starts, so at depth <= 2 an ``L`` goal has depth 0 and runs no
+rule; the depth guard keeps it there.
 
 The unification threshold theta (``min_score``) prunes the tables as the
 stream prover prunes branches. Scoring does no arithmetic after
@@ -53,11 +55,12 @@ s in hand, the best proofs are those whose factors all reach s, and a
 table entry >= s says some proof of its goal is one. The walk-back visits
 a goal's facts in view order, then its rules in view order, taking a
 chain's inner constants lowest first, and descends into the first
-candidate whose tables reach s. On that proof it returns the first factor,
-in path order, equal to s, written in ``prove_goal``'s operand order, so
-the stream and the walk-back differentiate the same kernel value. Where
-tied proofs exist the two can pick different ones; the stream visits a
-chain's inner constants in its first body's proof order instead.
+candidate that reaches s: a fact whose factors all do, or a rule whose
+head kernel and ``_body`` entry both do. On that proof it returns the first
+factor, in path order, equal to s, written in ``prove_goal``'s operand
+order, so the stream and the walk-back differentiate the same kernel
+value. Where tied proofs exist the two can pick different ones; the stream
+visits a chain's inner constants in its first body's proof order instead.
 """
 
 from __future__ import annotations
@@ -71,8 +74,9 @@ from .pretrain import CONST_EMB, PRED_EMB, SLOT_EMB
 
 ENTRY_PRED = 0
 ENTRY_CONST = 1
-# the table kind of a goal by the argument (0 or 1) a free variable holds
-_KIND = {None: "G", 1: "R", 0: "L"}
+# the goal kind an inverse's body takes: swapping the arguments moves the
+# free one to the other side
+_SWAP = {"G": "G", "R": "L", "L": "R"}
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +98,7 @@ def kernel_tables(store: ParameterStore) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# theta-pruned kernels: each returns a theta-faithful result and makes the
-# plain ``accel`` call when nothing can be left out
+# theta-pruned kernels: each returns a theta-faithful result
 # ---------------------------------------------------------------------------
 
 
@@ -104,8 +107,6 @@ def _matmat(A: np.ndarray, B: np.ndarray, th: float) -> np.ndarray:
     a = A >= th
     rows = a.any(axis=1)
     inner = a.any(axis=0) & (B >= th).any(axis=1)
-    if rows.all() and inner.all():
-        return accel.maxmin_matmat(A, B)
     out = np.zeros((A.shape[0], B.shape[1]))
     if rows.any() and inner.any():
         out[rows] = accel.maxmin_matmat(A[np.ix_(rows, inner)], B[inner])
@@ -116,8 +117,6 @@ def _group(psim: np.ndarray, soft_idx: np.ndarray, grp_idx: np.ndarray,
            Kc: np.ndarray, th: float) -> np.ndarray:
     """accel.strict_group over the facts whose predicate factor reaches th."""
     keep = psim >= th
-    if keep.all():
-        return accel.strict_group(psim, soft_idx, grp_idx, Kc)
     return accel.strict_group(psim[keep], soft_idx[keep], grp_idx[keep], Kc)
 
 
@@ -174,7 +173,7 @@ class BatchedEvaluator:
                                         _index("obj", y, C)])
         if not 0.0 < score < 1.0:
             return score, None
-        return score, self._walk(rel, x, y, None, self._depth, score)
+        return score, self._walk("G", rel, x, y, self._depth, score)
 
     def _matrix(self, rel: int) -> np.ndarray:
         """Read-only scores of every (rel, x, y), anchors x by candidates y."""
@@ -201,42 +200,45 @@ class BatchedEvaluator:
             if kind == "G":
                 T = _matmat(T, Kc, th)
             rules = self._rules if d > 0 else []
-            for j, (shape, head, b1, _) in enumerate(rules):
+            for j, (_, head, _, _) in enumerate(rules):
                 link = self.Kp[head, q]
-                if link < th:
-                    continue
-                if shape == SHAPE_IMPLIES:
-                    body = self._table(kind, b1, d - 1)
-                elif shape == SHAPE_CHAIN:
-                    body = self._table("R" + kind, j, d - 1)
-                else:  # an inverse swaps the arguments, and so a free one
-                    body = self._table("G" if kind == "G" else "L", b1,
-                                       d - 1).T
-                np.maximum(T, np.minimum(link, body), out=T)
+                if link >= th:
+                    np.maximum(T, np.minimum(link, self._body(kind, j, d - 1)),
+                               out=T)
         T[T < th] = 0.0
         T.flags.writeable = False
         self._tables[key] = T
         return T
 
-    def _walk(self, q: int, a0: int, a1: int, free: int | None, d: int,
+    def _body(self, kind: str, j: int, d: int) -> np.ndarray:
+        """Rule ``j``'s body table for a goal of kind ``kind``, at the body's
+        depth ``d``: the one place a rule body's table is read."""
+        shape, _, b1, _ = self._rules[j]
+        if shape == SHAPE_IMPLIES:
+            return self._table(kind, b1, d)
+        if shape == SHAPE_CHAIN:
+            return self._table("R" + kind, j, d)
+        return self._table(_SWAP[kind], b1, d).T
+
+    def _walk(self, kind: str, q: int, a0: int, a1: int, d: int,
               t: float) -> tuple[int, int, int] | None:
         """The entry of the first factor at ``t`` on the first proof of goal
-        q(a0, a1) at remaining depth ``d`` whose factors all reach ``t``;
-        None when no factor of that proof is at ``t``.
+        q(a0, a1) of kind ``kind`` at remaining depth ``d`` whose factors
+        all reach ``t``; None when no factor of that proof is at ``t``.
 
-        ``free`` is the argument (0 or 1) a free variable holds, with the
-        constant it binds in its place, or None for a ground goal; the
-        goal's table must reach ``t`` at [a0, a1]. Proofs are visited as
-        facts in view order, then rules in view order, and a chain's inner
-        constants lowest first. An entry keeps the stream's operand order:
-        (PRED, goal, fact), (PRED, head, goal), (CONST, goal arg, fact arg).
+        An ``R`` goal holds in ``a1``, and an ``L`` goal in ``a0``, the
+        constant its free variable binds; the goal's table must reach ``t``
+        at [a0, a1]. Proofs are visited as facts in view order, then rules
+        in view order, and a chain's inner constants lowest first. An entry
+        keeps the stream's operand order: (PRED, goal, fact), (PRED, head,
+        goal), (CONST, goal arg, fact arg).
         """
         Kp, Kc = self.Kp, self.Kc
         pred, subj, obj = self._facts
         factors = [(Kp[q][pred], ENTRY_PRED, q, pred)]
         ok = factors[0][0] >= t
-        for arg, a, ids in ((0, a0, subj), (1, a1, obj)):
-            if arg == free:
+        for free, a, ids in ((kind == "L", a0, subj), (kind == "R", a1, obj)):
+            if free:
                 ok &= ids == a
             else:
                 factors.append((Kc[a][ids], ENTRY_CONST, a, ids))
@@ -244,36 +246,29 @@ class BatchedEvaluator:
         hits = np.flatnonzero(ok)
         if hits.size:
             f = hits[0]
-            return next(((kind, i, int(ids[f]))
-                         for sims, kind, i, ids in factors if sims[f] <= t),
+            return next(((e, i, int(ids[f]))
+                         for sims, e, i, ids in factors if sims[f] <= t),
                         None)
         rules = self._rules if d > 0 else []  # an L goal has depth 0
-        for shape, head, b1, b2 in rules:
+        for j, (shape, head, b1, b2) in enumerate(rules):
             link = Kp[head, q]
-            if link < t:
+            if link < t or self._body(kind, j, d - 1)[a0, a1] < t:
                 continue
-            if shape == SHAPE_CHAIN:
-                mids = np.flatnonzero(
-                    (self._table("R", b1, d - 1)[a0] >= t)
-                    & (self._table(_KIND[free], b2, d - 1)[:, a1] >= t))
-                if not mids.size:
-                    continue
-                z = int(mids[0])
-                steps = ((b1, a0, z, 1), (b2, z, a1, free))
-            else:
-                if shape == SHAPE_IMPLIES:
-                    step = (b1, a0, a1, free)
-                else:  # an inverse swaps the arguments, and so a free one
-                    step = (b1, a1, a0, None if free is None else 1 - free)
-                if self._table(_KIND[step[3]], b1, d - 1)[step[1:3]] < t:
-                    continue
-                steps = (step,)
             if link <= t:
                 return ENTRY_PRED, head, q
+            if shape == SHAPE_IMPLIES:
+                steps = ((kind, b1, a0, a1),)
+            elif shape == SHAPE_CHAIN:
+                z = int(np.flatnonzero(
+                    (self._table("R", b1, d - 1)[a0] >= t)
+                    & (self._table(kind, b2, d - 1)[:, a1] >= t))[0])
+                steps = (("R", b1, a0, z), (kind, b2, z, a1))
+            else:
+                steps = ((_SWAP[kind], b1, a1, a0),)
             for step in steps:
                 entry = self._walk(*step, d - 1, t)
                 if entry is not None:
                     return entry
             return None
-        raise RuntimeError(f"no proof of {_KIND[free]} goal {q}({a0}, {a1}) "
+        raise RuntimeError(f"no proof of {kind} goal {q}({a0}, {a1}) "
                            f"at depth {d} reaches its table's {t}")

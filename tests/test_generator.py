@@ -220,6 +220,28 @@ def test_storage_eviction_tie_drops_earliest():
     assert [e.pred for e in st.layers[0]] == [1, 2]
 
 
+def test_storage_evicts_nns_before_harvest():
+    st = RelationStorage((2,))
+    st.add(1, StorageEntry(0, 0.3, 9, "unify"))
+    st.add(1, StorageEntry(1, 0.4, 9, "unify"))
+    # a full layer of harvested entries keeps all of them
+    st.add(1, StorageEntry(2, 0.9, 9, "nns"))
+    assert [(e.pred, e.provenance) for e in st.layers[0]] == [
+        (0, "unify"), (1, "unify")]
+    st = RelationStorage((3,))
+    for pred, score, prov in ((0, 0.6, "nns"), (1, 0.8, "nns"),
+                              (2, 0.2, "unify")):
+        st.add(1, StorageEntry(pred, score, 9, prov))
+    # a harvested arrival evicts the lowest nns entry, not a lower harvest
+    st.add(1, StorageEntry(3, 0.1, 9, "unify"))
+    assert [e.pred for e in st.layers[0]] == [1, 2, 3]
+    # within the nns group: lowest score, then earliest
+    st = RelationStorage((2,))
+    for pred in (0, 1, 2):
+        st.add(1, StorageEntry(pred, 0.5, 9, "nns"))
+    assert [e.pred for e in st.layers[0]] == [1, 2]
+
+
 def test_storage_allows_duplicates():
     st = RelationStorage((4, 4))
     st.add(2, StorageEntry(1, 0.8, 0, "unify"))

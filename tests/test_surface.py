@@ -27,7 +27,8 @@ ALLOWED = {
     "autodiff.softmax": _TAPE,
     "autodiff.cross_entropy_logits": _TAPE,
     "autodiff.finite_difference_check": "tape gradient checks; moves to "
-                                        "tests/oracles.py with ROADMAP item 7",
+                                        "tests/oracles.py with ROADMAP "
+                                        "item 12",
     "evaluate.pooled_region_auc_pr": "the Countries AUC-PR protocol, which "
                                      "no command reports yet",
     "pretrain.ComplExScorer": "ROADMAP item 1: eval's baselines.csv ranks "
